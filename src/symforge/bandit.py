@@ -19,12 +19,13 @@ from .net import (
     SQUARED,
     Dataset,
     TrainConfig,
+    _residual_loss,
     evaluate,
     mean_loss,
     train_reference_mlp,
     train_sgd,
 )
-from .selection import ArmFeature, SelectionPair
+from .selection import ArmFeature, SelectionPair, argmax_arm
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def screen_coordinates(
     fit = Dataset(dataset.inputs[:-n_held], dataset.targets[:-n_held])
     held = Dataset(dataset.inputs[-n_held:], dataset.targets[-n_held:])
     _, predict = train_reference_mlp(fit, train_cfg)
-    base = max(float(np.mean((predict(held.inputs) - held.targets) ** 2)), 1e-12)
+    base = max(_residual_loss(predict(held.inputs) - held.targets, SQUARED), 1e-12)
     rng = np.random.default_rng(seed)
     n = dataset.inputs.shape[1]
     importance = np.zeros(n)
@@ -97,9 +98,7 @@ def screen_coordinates(
         for _ in range(repeats):
             shuffled = held.inputs.copy()
             shuffled[:, j] = shuffled[rng.permutation(n_held), j]
-            importance[j] += (
-                float(np.mean((predict(shuffled) - held.targets) ** 2)) - base
-            )
+            importance[j] += _residual_loss(predict(shuffled) - held.targets, SQUARED) - base
     importance /= repeats
     kept = tuple(int(j) for j in np.flatnonzero(importance > threshold * base))
     if len(kept) < 2:
@@ -129,8 +128,6 @@ class DiscoveryConfig:
     loss_cap: float = 1.0
     reward_holdout: float = 0.25
     size_bonus: float = 1.2
-    cold_start: bool = True
-    revisit_epochs: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -143,7 +140,7 @@ class DiscoveryResult:
     ranking: list[ArmFeature]  # all arms, by a^T mu_hat descending
     records: list[PullRecord]
     posterior: BanditPosterior
-    arm_losses: dict  # bits -> best training loss seen
+    arm_losses: dict  # bits -> the arm's reward loss (the same on every pull)
     arm_params: dict  # bits -> trained PhiParams
 
 
@@ -169,9 +166,10 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
     reward_holdout = 0 the literal rule is used instead: reward
     -min(L_train, loss_cap)/loss_cap.
 
-    Training failures never abort the loop; a diverged arm gets the floor
-    reward -1.  Revisited arms warm start from their cached weights unless
-    cold_start is set.
+    Training failures never abort the loop: an arm whose training diverges
+    or whose loss is non-finite gets the floor reward -1 and loss inf.  Every
+    pull trains from scratch with the same seed, so a re-pulled arm gets the
+    same weights and reward.
     """
     if cfg.T < 1:
         raise ValueError("need T >= 1")
@@ -190,35 +188,17 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
         held_data = Dataset(dataset.inputs[-n_held:], dataset.targets[-n_held:])
         _, ref_predict = train_reference_mlp(fit_data, cfg.train_cfg)
         ref_resid = ref_predict(held_data.inputs) - held_data.targets
-        ref_loss = float(
-            np.mean(ref_resid**2)
-            if cfg.train_cfg.loss_kind == SQUARED
-            else np.mean(np.abs(ref_resid))
-        )
-        ref_loss = max(ref_loss, 1e-12)
+        ref_loss = max(_residual_loss(ref_resid, cfg.train_cfg.loss_kind), 1e-12)
     else:
         fit_data, held_data, ref_loss = dataset, None, None
     for t in range(1, cfg.T + 1):
         mu = posterior_sample(post, rng)
-        arm = _argmax(arms, mu)
+        arm = argmax_arm(mu, arms)
         sp = SelectionPair.for_descriptor(arm.descriptor)
-        train_cfg = cfg.train_cfg
-        init = None
-        if not cfg.cold_start and arm.bits in arm_params:
-            init = arm_params[arm.bits]
-            if cfg.revisit_epochs is not None:
-                train_cfg = TrainConfig(
-                    epochs=cfg.revisit_epochs,
-                    batch_size=train_cfg.batch_size,
-                    lr_initial=train_cfg.lr_initial,
-                    lr_decay=train_cfg.lr_decay,
-                    seed=train_cfg.seed + t,
-                    loss_kind=train_cfg.loss_kind,
-                )
         try:
-            params, loss = train_sgd(fit_data, sp, train_cfg, init=init)
+            params, loss = train_sgd(fit_data, sp, cfg.train_cfg)
             if held_data is not None:
-                loss = mean_loss(params, sp, held_data, train_cfg.loss_kind)
+                loss = mean_loss(params, sp, held_data, cfg.train_cfg.loss_kind)
                 gamma = float(np.clip((ref_loss - loss) / ref_loss, -1.0, 1.0))
                 # Occam bonus for larger index sets: among arms the target is
                 # consistent with, prefer the maximal symmetry (the smaller
@@ -228,23 +208,13 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
             else:
                 gamma = -min(loss, cfg.loss_cap) / cfg.loss_cap
             arm_params[arm.bits] = params
-            prev = arm_losses.get(arm.bits)
-            arm_losses[arm.bits] = loss if prev is None else min(prev, loss)
-        except TrainingDivergedError:
+            arm_losses[arm.bits] = loss
+        except (NumericError, TrainingDivergedError):
             loss = float("inf")
             gamma = -1.0
         records.append(PullRecord(t, arm, gamma, loss))
         post = posterior_update(post, arm.bits, gamma)
     return DiscoveryResult(_rank(arms, post.mu_hat), records, post, arm_losses, arm_params)
-
-
-def _argmax(arms, mu):
-    best, best_score = None, -np.inf
-    for arm in arms:
-        score = float(np.dot(mu, arm.bits))
-        if score > best_score or (score == best_score and arm.bits < best.bits):
-            best, best_score = arm, score
-    return best
 
 
 def evaluate_top_arms(

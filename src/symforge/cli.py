@@ -30,8 +30,8 @@ from .bandit import (
     simulate_linear,
 )
 from .errors import SymforgeError
-from .groups import CYCLIC, DIHEDRAL, SYMMETRIC, GroupDescriptor, elements
-from .net import TrainConfig, Dataset, forward, gradient_check, init_params
+from .groups import CYCLIC, DIHEDRAL, SYMMETRIC, GroupDescriptor
+from .net import TrainConfig, forward, gradient_check, init_params
 from .oracle import (
     check_invariance,
     find_set_e_counterexample,
@@ -40,7 +40,7 @@ from .oracle import (
     verify_product_group,
 )
 from .relaxed import evaluate_relaxed, train_relaxed
-from .selection import SelectionPair, dense_render, enumerate_arms
+from .selection import SelectionPair, dense_matrix, enumerate_arms
 from .tasks import (
     BUILTIN_NAMES,
     builtin_polynomial,
@@ -58,8 +58,6 @@ _DEFAULTS = {
         "loss_cap": 1.0,
         "reward_holdout": 0.25,
         "size_bonus": 1.2,
-        "cold_start": True,
-        "revisit_epochs": None,
     },
     "training": {
         "epochs": 400,
@@ -110,7 +108,23 @@ def load_config(path, seed_override=None) -> dict:
             raise ConfigError(f"unknown section '{section}' in {path}")
     if seed_override is not None:
         cfg["task"]["seed"] = int(seed_override)
+    _validate(cfg, path)
     return cfg
+
+
+def _validate(cfg: dict, path) -> None:
+    """Reject out-of-range values at load time, as ConfigErrors."""
+    try:
+        _train_config(cfg, seed=0)
+        if any(int(size) < 1 for size in cfg["task"]["sizes"]):
+            raise ValueError("task.sizes must all be >= 1")
+        T = cfg["bandit"]["T"]
+        if T is not None and int(T) < 1:
+            raise ValueError("bandit.T must be null (4n) or >= 1")
+        if not 0.0 <= float(cfg["bandit"]["reward_holdout"]) < 1.0:
+            raise ValueError("bandit.reward_holdout must be in [0, 1)")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid value in {path}: {exc}")
 
 
 def config_hash(cfg: dict, tag: str = "") -> str:
@@ -180,13 +194,6 @@ def run_gen_data(cfg: dict) -> Path:
     return out
 
 
-def _entries_dense(entries, shape):
-    dense = np.zeros(shape, dtype=int)
-    for r, c in entries:
-        dense[r, c] = 1
-    return dense
-
-
 def _write_matrix(path, matrix):
     with open(path, "w") as fh:
         for row in np.atleast_2d(matrix):
@@ -237,7 +244,7 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
         )
         arms = filter_arms(arms, kept)
     b = cfg["bandit"]
-    T = int(b["T"]) if b["T"] else 4 * n
+    T = 4 * n if b["T"] is None else int(b["T"])
     dcfg = DiscoveryConfig(
         T=T,
         nu=float(b["nu"]),
@@ -245,8 +252,6 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
         loss_cap=float(b["loss_cap"]),
         reward_holdout=float(b["reward_holdout"]),
         size_bonus=float(b["size_bonus"]),
-        cold_start=bool(b["cold_start"]),
-        revisit_epochs=b["revisit_epochs"],
         seed=seed,
     )
     result = run_discovery(arms, train, dcfg)
@@ -282,8 +287,8 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
             fh.write(f"{i},{arm.descriptor.kind},{idx},{np.dot(mu_hat, arm.bits):.17g}\n")
     winner = result.ranking[0]
     sp = SelectionPair.for_descriptor(winner.descriptor)
-    _write_matrix(out / "m1.csv", _entries_dense(sp.m1_entries, (n, n)))
-    _write_matrix(out / "m2.csv", _entries_dense(sp.m2_entries, (n * n, n * n)))
+    _write_matrix(out / "m1.csv", dense_matrix(sp.m1_entries, (n, n)))
+    _write_matrix(out / "m2.csv", dense_matrix(sp.m2_entries, (n * n, n * n)))
     report["winner"] = {
         "kind": winner.descriptor.kind,
         "index_set": list(winner.descriptor.index_set),

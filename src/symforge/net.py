@@ -16,7 +16,7 @@ checked against central finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,8 +54,8 @@ class TrainConfig:
     loss_kind: str = SQUARED
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs >= 1 required")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs >= 1 and batch_size >= 1 required")
         if not (self.lr_initial >= 0 and 0 < self.lr_decay <= 1):
             raise ValueError("need lr >= 0 and 0 < decay <= 1")
         if self.loss_kind not in (SQUARED, ABSOLUTE):
@@ -68,60 +68,64 @@ class PhiParams:
 
     eta: 2 -> h -> h -> p, tanh hidden, linear output.
     mu_head: (p + n) -> h -> h -> 1, tanh hidden, linear output.
+
+    All weights live in the one float64 vector `theta`; `eta` and `mu_head`
+    are lists of (W, b) views into it, so an in-place update of `theta`
+    moves every layer.
     """
 
-    eta: list  # list of (W, b)
-    mu_head: list
+    theta: np.ndarray
     p: int
     h: int
     n: int
+    eta: list = field(init=False, repr=False)
+    mu_head: list = field(init=False, repr=False)
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate(
-            [a.ravel() for W, b in self.eta + self.mu_head for a in (W, b)]
-        )
-
-    def with_flat(self, vec: np.ndarray) -> "PhiParams":
-        out_eta, out_mu = [], []
-        pos = 0
-        for dst, src in ((out_eta, self.eta), (out_mu, self.mu_head)):
-            for W, b in src:
-                w = vec[pos : pos + W.size].reshape(W.shape)
-                pos += W.size
-                bb = vec[pos : pos + b.size].reshape(b.shape)
-                pos += b.size
-                dst.append((w, bb))
-        return PhiParams(out_eta, out_mu, self.p, self.h, self.n)
+    def __post_init__(self):
+        self.eta, rest = _mlp_views(self.theta, (2, self.h, self.h, self.p))
+        self.mu_head, rest = _mlp_views(rest, (self.p + self.n, self.h, self.h, 1))
+        if rest.size:
+            raise ValueError("weight vector longer than the network")
 
     def to_record(self) -> dict:
-        return {
-            "p": self.p,
-            "h": self.h,
-            "n": self.n,
-            "weights": self.flat().tolist(),
-        }
+        return {"p": self.p, "h": self.h, "n": self.n, "weights": self.theta.tolist()}
 
     @staticmethod
     def from_record(record: dict) -> "PhiParams":
-        template = init_params(record["n"], record["p"], record["h"], seed=0)
-        return template.with_flat(np.asarray(record["weights"], dtype=float))
+        weights = np.array(record["weights"], dtype=float)
+        return PhiParams(weights, record["p"], record["h"], record["n"])
 
 
-def _init_mlp(dims, rng):
-    layers = []
+def _mlp_size(dims) -> int:
+    return sum((d_in + 1) * d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
+
+
+def _mlp_views(vec, dims):
+    """(W, b) views into the head of vec for an MLP with the given widths,
+    and the rest of vec."""
+    layers, pos = [], 0
     for d_in, d_out in zip(dims[:-1], dims[1:]):
-        bound = 1.0 / np.sqrt(d_in)
-        W = rng.uniform(-bound, bound, size=(d_in, d_out))
-        b = rng.uniform(-bound, bound, size=d_out)
-        layers.append((W, b))
-    return layers
+        W = vec[pos : pos + d_in * d_out].reshape(d_in, d_out)
+        pos += d_in * d_out
+        layers.append((W, vec[pos : pos + d_out]))
+        pos += d_out
+    return layers, vec[pos:]
+
+
+def _init_mlp(layers, rng):
+    for W, b in layers:
+        bound = 1.0 / np.sqrt(W.shape[0])
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
 
 
 def init_params(n: int, p: int = 16, h: int = 32, seed: int = 0) -> PhiParams:
     rng = np.random.default_rng(seed)
-    eta = _init_mlp([2, h, h, p], rng)
-    mu_head = _init_mlp([p + n, h, h, 1], rng)
-    return PhiParams(eta, mu_head, p, h, n)
+    size = _mlp_size((2, h, h, p)) + _mlp_size((p + n, h, h, 1))
+    params = PhiParams(np.empty(size), p, h, n)
+    _init_mlp(params.eta, rng)
+    _init_mlp(params.mu_head, rng)
+    return params
 
 
 def _mlp_forward(layers, X):
@@ -137,18 +141,19 @@ def _mlp_forward(layers, X):
     return a, caches
 
 
-def _mlp_backward(layers, caches, grad_out):
-    """Returns (param grads, grad wrt the MLP input)."""
-    grads = [None] * len(layers)
+def _mlp_backward(layers, caches, grad_out, grads):
+    """Writes the param grads into `grads`, (W, b) views shaped like
+    `layers`; returns the grad wrt the MLP input."""
     g = grad_out
     for i in range(len(layers) - 1, -1, -1):
         a, out, is_last = caches[i]
         if not is_last:
             g = g * (1.0 - out * out)
-        W, _ = layers[i]
-        grads[i] = (a.T @ g, g.sum(axis=0))
-        g = g @ W.T
-    return grads, g
+        gW, gb = grads[i]
+        np.matmul(a.T, g, out=gW)
+        np.sum(g, axis=0, out=gb)
+        g = g @ layers[i][0].T
+    return g
 
 
 def _front_features(params: PhiParams, sp: SelectionPair, X):
@@ -192,88 +197,94 @@ def forward(params: PhiParams, sp: SelectionPair, x) -> float:
     return float(forward_batch(params, sp, np.asarray(x, dtype=float)[None, :])[0])
 
 
+def _residual_loss(resid, kind) -> float:
+    """Mean squared (SQUARED or "MSE") or absolute (ABSOLUTE or "MAE") residual."""
+    if kind in (SQUARED, "MSE"):
+        return float(np.mean(resid**2))
+    if kind in (ABSOLUTE, "MAE"):
+        return float(np.mean(np.abs(resid)))
+    raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def _residual_grad(resid, kind) -> np.ndarray:
+    """Gradient of `_residual_loss` wrt each residual."""
+    if kind in (SQUARED, "MSE"):
+        return 2.0 * resid / len(resid)
+    return np.sign(resid) / len(resid)
+
+
 def loss_and_grad(params: PhiParams, sp: SelectionPair, X, y, loss_kind=SQUARED):
     """Mean loss over the batch and its gradient wrt all weights."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    m = X.shape[0]
     s, q, (eta_caches, s_count) = _front_features(params, sp, X)
     z = np.concatenate([s, q], axis=1)
     out, mu_caches = _mlp_forward(params.mu_head, z)
-    pred = out[:, 0]
-    resid = pred - y
-    if loss_kind == SQUARED:
-        loss = float(np.mean(resid**2))
-        dpred = 2.0 * resid / m
-    elif loss_kind == ABSOLUTE:
-        loss = float(np.mean(np.abs(resid)))
-        dpred = np.sign(resid) / m
-    else:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
+    resid = out[:, 0] - y
+    loss = _residual_loss(resid, loss_kind)
     if not np.isfinite(loss):
         raise NumericError("non-finite loss")
 
-    mu_grads, dz = _mlp_backward(params.mu_head, mu_caches, dpred[:, None])
+    grads = PhiParams(np.empty_like(params.theta), params.p, params.h, params.n)
+    dpred = _residual_grad(resid, loss_kind)
+    dz = _mlp_backward(params.mu_head, mu_caches, dpred[:, None], grads.mu_head)
     ds = dz[:, : params.p] / s_count  # (m, p), mean-pooling scale
     # Each selected row of a sample shares that sample's pooled gradient.
     up = np.repeat(ds, s_count, axis=0)  # (m * s, p)
-    eta_grads, _ = _mlp_backward(params.eta, eta_caches, up)
-    return loss, PhiParams(eta_grads, mu_grads, params.p, params.h, params.n)
-
-
-def _sgd_step(params: PhiParams, grads: PhiParams, lr: float) -> PhiParams:
-    eta = [(W - lr * gW, b - lr * gb) for (W, b), (gW, gb) in zip(params.eta, grads.eta)]
-    mu = [
-        (W - lr * gW, b - lr * gb)
-        for (W, b), (gW, gb) in zip(params.mu_head, grads.mu_head)
-    ]
-    return PhiParams(eta, mu, params.p, params.h, params.n)
+    _mlp_backward(params.eta, eta_caches, up, grads.eta)
+    return loss, grads
 
 
 def mean_loss(params: PhiParams, sp: SelectionPair, dataset: Dataset, loss_kind):
     pred = forward_batch(params, sp, dataset.inputs)
-    resid = pred - dataset.targets
-    if loss_kind == SQUARED:
-        return float(np.mean(resid**2))
-    return float(np.mean(np.abs(resid)))
+    return _residual_loss(pred - dataset.targets, loss_kind)
+
+
+def _sgd(theta, grad_fn, cfg: TrainConfig, m: int, rng) -> None:
+    """The one minibatch SGD loop: updates theta in place.
+
+    Each epoch shuffles the m rows with rng and walks them in batches of
+    cfg.batch_size at learning rate lr_initial * lr_decay**epoch.
+    grad_fn(rows) returns (loss, gradient vector shaped like theta); a
+    NumericError from it becomes TrainingDivergedError carrying the last
+    finite loss.
+    """
+    last_loss = None
+    for epoch in range(cfg.epochs):
+        lr = cfg.lr_initial * cfg.lr_decay**epoch
+        perm = rng.permutation(m)
+        for start in range(0, m, cfg.batch_size):
+            try:
+                loss, grad = grad_fn(perm[start : start + cfg.batch_size])
+            except NumericError:
+                raise TrainingDivergedError("loss became non-finite", last_loss)
+            last_loss = loss
+            theta -= lr * grad
 
 
 def train_sgd(
     dataset: Dataset,
     sp: SelectionPair,
     cfg: TrainConfig,
-    init: PhiParams | None = None,
     p: int = 16,
     h: int = 32,
 ):
     """Minibatch SGD with per-epoch decayed learning rate.
 
     Deterministic given the seed: the parameter init and the shuffles come
-    from one seeded stream.  Returns (params, final mean training loss).
+    from two streams seeded with it.  Returns (params, final mean training
+    loss).
     """
     rng = np.random.default_rng(cfg.seed)
-    params = init if init is not None else init_params(
-        dataset.inputs.shape[1], p=p, h=h, seed=cfg.seed
-    )
-    m = len(dataset)
-    last_loss = None
-    for epoch in range(cfg.epochs):
-        lr = cfg.lr_initial * cfg.lr_decay**epoch
-        perm = rng.permutation(m)
-        for start in range(0, m, cfg.batch_size):
-            sel = perm[start : start + cfg.batch_size]
-            try:
-                loss, grads = loss_and_grad(
-                    params, sp, dataset.inputs[sel], dataset.targets[sel], cfg.loss_kind
-                )
-            except NumericError:
-                raise TrainingDivergedError("loss became non-finite", last_loss)
-            last_loss = loss
-            params = _sgd_step(params, grads, lr)
-    final = mean_loss(params, sp, dataset, cfg.loss_kind)
-    if not np.isfinite(final):
-        raise TrainingDivergedError("final loss non-finite", last_loss)
-    return params, final
+    params = init_params(dataset.inputs.shape[1], p=p, h=h, seed=cfg.seed)
+    X, y = dataset.inputs, dataset.targets
+
+    def grad_fn(rows):
+        loss, grads = loss_and_grad(params, sp, X[rows], y[rows], cfg.loss_kind)
+        return loss, grads.theta
+
+    _sgd(params.theta, grad_fn, cfg, len(dataset), rng)
+    return params, mean_loss(params, sp, dataset, cfg.loss_kind)
 
 
 def gradient_check(
@@ -293,16 +304,16 @@ def gradient_check(
     report meaningless ratios.
     """
     rng = np.random.default_rng(seed)
-    flat = params.flat()
+    flat = params.theta
     _, grads = loss_and_grad(params, sp, X, y)
-    gflat = grads.flat()
+    gflat = grads.theta
     worst = 0.0
     for idx in rng.choice(flat.size, size=min(n_coords, flat.size), replace=False):
         bumped = flat.copy()
         bumped[idx] += step
-        lp, _ = loss_and_grad(params.with_flat(bumped), sp, X, y)
+        lp, _ = loss_and_grad(replace(params, theta=bumped), sp, X, y)
         bumped[idx] -= 2 * step
-        lm, _ = loss_and_grad(params.with_flat(bumped), sp, X, y)
+        lm, _ = loss_and_grad(replace(params, theta=bumped), sp, X, y)
         fd = (lp - lm) / (2 * step)
         err = abs(fd - gflat[idx]) / max(abs(fd) + abs(gflat[idx]), 1e-6)
         worst = max(worst, err)
@@ -311,28 +322,23 @@ def gradient_check(
 
 def train_reference_mlp(dataset: Dataset, cfg: TrainConfig, h: int = 32):
     """Plain MLP on the raw input, no invariance imposed: the symmetry-free
-    reference fit.  Returns (layers, predict) with the same budget as cfg."""
+    reference fit.  Returns (layers, predict) with the same budget as cfg.
+    The init and the shuffles come from one seeded stream."""
     rng = np.random.default_rng(cfg.seed)
-    n = dataset.inputs.shape[1]
-    layers = _init_mlp([n, h, h, 1], rng)
-    m = len(dataset)
-    for epoch in range(cfg.epochs):
-        lr = cfg.lr_initial * cfg.lr_decay**epoch
-        perm = rng.permutation(m)
-        for start in range(0, m, cfg.batch_size):
-            sel = perm[start : start + cfg.batch_size]
-            X, y = dataset.inputs[sel], dataset.targets[sel]
-            out, caches = _mlp_forward(layers, X)
-            resid = out[:, 0] - y
-            if cfg.loss_kind == SQUARED:
-                dpred = 2.0 * resid / len(sel)
-            else:
-                dpred = np.sign(resid) / len(sel)
-            grads, _ = _mlp_backward(layers, caches, dpred[:, None])
-            layers = [
-                (W - lr * gW, b - lr * gb)
-                for (W, b), (gW, gb) in zip(layers, grads)
-            ]
+    dims = (dataset.inputs.shape[1], h, h, 1)
+    theta, grad = np.empty(_mlp_size(dims)), np.empty(_mlp_size(dims))
+    layers, _ = _mlp_views(theta, dims)
+    grad_layers, _ = _mlp_views(grad, dims)
+    _init_mlp(layers, rng)
+    X, y = dataset.inputs, dataset.targets
+
+    def grad_fn(rows):
+        out, caches = _mlp_forward(layers, X[rows])
+        dpred = _residual_grad(out[:, 0] - y[rows], cfg.loss_kind)
+        _mlp_backward(layers, caches, dpred[:, None], grad_layers)
+        return None, grad  # the reference fit tracks no loss
+
+    _sgd(theta, grad_fn, cfg, len(dataset), rng)
 
     def predict(X):
         out, _ = _mlp_forward(layers, np.asarray(X, dtype=float))
@@ -343,9 +349,4 @@ def train_reference_mlp(dataset: Dataset, cfg: TrainConfig, h: int = 32):
 
 def evaluate(params: PhiParams, sp: SelectionPair, dataset: Dataset, metric="MAE"):
     pred = forward_batch(params, sp, dataset.inputs)
-    resid = pred - dataset.targets
-    if metric == "MAE":
-        return float(np.mean(np.abs(resid)))
-    if metric == "MSE":
-        return float(np.mean(resid**2))
-    raise ValueError(f"unknown metric {metric!r}")
+    return _residual_loss(pred - dataset.targets, metric)

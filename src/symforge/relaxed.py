@@ -14,26 +14,43 @@ uninterpretable matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, TrainingDivergedError
+from .errors import NumericError
 from .net import (
+    SQUARED,
     Dataset,
     PhiParams,
     TrainConfig,
     _mlp_backward,
     _mlp_forward,
+    _residual_grad,
+    _residual_loss,
+    _sgd,
     init_params,
 )
 
 
 @dataclass
 class RelaxedParams:
-    m1: np.ndarray  # (n, n)
-    m2: np.ndarray  # (n^2, n^2)
-    phi: PhiParams
+    """M1, M2 and phi's weights in the one float64 vector `theta`; `m1`,
+    `m2` and `phi` are views into it."""
+
+    theta: np.ndarray
+    n: int
+    p: int
+    h: int
+    m1: np.ndarray = field(init=False, repr=False)  # (n, n)
+    m2: np.ndarray = field(init=False, repr=False)  # (n^2, n^2)
+    phi: PhiParams = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n2 = self.n * self.n
+        self.m1 = self.theta[:n2].reshape(self.n, self.n)
+        self.m2 = self.theta[n2 : n2 + n2 * n2].reshape(n2, n2)
+        self.phi = PhiParams(self.theta[n2 + n2 * n2 :], self.p, self.h, self.n)
 
 
 def init_relaxed(n: int, p: int = 16, h: int = 32, seed: int = 0) -> RelaxedParams:
@@ -42,7 +59,7 @@ def init_relaxed(n: int, p: int = 16, h: int = 32, seed: int = 0) -> RelaxedPara
     m1 = np.eye(n) + rng.uniform(-bound, bound, size=(n, n))
     m2 = np.eye(n * n) + rng.uniform(-bound, bound, size=(n * n, n * n)) / n
     phi = init_params(n, p=p, h=h, seed=seed + 1)
-    return RelaxedParams(m1, m2, phi)
+    return RelaxedParams(np.concatenate([m1.ravel(), m2.ravel(), phi.theta]), n, p, h)
 
 
 def _relaxed_front(params: RelaxedParams, X):
@@ -78,75 +95,43 @@ def loss_and_grad_relaxed(params: RelaxedParams, X, y):
     z = np.concatenate([pooled, Q], axis=1)
     out, mu_caches = _mlp_forward(params.phi.mu_head, z)
     resid = out[:, 0] - y
-    loss = float(np.mean(resid**2))
+    loss = _residual_loss(resid, SQUARED)
     if not np.isfinite(loss):
         raise NumericError("non-finite relaxed loss")
-    dpred = (2.0 * resid / m)[:, None]
 
-    mu_grads, dz = _mlp_backward(params.phi.mu_head, mu_caches, dpred)
-    p = params.phi.p
+    grads = RelaxedParams(np.empty_like(params.theta), n, params.p, params.h)
+    dpred = _residual_grad(resid, SQUARED)[:, None]
+    dz = _mlp_backward(params.phi.mu_head, mu_caches, dpred, grads.phi.mu_head)
+    p = params.p
     d_pooled = dz[:, :p] / s
     dQ = dz[:, p:]
     up = np.repeat(d_pooled, s, axis=0)
-    eta_grads, dflatZ = _mlp_backward(params.phi.eta, eta_caches, up)
+    dflatZ = _mlp_backward(params.phi.eta, eta_caches, up, grads.phi.eta)
     dZ = dflatZ.reshape(m, s, 2)
-    dM2 = np.einsum("mrk,msk->rs", dZ, P)
+    np.einsum("mrk,msk->rs", dZ, P, out=grads.m2)
     dP = np.einsum("rs,mrk->msk", params.m2, dZ)
     # P row i*n+j is (y_i, y_j): scatter the two slots back onto y.
     dY = dP[:, :, 0].reshape(m, n, n).sum(axis=2) + dP[:, :, 1].reshape(
         m, n, n
     ).sum(axis=1)
     dY -= dQ  # Q = x - y
-    dM1 = dY.T @ X
-    dphi = PhiParams(eta_grads, mu_grads, params.phi.p, params.phi.h, params.phi.n)
-    return loss, RelaxedParams(dM1, dM2, dphi)
+    np.matmul(dY.T, X, out=grads.m1)
+    return loss, grads
 
 
 def train_relaxed(dataset: Dataset, cfg: TrainConfig, p: int = 16, h: int = 32):
     """Joint minibatch SGD over M1, M2 and phi.  Returns (params, final loss)."""
     rng = np.random.default_rng(cfg.seed)
     params = init_relaxed(dataset.inputs.shape[1], p=p, h=h, seed=cfg.seed)
-    m = len(dataset)
-    last = None
-    for epoch in range(cfg.epochs):
-        lr = cfg.lr_initial * cfg.lr_decay**epoch
-        perm = rng.permutation(m)
-        for start in range(0, m, cfg.batch_size):
-            sel = perm[start : start + cfg.batch_size]
-            try:
-                loss, grads = loss_and_grad_relaxed(
-                    params, dataset.inputs[sel], dataset.targets[sel]
-                )
-            except NumericError:
-                raise TrainingDivergedError("relaxed loss became non-finite", last)
-            last = loss
-            phi = params.phi
-            gphi = grads.phi
-            new_eta = [
-                (W - lr * gW, b - lr * gb)
-                for (W, b), (gW, gb) in zip(phi.eta, gphi.eta)
-            ]
-            new_mu = [
-                (W - lr * gW, b - lr * gb)
-                for (W, b), (gW, gb) in zip(phi.mu_head, gphi.mu_head)
-            ]
-            params = RelaxedParams(
-                params.m1 - lr * grads.m1,
-                params.m2 - lr * grads.m2,
-                PhiParams(new_eta, new_mu, phi.p, phi.h, phi.n),
-            )
-    pred = forward_relaxed(params, dataset.inputs)
-    final = float(np.mean((pred - dataset.targets) ** 2))
-    if not np.isfinite(final):
-        raise TrainingDivergedError("relaxed final loss non-finite", last)
-    return params, final
+    X, y = dataset.inputs, dataset.targets
+
+    def grad_fn(rows):
+        loss, grads = loss_and_grad_relaxed(params, X[rows], y[rows])
+        return loss, grads.theta
+
+    _sgd(params.theta, grad_fn, cfg, len(dataset), rng)
+    return params, _residual_loss(forward_relaxed(params, X) - y, SQUARED)
 
 
 def evaluate_relaxed(params: RelaxedParams, dataset: Dataset, metric="MAE") -> float:
-    pred = forward_relaxed(params, dataset.inputs)
-    resid = pred - dataset.targets
-    if metric == "MAE":
-        return float(np.mean(np.abs(resid)))
-    if metric == "MSE":
-        return float(np.mean(resid**2))
-    raise ValueError(f"unknown metric {metric!r}")
+    return _residual_loss(forward_relaxed(params, dataset.inputs) - dataset.targets, metric)

@@ -213,9 +213,9 @@ def entries_to_csv(entries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dense_render(entries, shape) -> str:
-    """Small-n 0/1 text rendering of a sparse selection matrix."""
-    grid = np.zeros(shape, dtype=int)
+def dense_matrix(entries, shape) -> np.ndarray:
+    """The 0/1 integer matrix of a sparse selection matrix."""
+    dense = np.zeros(shape, dtype=int)
     for row, col in entries:
-        grid[row, col] = 1
-    return "\n".join(" ".join(str(v) for v in line) for line in grid) + "\n"
+        dense[row, col] = 1
+    return dense

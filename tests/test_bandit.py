@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from symforge import bandit
 from symforge.bandit import (
     BanditPosterior,
     DiscoveryConfig,
@@ -153,6 +154,27 @@ def test_discovery_survives_divergence():
         result = run_discovery(arms, _toy_dataset(3), cfg)
     assert all(rec.reward == -1.0 for rec in result.records)
     assert all(np.isinf(rec.train_loss) for rec in result.records)
+
+
+def test_discovery_survives_nonfinite_held_out_loss(monkeypatch):
+    # A NumericError on one pull's held-out loss floors that pull, and the
+    # run goes on.
+    calls = []
+    real_mean_loss = bandit.mean_loss
+
+    def flaky_mean_loss(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericError("non-finite network output")
+        return real_mean_loss(*args)
+
+    monkeypatch.setattr(bandit, "mean_loss", flaky_mean_loss)
+    cfg = DiscoveryConfig(T=4, train_cfg=FAST, seed=0)
+    result = run_discovery(enumerate_arms(3), _toy_dataset(3), cfg)
+    assert len(result.records) == 4
+    bad = result.records[1]
+    assert bad.reward == -1.0 and np.isinf(bad.train_loss)
+    assert all(np.isfinite(rec.train_loss) for i, rec in enumerate(result.records) if i != 1)
 
 
 def test_screen_coordinates_finds_support():

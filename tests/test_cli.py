@@ -163,6 +163,27 @@ def test_cli_exit_codes(tmp_path):
     assert "everything" not in VERIFY_SUITES
 
 
+@pytest.mark.parametrize(
+    "section, values",
+    [
+        ("training", {"epochs": 0}),
+        ("training", {"batch_size": 0}),
+        ("bandit", {"T": -3}),
+        ("bandit", {"T": 0}),
+        ("task", {"sizes": [0, 10]}),
+        ("bandit", {"reward_holdout": 1.5}),
+        ("bandit", {"cold_start": False}),  # removed key
+    ],
+)
+def test_cli_invalid_config_values_exit_2(tmp_path, section, values):
+    path = _write_config(tmp_path, **{section: values})
+    result = CliRunner().invoke(main, ["discover", "--config", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output
+    assert "Traceback" not in result.output
+    assert not isinstance(result.exception, ValueError)
+
+
 def test_cli_gen_data_and_bandit_sim_commands(tmp_path):
     runner = CliRunner()
     path = _write_config(tmp_path, sim={"horizons": [20], "trials": 10})

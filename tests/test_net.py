@@ -48,11 +48,14 @@ def test_train_config_validation():
 
 def test_flat_round_trip():
     params = init_params(4, p=6, h=8, seed=3)
-    vec = params.flat()
-    rebuilt = params.with_flat(vec)
-    assert np.array_equal(rebuilt.flat(), vec)
+    vec = params.theta
+    # The layers are views into the one weight vector.
+    params.eta[0][0][0, 0] = 7.0
+    assert vec[0] == 7.0
     rec = params.to_record()
-    assert np.array_equal(PhiParams.from_record(rec).flat(), vec)
+    assert np.array_equal(PhiParams.from_record(rec).theta, vec)
+    with pytest.raises(ValueError):
+        PhiParams(np.zeros(vec.size + 1), params.p, params.h, params.n)
 
 
 def test_forward_bitwise_invariance():
@@ -122,7 +125,7 @@ def test_training_with_zero_lr_keeps_params():
     sp = _pair(CYCLIC, (0, 1, 2), 4)
     cfg = TrainConfig(epochs=3, batch_size=8, lr_initial=0.0, seed=7)
     params, _ = train_sgd(ds, sp, cfg, p=4, h=6)
-    assert np.array_equal(params.flat(), init_params(4, p=4, h=6, seed=7).flat())
+    assert np.array_equal(params.theta, init_params(4, p=4, h=6, seed=7).theta)
 
 
 def test_training_is_deterministic():
@@ -133,7 +136,7 @@ def test_training_is_deterministic():
     p1, l1 = train_sgd(ds, sp, cfg, p=4, h=6)
     p2, l2 = train_sgd(ds, sp, cfg, p=4, h=6)
     assert l1 == l2
-    assert np.array_equal(p1.flat(), p2.flat())
+    assert np.array_equal(p1.theta, p2.theta)
 
 
 def test_training_divergence_reports_last_loss():

@@ -1,32 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from symforge.errors import TrainingDivergedError
 from symforge.net import Dataset, TrainConfig
 from symforge.relaxed import (
-    RelaxedParams,
     evaluate_relaxed,
     forward_relaxed,
     init_relaxed,
     loss_and_grad_relaxed,
     train_relaxed,
 )
-
-
-def _flat(params):
-    pieces = [params.m1.ravel(), params.m2.ravel()]
-    pieces += [a.ravel() for W, b in params.phi.eta + params.phi.mu_head for a in (W, b)]
-    return np.concatenate(pieces)
-
-
-def _with_flat(template, vec):
-    n = template.m1.shape[0]
-    m1 = vec[: n * n].reshape(n, n)
-    pos = n * n
-    m2 = vec[pos : pos + n**4].reshape(n * n, n * n)
-    pos += n**4
-    phi = template.phi.with_flat(vec[pos:])
-    return RelaxedParams(m1, m2, phi)
 
 
 def test_relaxed_gradients_match_finite_differences():
@@ -36,16 +21,16 @@ def test_relaxed_gradients_match_finite_differences():
     X = rng.uniform(size=(5, n))
     y = rng.uniform(size=5)
     _, grads = loss_and_grad_relaxed(params, X, y)
-    flat = _flat(params)
-    gflat = _flat(grads)
+    flat = params.theta
+    gflat = grads.theta
     step = 1e-5
     worst = 0.0
     for idx in rng.choice(flat.size, size=40, replace=False):
         bumped = flat.copy()
         bumped[idx] += step
-        lp, _ = loss_and_grad_relaxed(_with_flat(params, bumped), X, y)
+        lp, _ = loss_and_grad_relaxed(replace(params, theta=bumped), X, y)
         bumped[idx] -= 2 * step
-        lm, _ = loss_and_grad_relaxed(_with_flat(params, bumped), X, y)
+        lm, _ = loss_and_grad_relaxed(replace(params, theta=bumped), X, y)
         fd = (lp - lm) / (2 * step)
         worst = max(worst, abs(fd - gflat[idx]) / max(abs(fd) + abs(gflat[idx]), 1e-6))
     assert worst <= 1e-4

@@ -17,7 +17,7 @@ from symforge.selection import (
     build_m1,
     build_m2,
     decode_arm,
-    dense_render,
+    dense_matrix,
     encode_arm,
     entries_to_csv,
     enumerate_arms,
@@ -177,6 +177,5 @@ def test_entry_dumps():
     csv = entries_to_csv(sp.m1_entries)
     assert csv.splitlines()[0] == "row,col,value"
     assert "0,0,1" in csv and "1,2,1" in csv
-    rendered = dense_render(sp.m1_entries, (3, 3))
-    assert rendered.splitlines()[0] == "1 0 0"
-    assert rendered.splitlines()[1] == "0 0 1"
+    dense = dense_matrix(sp.m1_entries, (3, 3))
+    assert dense.tolist() == [[1, 0, 0], [0, 0, 1], [0, 0, 0]]
