@@ -66,6 +66,17 @@ def posterior_update(post: BanditPosterior, a, gamma: float) -> BanditPosterior:
     return BanditPosterior(B, f, mu_hat, post.nu)
 
 
+def _reference_fit(fit: Dataset, held: Dataset, train_cfg: TrainConfig, loss_kind):
+    """The symmetry-free reference MLP fit on `fit`, and its held-out loss
+    (floored at 1e-12).  A diverged fit raises TrainingDivergedError and a
+    non-finite held-out loss NumericError."""
+    _, predict = train_reference_mlp(fit, train_cfg)
+    loss = _residual_loss(predict(held.inputs) - held.targets, loss_kind)
+    if not np.isfinite(loss):
+        raise NumericError("reference fit has a non-finite held-out loss")
+    return predict, max(loss, 1e-12)
+
+
 def screen_coordinates(
     dataset: Dataset,
     train_cfg: TrainConfig,
@@ -89,8 +100,7 @@ def screen_coordinates(
         raise ValueError("holdout must leave both a fit and a held part")
     fit = Dataset(dataset.inputs[:-n_held], dataset.targets[:-n_held])
     held = Dataset(dataset.inputs[-n_held:], dataset.targets[-n_held:])
-    _, predict = train_reference_mlp(fit, train_cfg)
-    base = max(_residual_loss(predict(held.inputs) - held.targets, SQUARED), 1e-12)
+    predict, base = _reference_fit(fit, held, train_cfg, SQUARED)
     rng = np.random.default_rng(seed)
     n = dataset.inputs.shape[1]
     importance = np.zeros(n)
@@ -167,14 +177,18 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
     -min(L_train, loss_cap)/loss_cap.
 
     Training failures never abort the loop: an arm whose training diverges
-    or whose loss is non-finite gets the floor reward -1 and loss inf.  Every
-    pull trains from scratch with the same seed, so a re-pulled arm gets the
+    or whose loss is non-finite gets the floor reward -1 and loss inf.  The
+    reference is fit when the first reward needs it, and its failure, like
+    a non-finite dataset, ends the run with a SymforgeError.  Every pull
+    trains from scratch with the same seed, so a re-pulled arm gets the
     same weights and reward.
     """
     if cfg.T < 1:
         raise ValueError("need T >= 1")
     if not arms:
         raise ValueError("empty arm set")
+    if not (np.all(np.isfinite(dataset.inputs)) and np.all(np.isfinite(dataset.targets))):
+        raise NumericError("non-finite value in the dataset")
     rng = np.random.default_rng(cfg.seed)
     d = len(arms[0].bits)
     post = BanditPosterior.fresh(d, cfg.nu)
@@ -186,11 +200,9 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
     if 0 < n_held < len(dataset):
         fit_data = Dataset(dataset.inputs[:-n_held], dataset.targets[:-n_held])
         held_data = Dataset(dataset.inputs[-n_held:], dataset.targets[-n_held:])
-        _, ref_predict = train_reference_mlp(fit_data, cfg.train_cfg)
-        ref_resid = ref_predict(held_data.inputs) - held_data.targets
-        ref_loss = max(_residual_loss(ref_resid, cfg.train_cfg.loss_kind), 1e-12)
     else:
-        fit_data, held_data, ref_loss = dataset, None, None
+        fit_data, held_data = dataset, None
+    ref_loss = None
     for t in range(1, cfg.T + 1):
         mu = posterior_sample(post, rng)
         arm = argmax_arm(mu, arms)
@@ -199,19 +211,24 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
             params, loss = train_sgd(fit_data, sp, cfg.train_cfg)
             if held_data is not None:
                 loss = mean_loss(params, sp, held_data, cfg.train_cfg.loss_kind)
+        except (NumericError, TrainingDivergedError):
+            loss, gamma = float("inf"), -1.0
+        else:
+            arm_params[arm.bits] = params
+            arm_losses[arm.bits] = loss
+            if held_data is None:
+                gamma = -min(loss, cfg.loss_cap) / cfg.loss_cap
+            else:
+                if ref_loss is None:
+                    _, ref_loss = _reference_fit(
+                        fit_data, held_data, cfg.train_cfg, cfg.train_cfg.loss_kind
+                    )
                 gamma = float(np.clip((ref_loss - loss) / ref_loss, -1.0, 1.0))
                 # Occam bonus for larger index sets: among arms the target is
                 # consistent with, prefer the maximal symmetry (the smaller
                 # function class), so the fitted model ranks a group above
                 # its subgroups on the same support.
                 gamma += cfg.size_bonus * len(arm.descriptor.index_set) / n_coords
-            else:
-                gamma = -min(loss, cfg.loss_cap) / cfg.loss_cap
-            arm_params[arm.bits] = params
-            arm_losses[arm.bits] = loss
-        except (NumericError, TrainingDivergedError):
-            loss = float("inf")
-            gamma = -1.0
         records.append(PullRecord(t, arm, gamma, loss))
         post = posterior_update(post, arm.bits, gamma)
     return DiscoveryResult(_rank(arms, post.mu_hat), records, post, arm_losses, arm_params)

@@ -202,6 +202,14 @@ def _write_matrix(path, matrix):
 
 
 def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
+    if cfg["task"]["kind"] == "quadrangle":
+        # A vertex relabeling moves (x_i, y_i) coordinate pairs together, which
+        # no arm on single coordinates expresses, and the stored vertices are
+        # in canonical order, so the data never shows the symmetry.
+        raise ConfigError(
+            "discover does not support task kind 'quadrangle': no arm can express "
+            "its vertex relabelings; use gen-data for its datasets"
+        )
     t_start = time.perf_counter()
     try:
         spec, splits, manifest = _task_splits(cfg)

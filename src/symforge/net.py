@@ -10,6 +10,10 @@ selected embeddings are summed in lexicographic order of their pair values,
 which makes the output bitwise identical under any permutation of the
 selected rows.
 
+The pair values, their per-row summation order and the complement block
+depend only on the arm and on each input row, so `train_sgd` builds this
+pair layout once per (arm, dataset) and every step takes its batch's rows.
+
 Everything is float64 numpy; gradients are hand-derived reverse mode and
 checked against central finite differences in the test suite.
 """
@@ -17,6 +21,7 @@ checked against central finite differences in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,9 +146,10 @@ def _mlp_forward(layers, X):
     return a, caches
 
 
-def _mlp_backward(layers, caches, grad_out, grads):
+def _mlp_backward(layers, caches, grad_out, grads, input_grad=True):
     """Writes the param grads into `grads`, (W, b) views shaped like
-    `layers`; returns the grad wrt the MLP input."""
+    `layers`; returns the grad wrt the MLP input, or None if not
+    input_grad."""
     g = grad_out
     for i in range(len(layers) - 1, -1, -1):
         a, out, is_last = caches[i]
@@ -151,32 +157,51 @@ def _mlp_backward(layers, caches, grad_out, grads):
             g = g * (1.0 - out * out)
         gW, gb = grads[i]
         np.matmul(a.T, g, out=gW)
-        np.sum(g, axis=0, out=gb)
+        g.sum(axis=0, out=gb)
+        if i == 0 and not input_grad:
+            return None
         g = g @ layers[i][0].T
     return g
 
 
-def _front_features(params: PhiParams, sp: SelectionPair, X):
-    """Pooled embedding s and complement q for a batch, plus caches."""
-    m, n = X.shape
+class _PairLayout(NamedTuple):
+    """The arm-constant front of a batch: the selected pair values P
+    (m, s, 2), each row's lexicographic summation order over its s pairs,
+    and the complement block q (m, n)."""
+
+    P: np.ndarray
+    order: np.ndarray
+    q: np.ndarray
+
+    def take(self, rows) -> "_PairLayout":
+        """The layout of the given rows: each row's entries depend on that
+        row alone."""
+        return _PairLayout(self.P[rows], self.order[rows], self.q[rows])
+
+
+def _pair_layout(sp: SelectionPair, X) -> _PairLayout:
     pairs = sp.selected_pairs()
-    s_count = len(pairs)
     idx_l = [a for a, _ in pairs]
     idx_r = [b for _, b in pairs]
     P = np.stack([X[:, idx_l], X[:, idx_r]], axis=2)  # (m, s, 2)
-    flatP = P.reshape(m * s_count, 2)
-    E, eta_caches = _mlp_forward(params.eta, flatP)
-    E = E.reshape(m, s_count, params.p)
+    order = np.lexsort((P[:, :, 1], P[:, :, 0]), axis=1)
+    return _PairLayout(P, order, X * sp.complement_mask())
+
+
+def _front_features(params: PhiParams, layout: _PairLayout):
+    """Pooled embedding s and complement q for a batch, plus caches."""
+    P, order, q = layout
+    m, s_count, _ = P.shape
+    E, eta_caches = _mlp_forward(params.eta, P.reshape(m * s_count, 2))
     # Fixed summation order over sorted pair values: bitwise invariant to
     # any permutation of the selected rows.
-    order = np.lexsort((P[:, :, 1], P[:, :, 0]), axis=1)
-    E_sorted = np.take_along_axis(E, order[:, :, None], axis=1)
+    gather = (order + np.arange(m)[:, None] * s_count).ravel()
+    E_sorted = E[gather].reshape(m, s_count, params.p)
     # Mean over the selected rows.  Equals the all-row sum with the constant
     # (n^2 - s) eta(0,0) contribution subtracted and rescaled, so it stays in
     # the row-permutation-invariant class while keeping the head input
     # well-scaled for any n.
     s = E_sorted.sum(axis=1) / s_count
-    q = X * sp.complement_mask()
     caches = (eta_caches, s_count)
     return s, q, caches
 
@@ -185,7 +210,7 @@ def forward_batch(params: PhiParams, sp: SelectionPair, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise NumericError("non-finite input")
-    s, q, _ = _front_features(params, sp, X)
+    s, q, _ = _front_features(params, _pair_layout(sp, X))
     z = np.concatenate([s, q], axis=1)
     out, _ = _mlp_forward(params.mu_head, z)
     if not np.all(np.isfinite(out)):
@@ -213,25 +238,34 @@ def _residual_grad(resid, kind) -> np.ndarray:
     return np.sign(resid) / len(resid)
 
 
-def loss_and_grad(params: PhiParams, sp: SelectionPair, X, y, loss_kind=SQUARED):
-    """Mean loss over the batch and its gradient wrt all weights."""
-    X = np.asarray(X, dtype=float)
+def loss_and_grad(
+    params: PhiParams, sp: SelectionPair, X, y, loss_kind=SQUARED, *, out=None
+):
+    """Mean loss over the batch and its gradient wrt all weights.
+
+    X is the (m, n) batch or its `_PairLayout` for sp.  The gradient is
+    written into `out`, a PhiParams shaped like params, when one is given.
+    """
+    if not isinstance(X, _PairLayout):
+        X = _pair_layout(sp, np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    s, q, (eta_caches, s_count) = _front_features(params, sp, X)
+    s, q, (eta_caches, s_count) = _front_features(params, X)
     z = np.concatenate([s, q], axis=1)
-    out, mu_caches = _mlp_forward(params.mu_head, z)
-    resid = out[:, 0] - y
+    pred, mu_caches = _mlp_forward(params.mu_head, z)
+    resid = pred[:, 0] - y
     loss = _residual_loss(resid, loss_kind)
     if not np.isfinite(loss):
         raise NumericError("non-finite loss")
 
-    grads = PhiParams(np.empty_like(params.theta), params.p, params.h, params.n)
+    grads = out
+    if grads is None:
+        grads = PhiParams(np.empty_like(params.theta), params.p, params.h, params.n)
     dpred = _residual_grad(resid, loss_kind)
     dz = _mlp_backward(params.mu_head, mu_caches, dpred[:, None], grads.mu_head)
     ds = dz[:, : params.p] / s_count  # (m, p), mean-pooling scale
     # Each selected row of a sample shares that sample's pooled gradient.
     up = np.repeat(ds, s_count, axis=0)  # (m * s, p)
-    _mlp_backward(params.eta, eta_caches, up, grads.eta)
+    _mlp_backward(params.eta, eta_caches, up, grads.eta, input_grad=False)
     return loss, grads
 
 
@@ -277,10 +311,14 @@ def train_sgd(
     """
     rng = np.random.default_rng(cfg.seed)
     params = init_params(dataset.inputs.shape[1], p=p, h=h, seed=cfg.seed)
-    X, y = dataset.inputs, dataset.targets
+    grads = PhiParams(np.empty_like(params.theta), p, h, params.n)
+    layout = _pair_layout(sp, dataset.inputs)
+    y = dataset.targets
 
     def grad_fn(rows):
-        loss, grads = loss_and_grad(params, sp, X[rows], y[rows], cfg.loss_kind)
+        loss, _ = loss_and_grad(
+            params, sp, layout.take(rows), y[rows], cfg.loss_kind, out=grads
+        )
         return loss, grads.theta
 
     _sgd(params.theta, grad_fn, cfg, len(dataset), rng)
@@ -323,7 +361,8 @@ def gradient_check(
 def train_reference_mlp(dataset: Dataset, cfg: TrainConfig, h: int = 32):
     """Plain MLP on the raw input, no invariance imposed: the symmetry-free
     reference fit.  Returns (layers, predict) with the same budget as cfg.
-    The init and the shuffles come from one seeded stream."""
+    The init and the shuffles come from one seeded stream.  A non-finite
+    training loss raises TrainingDivergedError."""
     rng = np.random.default_rng(cfg.seed)
     dims = (dataset.inputs.shape[1], h, h, 1)
     theta, grad = np.empty(_mlp_size(dims)), np.empty(_mlp_size(dims))
@@ -334,9 +373,13 @@ def train_reference_mlp(dataset: Dataset, cfg: TrainConfig, h: int = 32):
 
     def grad_fn(rows):
         out, caches = _mlp_forward(layers, X[rows])
-        dpred = _residual_grad(out[:, 0] - y[rows], cfg.loss_kind)
-        _mlp_backward(layers, caches, dpred[:, None], grad_layers)
-        return None, grad  # the reference fit tracks no loss
+        resid = out[:, 0] - y[rows]
+        loss = _residual_loss(resid, cfg.loss_kind)
+        if not np.isfinite(loss):
+            raise NumericError("non-finite reference loss")
+        dpred = _residual_grad(resid, cfg.loss_kind)
+        _mlp_backward(layers, caches, dpred[:, None], grad_layers, input_grad=False)
+        return loss, grad
 
     _sgd(theta, grad_fn, cfg, len(dataset), rng)
 

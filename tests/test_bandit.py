@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symforge import bandit
+from symforge import bandit, net
 from symforge.bandit import (
     BanditPosterior,
     DiscoveryConfig,
@@ -15,9 +15,9 @@ from symforge.bandit import (
     screen_coordinates,
     simulate_linear,
 )
-from symforge.errors import NumericError
+from symforge.errors import NumericError, SymforgeError, TrainingDivergedError
 from symforge.groups import CYCLIC, SYMMETRIC, GroupDescriptor
-from symforge.net import Dataset, TrainConfig
+from symforge.net import Dataset, TrainConfig, train_sgd
 from symforge.selection import encode_arm, enumerate_arms
 
 FAST = TrainConfig(epochs=20, batch_size=16, seed=0)
@@ -175,6 +175,71 @@ def test_discovery_survives_nonfinite_held_out_loss(monkeypatch):
     bad = result.records[1]
     assert bad.reward == -1.0 and np.isinf(bad.train_loss)
     assert all(np.isfinite(rec.train_loss) for i, rec in enumerate(result.records) if i != 1)
+
+
+def test_discovery_floors_mid_training_divergence(monkeypatch):
+    # Step k of the arm's training fails: the error carries step k-1's loss
+    # and the pull is floored.  The fault stays on, so each re-pull fails at
+    # its first step and is floored too.
+    k = 5
+    losses, errors = [], []
+    real_loss_and_grad = net.loss_and_grad
+
+    def failing_loss_and_grad(*args, **kwargs):
+        if len(losses) == k - 1:
+            raise NumericError("non-finite loss")
+        loss, grads = real_loss_and_grad(*args, **kwargs)
+        losses.append(loss)
+        return loss, grads
+
+    def recording_train_sgd(*args, **kwargs):
+        try:
+            return train_sgd(*args, **kwargs)
+        except TrainingDivergedError as exc:
+            errors.append(exc)
+            raise
+
+    monkeypatch.setattr(net, "loss_and_grad", failing_loss_and_grad)
+    monkeypatch.setattr(bandit, "train_sgd", recording_train_sgd)
+    arm = encode_arm(GroupDescriptor(SYMMETRIC, (0, 1), 4))
+    cfg = DiscoveryConfig(T=3, train_cfg=FAST, seed=1)
+    result = run_discovery([arm], _toy_dataset(), cfg)
+    assert len(errors) == cfg.T
+    assert errors[0].last_loss == losses[k - 2]
+    assert all(rec.reward == -1.0 and np.isinf(rec.train_loss) for rec in result.records)
+    assert result.arm_params == {} and result.arm_losses == {}
+
+
+@pytest.mark.parametrize("row", [3, 35])  # in the fit part, in the held-out part
+def test_discovery_nan_input_is_a_symforge_error(row):
+    ds = _toy_dataset(3)
+    ds.inputs[row, 1] = np.nan
+    cfg = DiscoveryConfig(T=2, train_cfg=FAST, seed=0)
+    with pytest.raises(SymforgeError):
+        run_discovery(enumerate_arms(3), ds, cfg)
+    with pytest.raises(SymforgeError):
+        screen_coordinates(ds, FAST, repeats=2, seed=0)
+
+
+def test_failed_reference_fit_is_a_symforge_error(monkeypatch):
+    # The arms train with FAST; only the reference fit fails.  With lr 2.0 and
+    # no decay it overflows within 60 epochs on the 30-row fit part.
+    ds = _toy_dataset(3)
+    cfg = DiscoveryConfig(T=2, train_cfg=FAST)
+    bad = TrainConfig(epochs=60, batch_size=16, lr_initial=2.0, lr_decay=1.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError):
+        screen_coordinates(ds, bad, repeats=2, seed=0)
+    real = bandit.train_reference_mlp
+    monkeypatch.setattr(bandit, "train_reference_mlp", lambda fit, _: real(fit, bad))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError):
+        run_discovery(enumerate_arms(3), ds, cfg)
+    # A reference that predicts NaN on the held-out rows.
+    nan_fit = lambda fit, _: (None, lambda X: np.full(len(X), np.nan))
+    monkeypatch.setattr(bandit, "train_reference_mlp", nan_fit)
+    with pytest.raises(NumericError):
+        run_discovery(enumerate_arms(3), ds, cfg)
+    with pytest.raises(NumericError):
+        screen_coordinates(ds, FAST, repeats=2, seed=0)
 
 
 def test_screen_coordinates_finds_support():

@@ -89,6 +89,20 @@ def test_gen_data_quadrangle(tmp_path):
     assert lines[0].startswith("x_1,") and lines[0].endswith(",y")
 
 
+def test_discover_rejects_quadrangle(tmp_path):
+    # No arm can express the quadrangle's vertex relabelings, so discover
+    # refuses the task with exit 2; gen-data still writes its datasets.
+    path = _write_config(tmp_path, task={"kind": "quadrangle", "sizes": [8, 4]})
+    with pytest.raises(ConfigError):
+        run_discover(load_config(path))
+    runner = CliRunner()
+    for extra in ([], ["--sgd-only"]):
+        result = runner.invoke(main, ["discover", "--config", str(path), *extra])
+        assert result.exit_code == 2, result.output
+        assert "quadrangle" in result.output
+        assert not (tmp_path / "runs").exists()
+
+
 def test_gen_data_unknown_task_name(tmp_path):
     cfg = load_config(_write_config(tmp_path, task={"name": "Q_I(9)"}))
     with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from symforge.net import (
     forward_batch,
     gradient_check,
     init_params,
+    _pair_layout,
     loss_and_grad,
     mean_loss,
     train_reference_mlp,
@@ -185,3 +188,67 @@ def test_batched_forward_matches_single(seed):
     # BLAS may round differently for different batch shapes, so this is a
     # tight numerical comparison rather than a bitwise one.
     assert np.allclose(batched, np.asarray(singles), rtol=1e-12, atol=1e-14)
+
+
+# sha256 of train_sgd's weight bytes followed by its final loss's bytes, taken
+# while every step still rebuilt the pair layout from its batch.  Hoisting the
+# layout must not move a single bit.  Float64 results can depend on the BLAS
+# build; these come from numpy 2.4 with OpenBLAS 0.3 on x86-64.
+TRAIN_SGD_DIGESTS = {
+    (CYCLIC, (0, 1, 3), SQUARED):
+        "48d68f91fbf9f270e08249334ee2612cb87fdb4f43f738c38f985b71b5fc508e",
+    (DIHEDRAL, (1, 2, 4), SQUARED):
+        "4bec96b9fac2bb4e3da61a7798818cc8a8863195f11fb0dc9d622d290bfc931f",
+    (SYMMETRIC, (0, 2, 3, 4), ABSOLUTE):
+        "505aba0681f66286b954643c20c456b1115e5b70fbb4341b282ba25e2f4cf0d0",
+}
+
+
+def test_train_sgd_golden_bits():
+    rng = np.random.default_rng(12)
+    ds = Dataset(rng.uniform(size=(37, 5)), rng.uniform(size=37))  # short last batch
+    for (kind, idx, loss_kind), digest in TRAIN_SGD_DIGESTS.items():
+        cfg = TrainConfig(epochs=4, batch_size=8, seed=3, loss_kind=loss_kind)
+        params, loss = train_sgd(ds, _pair(kind, idx, 5), cfg)
+        got = hashlib.sha256(params.theta.tobytes() + np.float64(loss).tobytes())
+        assert got.hexdigest() == digest, (kind, idx)
+
+
+def test_layout_rows_match_per_batch_path():
+    # train_sgd builds the pair layout of the whole dataset once and takes
+    # each batch's rows; the loss and gradient must equal, bit for bit, those
+    # from the layout built out of the batch itself.  Values on a 0.1 grid
+    # give ties in the per-row sort.
+    rng = np.random.default_rng(13)
+    X = np.round(rng.uniform(size=(37, 5)), 1)
+    y = rng.uniform(size=37)
+    for kind, idx in ((CYCLIC, (0, 1, 3)), (DIHEDRAL, (1, 2, 4)), (SYMMETRIC, (0, 2, 3, 4))):
+        sp = _pair(kind, idx, 5)
+        params = init_params(5, seed=2)
+        layout = _pair_layout(sp, X)
+        out = PhiParams(np.empty_like(params.theta), params.p, params.h, params.n)
+        perm = rng.permutation(37)
+        for start in range(0, 37, 16):  # 16, 16, then a short batch of 5
+            rows = perm[start : start + 16]
+            loss, grads = loss_and_grad(params, sp, X[rows], y[rows], SQUARED)
+            got, returned = loss_and_grad(
+                params, sp, layout.take(rows), y[rows], SQUARED, out=out
+            )
+            assert returned is out
+            assert np.float64(got).tobytes() == np.float64(loss).tobytes()
+            assert out.theta.tobytes() == grads.theta.tobytes()
+
+
+def test_reference_mlp_divergence_raises():
+    # lr 2.0 without decay blows the reference fit up; it must not hand back
+    # a predictor that outputs NaN.
+    rng = np.random.default_rng(0)
+    X = rng.uniform(size=(40, 3))
+    y = X[:, 0] + X[:, 1]
+    ds = Dataset(X, (y - y.min()) / (y.max() - y.min()))
+    cfg = TrainConfig(epochs=30, lr_initial=2.0, lr_decay=1.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        TrainingDivergedError
+    ) as info:
+        train_reference_mlp(ds, cfg)
+    assert np.isfinite(info.value.last_loss)
