@@ -25,7 +25,7 @@ from .net import (
     train_reference_mlp,
     train_sgd,
 )
-from .selection import ArmFeature, SelectionPair, argmax_arm
+from .selection import ArmFeature, SelectionPair, argmax_arm, arm_matrix, rank_arms
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,29 @@ def posterior_update(post: BanditPosterior, a, gamma: float) -> BanditPosterior:
     return BanditPosterior(B, f, mu_hat, post.nu)
 
 
+def _holdout_split(dataset: Dataset, frac: float):
+    """(fit, held): the head to fit on and the tail, round(frac * m) rows,
+    held out.  held is None when that tail would be empty or everything."""
+    n_held = int(round(frac * len(dataset)))
+    if not 0 < n_held < len(dataset):
+        return dataset, None
+    fit = Dataset(dataset.inputs[:-n_held], dataset.targets[:-n_held])
+    return fit, Dataset(dataset.inputs[-n_held:], dataset.targets[-n_held:])
+
+
 def _reference_fit(fit: Dataset, held: Dataset, train_cfg: TrainConfig, loss_kind):
     """The symmetry-free reference MLP fit on `fit`, and its held-out loss
-    (floored at 1e-12).  A diverged fit raises TrainingDivergedError and a
-    non-finite held-out loss NumericError."""
+    (floored at 1e-12).  A diverged fit raises TrainingDivergedError.  A fit
+    whose loss on its own rows is not below that of their mean, or whose
+    held-out loss is non-finite, raises NumericError: a reference that
+    diverged to a huge finite loss would otherwise centre every reward."""
     _, predict = train_reference_mlp(fit, train_cfg)
+    fit_loss = _residual_loss(predict(fit.inputs) - fit.targets, loss_kind)
+    constant = _residual_loss(fit.targets.mean() - fit.targets, loss_kind)
+    if not fit_loss < constant:
+        raise NumericError(
+            f"reference fit does no better than the mean ({fit_loss:.3g} >= {constant:.3g})"
+        )
     loss = _residual_loss(predict(held.inputs) - held.targets, loss_kind)
     if not np.isfinite(loss):
         raise NumericError("reference fit has a non-finite held-out loss")
@@ -93,21 +111,19 @@ def screen_coordinates(
     coordinates removes the vacuous arms over coordinates the target
     ignores (any subgroup acting only on those is trivially respected and
     would crowd the ranking).  Falls back to all coordinates if fewer than
-    two pass.
+    two pass, or if the dataset is too small to hold any rows out.
     """
-    n_held = int(round(holdout * len(dataset)))
-    if not 0 < n_held < len(dataset):
-        raise ValueError("holdout must leave both a fit and a held part")
-    fit = Dataset(dataset.inputs[:-n_held], dataset.targets[:-n_held])
-    held = Dataset(dataset.inputs[-n_held:], dataset.targets[-n_held:])
+    n = dataset.inputs.shape[1]
+    fit, held = _holdout_split(dataset, holdout)
+    if held is None:
+        return tuple(range(n))
     predict, base = _reference_fit(fit, held, train_cfg, SQUARED)
     rng = np.random.default_rng(seed)
-    n = dataset.inputs.shape[1]
     importance = np.zeros(n)
     for j in range(n):
         for _ in range(repeats):
             shuffled = held.inputs.copy()
-            shuffled[:, j] = shuffled[rng.permutation(n_held), j]
+            shuffled[:, j] = shuffled[rng.permutation(len(held)), j]
             importance[j] += _residual_loss(predict(shuffled) - held.targets, SQUARED) - base
     importance /= repeats
     kept = tuple(int(j) for j in np.flatnonzero(importance > threshold * base))
@@ -154,12 +170,6 @@ class DiscoveryResult:
     arm_params: dict  # bits -> trained PhiParams
 
 
-def _rank(arms, mu_hat):
-    scored = [(-float(np.dot(mu_hat, a.bits)), a.bits, a) for a in arms]
-    scored.sort(key=lambda t: (t[0], t[1]))
-    return [a for _, _, a in scored]
-
-
 def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResult:
     """Algorithm loop: sample mu, play the argmax arm, train phi for it,
     reward with the capped negative loss, update the posterior.
@@ -190,22 +200,17 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
     if not (np.all(np.isfinite(dataset.inputs)) and np.all(np.isfinite(dataset.targets))):
         raise NumericError("non-finite value in the dataset")
     rng = np.random.default_rng(cfg.seed)
-    d = len(arms[0].bits)
-    post = BanditPosterior.fresh(d, cfg.nu)
+    A = arm_matrix(arms)
+    post = BanditPosterior.fresh(A.shape[1], cfg.nu)
     records = []
     arm_losses: dict = {}
     arm_params: dict = {}
     n_coords = dataset.inputs.shape[1]
-    n_held = int(round(cfg.reward_holdout * len(dataset)))
-    if 0 < n_held < len(dataset):
-        fit_data = Dataset(dataset.inputs[:-n_held], dataset.targets[:-n_held])
-        held_data = Dataset(dataset.inputs[-n_held:], dataset.targets[-n_held:])
-    else:
-        fit_data, held_data = dataset, None
+    fit_data, held_data = _holdout_split(dataset, cfg.reward_holdout)
     ref_loss = None
     for t in range(1, cfg.T + 1):
         mu = posterior_sample(post, rng)
-        arm = argmax_arm(mu, arms)
+        arm = arms[argmax_arm(mu, A)]
         sp = SelectionPair.for_descriptor(arm.descriptor)
         try:
             params, loss = train_sgd(fit_data, sp, cfg.train_cfg)
@@ -231,7 +236,8 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
                 gamma += cfg.size_bonus * len(arm.descriptor.index_set) / n_coords
         records.append(PullRecord(t, arm, gamma, loss))
         post = posterior_update(post, arm.bits, gamma)
-    return DiscoveryResult(_rank(arms, post.mu_hat), records, post, arm_losses, arm_params)
+    ranking = [arms[i] for i in rank_arms(post.mu_hat, A)]
+    return DiscoveryResult(ranking, records, post, arm_losses, arm_params)
 
 
 def evaluate_top_arms(

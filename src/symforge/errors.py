@@ -35,11 +35,3 @@ class TrainingDivergedError(SymforgeError):
 
 class GenerationError(SymforgeError):
     """Rejection sampling exhausted its retry budget."""
-
-
-class DatasetParseError(SymforgeError):
-    """A dataset file is malformed; carries the offending line number."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line

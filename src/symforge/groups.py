@@ -248,54 +248,3 @@ def orbit(descriptor: GroupDescriptor, x) -> Orbit:
     x = np.asarray(x, dtype=float)
     elems = frozenset(tuple(act(g, x)) for g in elements(descriptor))
     return Orbit(representative=tuple(x), elements=elems)
-
-
-@dataclass(frozen=True)
-class CycleDecomposition:
-    cycles: tuple[tuple[int, ...], ...]
-    has_unique_lengths: bool
-
-    @property
-    def nontrivial(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(c for c in self.cycles if len(c) > 1)
-
-
-def cycle_decomposition(g: Permutation) -> CycleDecomposition:
-    """Disjoint cycles of g (fixed points included), each starting at its
-    smallest element, ordered by that element.  The flag is False when two
-    nontrivial cycles share a length (Corollary hypothesis violated)."""
-    seen = [False] * g.n
-    cycles = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        j = g(start)
-        while j != start:
-            cycle.append(j)
-            seen[j] = True
-            j = g(j)
-        cycles.append(tuple(cycle))
-    lengths = [len(c) for c in cycles if len(c) > 1]
-    return CycleDecomposition(tuple(cycles), len(set(lengths)) == len(lengths))
-
-
-def descriptor_from_permutation(g: Permutation) -> GroupDescriptor:
-    """Build the <g> product descriptor from g's nontrivial cycles.
-
-    Each cycle of length >= 2 becomes a cyclic factor; fixed points are
-    dropped.  Raises when two cycles share a length (the generated group is
-    then not a product of non-isomorphic factors)."""
-    decomp = cycle_decomposition(g)
-    if not decomp.has_unique_lengths:
-        raise InvalidDescriptorError("cycles of equal length: not a valid product")
-    nontrivial = decomp.nontrivial
-    if not nontrivial:
-        raise InvalidDescriptorError("identity permutation generates no symmetry")
-    comps = tuple(
-        GroupDescriptor(CYCLIC, tuple(sorted(c)), g.n) for c in nontrivial
-    )
-    if len(comps) == 1:
-        return comps[0]
-    return GroupDescriptor(PRODUCT, (), g.n, comps)

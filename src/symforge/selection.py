@@ -150,67 +150,51 @@ def enumerate_arms(n: int) -> list[ArmFeature]:
     return arms
 
 
-def argmax_arm(mu, arms) -> ArmFeature:
-    """Exhaustive scan; ties broken by lexicographically smallest bit vector."""
-    mu = np.asarray(mu, dtype=float)
-    if not arms:
-        raise ValueError("empty arm set")
-    if not np.all(np.isfinite(mu)):
-        raise ValueError("mu must be finite")
-    best = None
-    best_score = -np.inf
-    for arm in arms:
-        score = float(np.dot(mu, arm.bits))
-        if score > best_score or (score == best_score and arm.bits < best.bits):
-            best, best_score = arm, score
-    return best
+def arm_matrix(arms) -> np.ndarray:
+    """The arms' bits as one 0/1 matrix, a row per arm, stored by column so
+    that `_scores` reads each column contiguously."""
+    return np.array([a.bits for a in arms], dtype=bool, order="F")
 
 
-def argmax_arm_closed(mu, n: int) -> ArmFeature:
-    """Constant-time argmax over the full arm space for ambient dimension n.
+def _scores(mu, A) -> np.ndarray:
+    """a . mu for every row a of the arm matrix, summed column by column.
 
-    The index set is the positive-mu coordinates, padded with the largest
-    remaining coordinates up to the feasible sizes; the kind bit is the best
-    admissible one (symmetric is forced at |I| = 2).
+    Every row takes the same float operations in the same order, so rows
+    whose products agree tie exactly wherever they sit in A.  A BLAS
+    matrix-vector product can split such a tie by an ulp, depending on the
+    row's position, and the tie-break would then never be reached.
     """
     mu = np.asarray(mu, dtype=float)
-    if mu.shape != (n + 3,):
-        raise DimensionError(f"mu must have length n + 3 = {n + 3}")
+    if len(A) == 0:
+        raise ValueError("empty arm set")
+    if mu.shape != (A.shape[1],):
+        raise DimensionError(f"mu must have length {A.shape[1]}")
     if not np.all(np.isfinite(mu)):
         raise ValueError("mu must be finite")
-    coord = mu[:n]
-    kind_mu = mu[n:]
-    order = sorted(range(n), key=lambda i: (-coord[i], i))
-    positives = [i for i in order if coord[i] > 0]
-
-    def candidate(index_set):
-        k = len(index_set)
-        kinds = (SYMMETRIC,) if k == 2 else KIND_BIT_ORDER
-        kind = max(kinds, key=lambda s: kind_mu[KIND_BIT_ORDER.index(s)])
-        value = sum(coord[i] for i in index_set)
-        value += kind_mu[KIND_BIT_ORDER.index(kind)]
-        return value, GroupDescriptor(kind, tuple(sorted(index_set)), n)
-
-    candidates = []
-    if len(positives) >= 3:
-        candidates.append(candidate(positives))
-    else:
-        candidates.append(candidate(order[:2]))
-        if n >= 3:
-            base = positives if len(positives) == 2 else order[:2]
-            extra = next(i for i in order if i not in base)
-            candidates.append(candidate(base + [extra]))
-    value, descriptor = max(candidates, key=lambda c: c[0])
-    del value
-    return encode_arm(descriptor)
+    score = np.zeros(len(A))
+    for column, weight in zip(A.T, mu):
+        score += column * weight
+    return score
 
 
-def entries_to_csv(entries) -> str:
-    """CSV of (row, col, 1) triples for the interpretability dump."""
-    lines = ["row,col,value"]
-    for row, col in sorted(entries):
-        lines.append(f"{row},{col},1")
-    return "\n".join(lines) + "\n"
+def _codes(A) -> np.ndarray:
+    """Each row's bits read as a binary number: the codes order the rows as
+    their bit vectors order lexicographically."""
+    return _scores(2.0 ** np.arange(A.shape[1] - 1, -1, -1), A)
+
+
+def argmax_arm(mu, A) -> int:
+    """Row of the arm matrix with the largest score a . mu; ties go to the
+    lexicographically smallest bit vector."""
+    score = _scores(mu, A)
+    tied = np.flatnonzero(score == score.max())
+    return int(tied[np.argmin(_codes(A[tied]))])
+
+
+def rank_arms(mu, A) -> np.ndarray:
+    """Rows of the arm matrix by score a . mu descending, ties broken as in
+    argmax_arm."""
+    return np.lexsort((_codes(A), -_scores(mu, A)))
 
 
 def dense_matrix(entries, shape) -> np.ndarray:

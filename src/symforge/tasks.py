@@ -8,12 +8,11 @@ bandit's loss cap is meaningful; quadrangle areas already live in (0, 1].
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetParseError, GenerationError
+from .errors import GenerationError
 from .groups import CYCLIC, DIHEDRAL, SYMMETRIC, GroupDescriptor, act, elements
 from .net import Dataset
 
@@ -209,45 +208,3 @@ def persist_dataset(dataset: Dataset, path) -> None:
         lines.append(",".join(f"{v:.17g}" for v in (*x, y)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_dataset(path) -> Dataset:
-    with open(path) as fh:
-        return _parse_dataset(fh)
-
-
-def loads_dataset(text: str) -> Dataset:
-    return _parse_dataset(io.StringIO(text))
-
-
-def _parse_dataset(fh) -> Dataset:
-    header = fh.readline().strip()
-    if not header:
-        raise DatasetParseError("empty dataset file", line=1)
-    columns = header.split(",")
-    if columns[-1] != "y":
-        raise DatasetParseError("missing column 'y'", line=1)
-    n = len(columns) - 1
-    expected = [f"x_{i + 1}" for i in range(n)]
-    for want, got in zip(expected, columns):
-        if want != got:
-            raise DatasetParseError(f"missing column '{want}'", line=1)
-    rows, targets = [], []
-    for lineno, line in enumerate(fh, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != n + 1:
-            raise DatasetParseError(
-                f"expected {n + 1} fields, found {len(parts)}", line=lineno
-            )
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            raise DatasetParseError("non-numeric field", line=lineno)
-        rows.append(values[:-1])
-        targets.append(values[-1])
-    if not rows:
-        raise DatasetParseError("dataset has a header but no rows", line=2)
-    return Dataset(np.asarray(rows), np.asarray(targets))

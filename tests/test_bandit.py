@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,32 @@ def test_discovery_is_deterministic():
     assert [a.bits for a in r1.ranking] == [a.bits for a in r2.ranking]
 
 
+DISCOVERY_DIGESTS = {
+    1: "6d5a7fac950115e069d1895e0d1693b20f1e62c72085df56e4c3b3cfc9ff4e6e",
+    2: "1af4d5b776bf37ab35d43384c327dc4c36e0b8dc2e775642d1db9e7b2459fda2",
+    3: "8ebfe7d02269c9ce9543461c3b8c0a5c6f5f32cba4b3ff8f29c8cee79386e06c",
+}
+
+
+def test_discovery_golden_bits():
+    # sha256 of the pulls.csv and ranking.csv bytes, in the CLI's formats.
+    for seed, digest in DISCOVERY_DIGESTS.items():
+        cfg = DiscoveryConfig(T=10, train_cfg=FAST, seed=seed)
+        result = run_discovery(enumerate_arms(5), _toy_dataset(5), cfg)
+        mu_hat = result.posterior.mu_hat
+        pulls = "t,bits,reward,loss\n" + "".join(
+            f"{r.t},{''.join(map(str, r.arm.bits))},{r.reward:.17g},{r.train_loss:.17g}\n"
+            for r in result.records
+        )
+        ranking = "rank,kind,index_set,score\n" + "".join(
+            f"{i},{a.descriptor.kind},{' '.join(map(str, a.descriptor.index_set))},"
+            f"{np.dot(mu_hat, a.bits):.17g}\n"
+            for i, a in enumerate(result.ranking)
+        )
+        got = hashlib.sha256(pulls.encode() + ranking.encode()).hexdigest()
+        assert got == digest, seed
+
+
 def test_discovery_literal_reward_mode():
     # reward_holdout = 0 switches to the capped negative-training-loss rule.
     arms = enumerate_arms(3)
@@ -232,6 +260,14 @@ def test_failed_reference_fit_is_a_symforge_error(monkeypatch):
     real = bandit.train_reference_mlp
     monkeypatch.setattr(bandit, "train_reference_mlp", lambda fit, _: real(fit, bad))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError):
+        run_discovery(enumerate_arms(3), ds, cfg)
+    # With 30 epochs the reference ends at a huge but finite loss (2.8e249
+    # held out), far worse than predicting the fit targets' mean.
+    worse = TrainConfig(epochs=30, batch_size=16, lr_initial=2.0, lr_decay=1.0)
+    monkeypatch.setattr(bandit, "train_reference_mlp", lambda fit, _: real(fit, worse))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+        screen_coordinates(ds, FAST, repeats=2, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
         run_discovery(enumerate_arms(3), ds, cfg)
     # A reference that predicts NaN on the held-out rows.
     nan_fit = lambda fit, _: (None, lambda X: np.full(len(X), np.nan))

@@ -198,6 +198,19 @@ def test_cli_invalid_config_values_exit_2(tmp_path, section, values):
     assert not isinstance(result.exception, ValueError)
 
 
+def test_discover_with_no_rows_to_hold_out(tmp_path):
+    # round(0.25 * 2) = 0 held-out rows: screening keeps every coordinate and
+    # the bandit falls back to the literal reward.
+    path = _write_config(
+        tmp_path, task={"sizes": [2, 10]}, bandit={"T": 2}, training={"epochs": 2}
+    )
+    result = CliRunner().invoke(main, ["discover", "--config", str(path)])
+    assert result.exit_code == 0, result.output
+    assert "Traceback" not in result.output
+    report = yaml.safe_load(next((tmp_path / "runs").rglob("report.yaml")).read_text())
+    assert report["screened_coordinates"] == [0, 1, 2, 3, 4]
+
+
 def test_cli_gen_data_and_bandit_sim_commands(tmp_path):
     runner = CliRunner()
     path = _write_config(tmp_path, sim={"horizons": [20], "trials": 10})

@@ -12,9 +12,7 @@ from symforge.groups import (
     GroupDescriptor,
     Permutation,
     act,
-    cycle_decomposition,
     cyclic_generator,
-    descriptor_from_permutation,
     elements,
     orbit,
     reflection,
@@ -146,31 +144,15 @@ def test_orbit_sizes():
     assert len(orbit(GroupDescriptor(SYMMETRIC, (0, 1, 2, 3, 4), 5), ones).elements) == 1
 
 
-def test_cycle_decomposition():
-    g = Permutation((1, 2, 0, 4, 3, 5))
-    decomp = cycle_decomposition(g)
-    assert decomp.cycles == ((0, 1, 2), (3, 4), (5,))
-    assert decomp.nontrivial == ((0, 1, 2), (3, 4))
-    assert decomp.has_unique_lengths
-    # Two 2-cycles share a length.
-    assert not cycle_decomposition(Permutation((1, 0, 3, 2))).has_unique_lengths
-
-
-def test_descriptor_from_permutation():
-    single = descriptor_from_permutation(Permutation((1, 2, 0, 3)))
-    assert single.kind == CYCLIC and single.index_set == (0, 1, 2)
-    prod = descriptor_from_permutation(Permutation((1, 2, 0, 4, 3, 5)))
-    assert prod.kind == PRODUCT
-    assert tuple(c.index_set for c in prod.components) == ((0, 1, 2), (3, 4))
-    with pytest.raises(InvalidDescriptorError):
-        descriptor_from_permutation(Permutation((1, 0, 3, 2)))
-    with pytest.raises(InvalidDescriptorError):
-        descriptor_from_permutation(Permutation.identity(4))
-
-
 def test_generated_group_matches_descriptor():
+    # <g> for g = (0 1 2)(3 4) is the product of its two cycles' groups.
     g = Permutation((1, 2, 0, 4, 3, 5))
-    d = descriptor_from_permutation(g)
+    d = GroupDescriptor(
+        PRODUCT,
+        (),
+        6,
+        (GroupDescriptor(CYCLIC, (0, 1, 2), 6), GroupDescriptor(CYCLIC, (3, 4), 6)),
+    )
     generated = {Permutation.identity(6).mapping}
     cur = g
     while cur.mapping not in generated:

@@ -13,14 +13,14 @@ from symforge.selection import (
     SelectionPair,
     apply_pipeline_front,
     argmax_arm,
-    argmax_arm_closed,
+    arm_matrix,
     build_m1,
     build_m2,
     decode_arm,
     dense_matrix,
     encode_arm,
-    entries_to_csv,
     enumerate_arms,
+    rank_arms,
 )
 
 
@@ -129,35 +129,39 @@ def test_enumerate_arms_guards():
 
 def test_argmax_arm_ties_break_lexicographically():
     arms = enumerate_arms(3)
+    A = arm_matrix(arms)
     mu = np.zeros(6)
-    best = argmax_arm(mu, arms)
-    assert best.bits == min(a.bits for a in arms)
+    assert arms[argmax_arm(mu, A)].bits == min(a.bits for a in arms)
+    assert [arms[i].bits for i in rank_arms(mu, A)] == sorted(a.bits for a in arms)
     with pytest.raises(ValueError):
-        argmax_arm(np.array([np.nan] * 6), arms)
+        argmax_arm(np.array([np.nan] * 6), A)
     with pytest.raises(ValueError):
-        argmax_arm(mu, [])
+        rank_arms(np.array([np.inf] * 6), A)
+    with pytest.raises(ValueError):
+        argmax_arm(mu, arm_matrix([]))
+    with pytest.raises(DimensionError):
+        argmax_arm(np.zeros(5), A)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**9))
-def test_argmax_closed_matches_exhaustive(seed):
+@given(st.integers(3, 6), st.sampled_from(["normal", "integer", "sparse"]), st.integers(0, 10**9))
+def test_argmax_and_ranking_match_brute_force(n, kind, seed):
+    # Integer-valued mu gives exact ties between arms; "sparse" zeroes some
+    # coordinates, so arms that differ only there tie exactly too.  The
+    # answer must not depend on where an arm sits in the list.
     rng = np.random.default_rng(seed)
-    n = 6
-    mu = rng.normal(size=n + 3)
     arms = enumerate_arms(n)
-    exhaustive = argmax_arm(mu, arms)
-    closed = argmax_arm_closed(mu, n)
-    assert closed.bits in {a.bits for a in arms}
-    assert np.isclose(
-        float(np.dot(mu, closed.bits)), float(np.dot(mu, exhaustive.bits))
-    )
-
-
-def test_argmax_closed_guards():
-    with pytest.raises(DimensionError):
-        argmax_arm_closed(np.zeros(5), 6)
-    with pytest.raises(ValueError):
-        argmax_arm_closed(np.full(9, np.inf), 6)
+    for _ in range(8):
+        mu = rng.normal(size=n + 3)
+        if kind == "integer":
+            mu = rng.integers(-2, 3, size=n + 3).astype(float)
+        elif kind == "sparse":
+            mu[rng.random(n + 3) < 0.5] = 0.0
+        ranked = sorted(arms, key=lambda a: (-float(np.dot(mu, a.bits)), a.bits))
+        for order in (arms, [arms[i] for i in rng.permutation(len(arms))]):
+            A = arm_matrix(order)
+            assert order[argmax_arm(mu, A)].bits == ranked[0].bits
+            assert [order[i].bits for i in rank_arms(mu, A)] == [a.bits for a in ranked]
 
 
 def test_reference_block_structure_n10():
@@ -174,8 +178,5 @@ def test_reference_block_structure_n10():
 def test_entry_dumps():
     d = GroupDescriptor(SYMMETRIC, (0, 2), 3)
     sp = SelectionPair.for_descriptor(d)
-    csv = entries_to_csv(sp.m1_entries)
-    assert csv.splitlines()[0] == "row,col,value"
-    assert "0,0,1" in csv and "1,2,1" in csv
     dense = dense_matrix(sp.m1_entries, (3, 3))
     assert dense.tolist() == [[1, 0, 0], [0, 0, 1], [0, 0, 0]]
