@@ -2,9 +2,10 @@
 
 The posterior is the standard Gaussian linear-model one: precision
 B = I + sum a a^T over played arms, reward-weighted sum f, mean B^-1 f.
-Sampling uses the Cholesky factor of B so the sample covariance is exactly
-nu^2 B^-1.  The simulator checks the log(T)/T misidentification trend for
-the empirical-play recommendation rule.
+Each update factors B = L L^T once; the mean is solved with L, and a
+sample reuses it, so its covariance is exactly nu^2 B^-1.  The simulator
+checks the log(T)/T misidentification trend for the empirical-play
+recommendation rule.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from .selection import ArmFeature, SelectionPair, argmax_arm, arm_matrix, rank_a
 @dataclass(frozen=True)
 class BanditPosterior:
     B: np.ndarray  # (d, d) precision, I + sum a a^T
+    L: np.ndarray  # lower Cholesky factor of B
     f: np.ndarray  # (d,) reward-weighted arm sum
     mu_hat: np.ndarray  # exact solution of B mu = f
     nu: float
 
     @staticmethod
     def fresh(d: int, nu: float) -> "BanditPosterior":
-        return BanditPosterior(np.eye(d), np.zeros(d), np.zeros(d), nu)
+        return BanditPosterior(np.eye(d), np.eye(d), np.zeros(d), np.zeros(d), nu)
 
     @property
     def d(self) -> int:
@@ -45,13 +47,9 @@ class BanditPosterior:
 
 
 def posterior_sample(post: BanditPosterior, rng: np.random.Generator) -> np.ndarray:
-    """Draw mu ~ N(mu_hat, nu^2 B^-1) via the upper Cholesky factor."""
-    try:
-        upper = cholesky(post.B, lower=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - B is SPD by design
-        raise NumericError(f"posterior precision not SPD: {exc}")
+    """Draw mu ~ N(mu_hat, nu^2 B^-1) as mu_hat + nu L^-T z."""
     z = rng.standard_normal(post.d)
-    return post.mu_hat + post.nu * solve_triangular(upper, z, lower=False)
+    return post.mu_hat + post.nu * solve_triangular(post.L, z, lower=True, trans="T")
 
 
 def posterior_update(post: BanditPosterior, a, gamma: float) -> BanditPosterior:
@@ -61,9 +59,11 @@ def posterior_update(post: BanditPosterior, a, gamma: float) -> BanditPosterior:
         raise NumericError("reward must be finite")
     B = post.B + np.outer(a, a)
     f = post.f + gamma * a
-    c = cholesky(B, lower=True)
-    mu_hat = cho_solve((c, True), f)
-    return BanditPosterior(B, f, mu_hat, post.nu)
+    try:
+        L = cholesky(B, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"posterior precision not SPD: {exc}")
+    return BanditPosterior(B, L, f, cho_solve((L, True), f), post.nu)
 
 
 def _holdout_split(dataset: Dataset, frac: float):
@@ -159,6 +159,10 @@ class DiscoveryConfig:
     def __post_init__(self):
         if not 0.0 <= self.reward_holdout < 1.0:
             raise ValueError("reward_holdout must be in [0, 1)")
+        if not 0 < self.loss_cap < np.inf:
+            raise ValueError("loss_cap must be finite and > 0")
+        if not 0 <= self.nu < np.inf:
+            raise ValueError("nu must be finite and >= 0")
 
 
 @dataclass
@@ -272,16 +276,21 @@ class LinearInstance:
     mu_star: np.ndarray
     arms: np.ndarray  # (n_arms, d) binary feature rows
     noise_sigma: float
-    delta_min: float = 0.0
+    delta_min: float = field(init=False)  # gap between the best two mean rewards
+    best_index: int = field(init=False)
 
     def __post_init__(self):
         self.mu_star = np.asarray(self.mu_star, dtype=float)
         self.arms = np.asarray(self.arms, dtype=float)
         means = self.arms @ self.mu_star
+        if means.ndim != 1 or means.size < 2:
+            raise ValueError("instance needs a mu_star vector and at least two arms")
         order = np.sort(means)[::-1]
         gap = float(order[0] - order[1])
-        if gap <= 0:
+        if not gap > 0:
             raise ValueError("instance needs a unique best arm")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
         self.delta_min = gap
         self.best_index = int(np.argmax(means))
 

@@ -113,16 +113,15 @@ def load_config(path, seed_override=None) -> dict:
 
 
 def _validate(cfg: dict, path) -> None:
-    """Reject out-of-range values at load time, as ConfigErrors."""
+    """Make every conversion and check the runners make, by calling the
+    builders they call, so a bad value in any section fails here, whichever
+    command loads the config.  It is a ConfigError; cfg is left as it is."""
     try:
-        _train_config(cfg, seed=0)
-        if any(int(size) < 1 for size in cfg["task"]["sizes"]):
-            raise ValueError("task.sizes must all be >= 1")
-        T = cfg["bandit"]["T"]
-        if T is not None and int(T) < 1:
-            raise ValueError("bandit.T must be null (4n) or >= 1")
-        if not 0.0 <= float(cfg["bandit"]["reward_holdout"]) < 1.0:
-            raise ValueError("bandit.reward_holdout must be in [0, 1)")
+        _task_sizes(cfg)
+        Path(cfg["output"]["dir"])
+        _screening(cfg)
+        _discovery_config(cfg, n=1)
+        _simulation(cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid value in {path}: {exc}")
 
@@ -134,30 +133,98 @@ def config_hash(cfg: dict, tag: str = "") -> str:
 
 def output_dir(cfg: dict, tag: str = "") -> Path:
     out = Path(cfg["output"]["dir"]) / config_hash(cfg, tag)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}")
     return out
 
 
-def _train_config(cfg: dict, seed: int) -> TrainConfig:
+def _seed(cfg: dict) -> int:
+    seed = int(cfg["task"]["seed"])
+    if seed < 0:
+        raise ValueError("task.seed must be >= 0")
+    return seed
+
+
+def _task_sizes(cfg: dict) -> tuple:
+    sizes = tuple(int(size) for size in cfg["task"]["sizes"])
+    if not sizes or min(sizes) < 1:
+        raise ValueError("task.sizes must be a non-empty list of values >= 1")
+    return sizes
+
+
+def _train_config(cfg: dict) -> TrainConfig:
     t = cfg["training"]
     return TrainConfig(
         epochs=int(t["epochs"]),
         batch_size=int(t["batch_size"]),
         lr_initial=float(t["lr_initial"]),
         lr_decay=float(t["lr_decay"]),
-        seed=seed,
         loss_kind=t["loss"],
     )
 
 
+def _screening(cfg: dict) -> dict:
+    """screen_coordinates' keyword arguments from the arms section."""
+    a = cfg["arms"]
+    repeats = int(a["screen_repeats"])
+    if repeats < 1:
+        raise ValueError("arms.screen_repeats must be >= 1")
+    return {"threshold": float(a["screen_threshold"]), "repeats": repeats}
+
+
+def _discovery_config(cfg: dict, n: int) -> DiscoveryConfig:
+    """The bandit's settings for a task on n coordinates."""
+    b = cfg["bandit"]
+    T = 4 * n if b["T"] is None else int(b["T"])
+    if T < 1:
+        raise ValueError("bandit.T must be null (4n) or >= 1")
+    return DiscoveryConfig(
+        T=T,
+        nu=float(b["nu"]),
+        train_cfg=_train_config(cfg),
+        loss_cap=float(b["loss_cap"]),
+        reward_holdout=float(b["reward_holdout"]),
+        size_bonus=float(b["size_bonus"]),
+        seed=_seed(cfg),
+    )
+
+
+def _simulation(cfg: dict) -> dict:
+    """simulate_linear's arguments from the sim section."""
+    s = cfg["sim"]
+    mu_star = np.asarray(s["mu_star"], dtype=float)
+    horizons = [int(T) for T in s["horizons"]]
+    trials = int(s["trials"])
+    nu = float(s["nu"])
+    if not horizons or min(horizons) < 1:
+        raise ValueError("sim.horizons must be a non-empty list of values >= 1")
+    if trials < 1:
+        raise ValueError("sim.trials must be >= 1")
+    if not 0 <= nu < np.inf:
+        raise ValueError("sim.nu must be finite and >= 0")
+    return {
+        "instance": LinearInstance(mu_star, np.eye(mu_star.size), float(s["noise_sigma"])),
+        "horizons": horizons,
+        "nu": nu,
+        "trials": trials,
+        "seed": _seed(cfg),
+    }
+
+
 def _task_splits(cfg: dict):
     task = cfg["task"]
-    sizes = tuple(int(s) for s in task["sizes"])
-    seed = int(task["seed"])
+    sizes = _task_sizes(cfg)
+    seed = _seed(cfg)
     if task["kind"] == "polynomial":
-        spec = builtin_polynomial(task["name"])
-        splits, manifest = make_splits(spec, sizes, seed=seed)
-        return spec, splits, manifest
+        try:
+            spec = builtin_polynomial(task["name"])
+        except KeyError as exc:
+            raise ConfigError(
+                f"unknown task name {task['name']!r}; valid names: {BUILTIN_NAMES}"
+            ) from exc
+        return make_splits(spec, sizes, seed=seed)
     if task["kind"] == "quadrangle":
         names = ("train", "val", "test")[: len(sizes)]
         streams = np.random.SeedSequence(seed).spawn(len(sizes))
@@ -170,19 +237,14 @@ def _task_splits(cfg: dict):
             "seed": seed,
             "sizes": {name: size for name, size in zip(names, sizes)},
         }
-        return None, splits, manifest
+        return splits, manifest
     raise ConfigError(
         f"unknown task kind {task['kind']!r}; valid kinds: polynomial, quadrangle"
     )
 
 
 def run_gen_data(cfg: dict) -> Path:
-    try:
-        spec, splits, manifest = _task_splits(cfg)
-    except KeyError as exc:
-        raise ConfigError(
-            f"unknown task name {cfg['task']['name']!r}; valid names: {BUILTIN_NAMES}"
-        ) from exc
+    splits, manifest = _task_splits(cfg)
     out = output_dir(cfg)
     files = {}
     for name, dataset in splits.items():
@@ -211,18 +273,14 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
             "its vertex relabelings; use gen-data for its datasets"
         )
     t_start = time.perf_counter()
-    try:
-        spec, splits, manifest = _task_splits(cfg)
-    except KeyError as exc:
-        raise ConfigError(
-            f"unknown task name {cfg['task']['name']!r}; valid names: {BUILTIN_NAMES}"
-        ) from exc
+    splits, manifest = _task_splits(cfg)
     train = splits["train"]
     val = splits.get("val")
-    seed = int(cfg["task"]["seed"])
-    train_cfg = _train_config(cfg, seed=0)
+    n = train.inputs.shape[1]
+    dcfg = _discovery_config(cfg, n)
+    train_cfg = dcfg.train_cfg
     out = output_dir(cfg, tag="sgd-only" if sgd_only else "")
-    report: dict = {"config": cfg, "seed": seed, "task": manifest}
+    report: dict = {"config": cfg, "seed": dcfg.seed, "task": manifest}
 
     if sgd_only:
         params, loss = train_relaxed(train, train_cfg)
@@ -238,30 +296,11 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
         (out / "report.yaml").write_text(yaml.safe_dump(report, sort_keys=True))
         return out, report
 
-    n = train.inputs.shape[1]
     arms = enumerate_arms(n)
-    arm_cfg = cfg["arms"]
     kept = tuple(range(n))
-    if arm_cfg["screen"]:
-        kept = screen_coordinates(
-            train,
-            train_cfg,
-            threshold=float(arm_cfg["screen_threshold"]),
-            repeats=int(arm_cfg["screen_repeats"]),
-            seed=seed,
-        )
+    if cfg["arms"]["screen"]:
+        kept = screen_coordinates(train, train_cfg, seed=dcfg.seed, **_screening(cfg))
         arms = filter_arms(arms, kept)
-    b = cfg["bandit"]
-    T = 4 * n if b["T"] is None else int(b["T"])
-    dcfg = DiscoveryConfig(
-        T=T,
-        nu=float(b["nu"]),
-        train_cfg=train_cfg,
-        loss_cap=float(b["loss_cap"]),
-        reward_holdout=float(b["reward_holdout"]),
-        size_bonus=float(b["size_bonus"]),
-        seed=seed,
-    )
     result = run_discovery(arms, train, dcfg)
 
     top = evaluate_top_arms(
@@ -272,7 +311,7 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
     report["mode"] = "bandit"
     report["screened_coordinates"] = list(kept)
     report["arm_count"] = len(arms)
-    report["T"] = T
+    report["T"] = dcfg.T
     report["top3"] = [
         {
             "kind": arm.descriptor.kind,
@@ -313,95 +352,70 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
 VERIFY_SUITES = ("orbits", "product", "nonreal", "gradients", "invariance")
 
 
-def run_verify(suite: str) -> tuple[bool, dict]:
-    """Run one named property suite with default sizes; (passed, summary)."""
+def _verdict(report, failed=None) -> tuple[bool, str]:
+    """(passed, summary value): "pass", or else `failed`, by default the
+    report's failure count."""
+    if report.passed:
+        return True, "pass"
+    return False, failed or f"{len(report.failures)} failures"
+
+
+def _suite_checks(suite: str) -> dict:
+    """label -> (passed, summary value) for one named suite."""
     if suite == "orbits":
-        summary = {}
-        ok = True
-        for kind in (CYCLIC, DIHEDRAL, SYMMETRIC):
-            for k in range(2, 6):
-                report = verify_orbit_mapping(kind, k, trials=100)
-                summary[f"{kind}-k{k}"] = (
-                    "pass" if report.passed else f"{len(report.failures)} failures"
-                )
-                ok = ok and report.passed
-        counter = find_set_e_counterexample(k=4)
-        summary["dihedral-duplicate-counterexample"] = (
-            "found" if counter is not None else "missing"
-        )
-        ok = ok and counter is not None
-        return ok, summary
+        checks = {
+            f"{kind}-k{k}": _verdict(verify_orbit_mapping(kind, k, trials=100))
+            for kind in (CYCLIC, DIHEDRAL, SYMMETRIC)
+            for k in range(2, 6)
+        }
+        found = find_set_e_counterexample(k=4) is not None
+        checks["dihedral-duplicate-counterexample"] = (found, "found" if found else "missing")
+        return checks
     if suite == "product":
         combos = [
+            ((GroupDescriptor(CYCLIC, (0, 1, 2), 5), GroupDescriptor(SYMMETRIC, (3, 4), 5)), 10),
             (
-                (
-                    GroupDescriptor(CYCLIC, (0, 1, 2), 5),
-                    GroupDescriptor(SYMMETRIC, (3, 4), 5),
-                ),
-                10,
-            ),
-            (
-                (
-                    GroupDescriptor(DIHEDRAL, (0, 1, 2), 7),
-                    GroupDescriptor(CYCLIC, (3, 4, 5, 6), 7),
-                ),
+                (GroupDescriptor(DIHEDRAL, (0, 1, 2), 7), GroupDescriptor(CYCLIC, (3, 4, 5, 6), 7)),
                 3,
             ),
         ]
-        summary = {}
-        ok = True
-        for components, trials in combos:
-            report = verify_product_group(components, trials=trials)
-            label = "x".join(f"{c.kind}{len(c.index_set)}" for c in components)
-            summary[label] = "pass" if report.passed else f"{len(report.failures)} failures"
-            ok = ok and report.passed
-        return ok, summary
+        return {
+            "x".join(f"{c.kind}{len(c.index_set)}" for c in components): _verdict(
+                verify_product_group(components, trials=trials)
+            )
+            for components, trials in combos
+        }
     if suite == "nonreal":
-        summary = {}
-        ok = True
-        for k in (3, 4, 5):
-            report = nonrealizability_counts(k, trials=50)
-            summary[f"k{k}"] = "pass" if report.passed else f"{len(report.failures)} failures"
-            ok = ok and report.passed
-        return ok, summary
+        return {f"k{k}": _verdict(nonrealizability_counts(k, trials=50)) for k in (3, 4, 5)}
     if suite == "gradients":
         rng = np.random.default_rng(0)
-        descriptor = GroupDescriptor(CYCLIC, (0, 2, 3), 5)
-        sp = SelectionPair.for_descriptor(descriptor)
+        sp = SelectionPair.for_descriptor(GroupDescriptor(CYCLIC, (0, 2, 3), 5))
         params = init_params(5, p=8, h=12, seed=0)
         X = rng.uniform(size=(10, 5))
         y = rng.uniform(size=10)
-        err = gradient_check(params, sp, X, y, n_coords=20)
-        return err <= 1e-4, {"max_relative_error": float(err)}
+        err = float(gradient_check(params, sp, X, y, n_coords=20))
+        return {"max_relative_error": (err <= 1e-4, err)}
     if suite == "invariance":
-        summary = {}
-        ok = True
+        checks = {}
         for kind, k in ((CYCLIC, 4), (DIHEDRAL, 4), (SYMMETRIC, 3)):
             descriptor = GroupDescriptor(kind, tuple(range(1, k + 1)), k + 2)
             sp = SelectionPair.for_descriptor(descriptor)
             params = init_params(k + 2, p=8, h=12, seed=1)
-            report = check_invariance(
-                lambda x: forward(params, sp, x), descriptor, samples=100
-            )
-            summary[f"{kind}-k{k}"] = (
-                "pass" if report.passed else f"violation {report.max_violation:.2e}"
-            )
-            ok = ok and report.passed
-        return ok, summary
+            report = check_invariance(lambda x: forward(params, sp, x), descriptor, samples=100)
+            checks[f"{kind}-k{k}"] = _verdict(report, f"violation {report.max_violation:.2e}")
+        return checks
     raise ConfigError(f"unknown suite {suite!r}; valid suites: {VERIFY_SUITES}")
 
 
+def run_verify(suite: str) -> tuple[bool, dict]:
+    """Run one named property suite with default sizes; (passed, summary)."""
+    checks = _suite_checks(suite)
+    passed = all(ok for ok, _ in checks.values())
+    return passed, {label: value for label, (_, value) in checks.items()}
+
+
 def run_bandit_sim(cfg: dict) -> tuple[Path, dict]:
-    s = cfg["sim"]
-    trials = int(s["trials"])
-    if trials < 1:
-        raise ConfigError("sim.trials must be >= 1")
-    mu_star = np.asarray(s["mu_star"], dtype=float)
-    instance = LinearInstance(mu_star, np.eye(mu_star.size), float(s["noise_sigma"]))
-    horizons = [int(T) for T in s["horizons"]]
-    rates = simulate_linear(
-        instance, horizons, nu=float(s["nu"]), trials=trials, seed=int(cfg["task"]["seed"])
-    )
+    rates = simulate_linear(**_simulation(cfg))
     out = output_dir(cfg)
     with open(out / "misid.csv", "w") as fh:
         fh.write("T,misid_rate\n")
@@ -415,16 +429,22 @@ def main():
     """Discover which discrete symmetry a target function respects."""
 
 
+def _run(command, config_path, seed, **kwargs):
+    """Load the config and run the command on it.  A SymforgeError from
+    either is printed as `error: ...` and exits 2."""
+    try:
+        return command(load_config(config_path, seed_override=seed), **kwargs)
+    except SymforgeError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
+
+
 @main.command("gen-data")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None)
 def gen_data_cmd(config_path, seed):
     """Generate dataset CSVs and a manifest."""
-    cfg = _load_or_usage(config_path, seed)
-    try:
-        out = run_gen_data(cfg)
-    except SymforgeError as exc:
-        _fail_usage(str(exc))
+    out = _run(run_gen_data, config_path, seed)
     click.echo(f"wrote datasets to {out}")
 
 
@@ -434,11 +454,7 @@ def gen_data_cmd(config_path, seed):
 @click.option("--sgd-only", is_flag=True, default=False)
 def discover_cmd(config_path, seed, sgd_only):
     """Run the full discovery pipeline and write a run report."""
-    cfg = _load_or_usage(config_path, seed)
-    try:
-        out, report = run_discover(cfg, sgd_only=sgd_only)
-    except SymforgeError as exc:
-        _fail_usage(str(exc))
+    out, report = _run(run_discover, config_path, seed, sgd_only=sgd_only)
     click.echo(f"report written to {out / 'report.yaml'}")
     if not sgd_only:
         for row in report["top3"]:
@@ -466,26 +482,10 @@ def verify_cmd(suite):
 @click.option("--seed", type=int, default=None)
 def bandit_sim_cmd(config_path, seed):
     """Monte-Carlo misidentification rates for the linear-bandit simulator."""
-    cfg = _load_or_usage(config_path, seed)
-    try:
-        out, rates = run_bandit_sim(cfg)
-    except SymforgeError as exc:
-        _fail_usage(str(exc))
+    out, rates = _run(run_bandit_sim, config_path, seed)
     for T, rate in rates.items():
         click.echo(f"T={T}: misid={rate:.4f}")
     click.echo(f"csv written to {out / 'misid.csv'}")
-
-
-def _load_or_usage(config_path, seed):
-    try:
-        return load_config(config_path, seed_override=seed)
-    except ConfigError as exc:
-        _fail_usage(str(exc))
-
-
-def _fail_usage(message):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
 
 
 if __name__ == "__main__":

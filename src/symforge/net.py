@@ -92,14 +92,6 @@ class PhiParams:
         if rest.size:
             raise ValueError("weight vector longer than the network")
 
-    def to_record(self) -> dict:
-        return {"p": self.p, "h": self.h, "n": self.n, "weights": self.theta.tolist()}
-
-    @staticmethod
-    def from_record(record: dict) -> "PhiParams":
-        weights = np.array(record["weights"], dtype=float)
-        return PhiParams(weights, record["p"], record["h"], record["n"])
-
 
 def _mlp_size(dims) -> int:
     return sum((d_in + 1) * d_out for d_in, d_out in zip(dims[:-1], dims[1:]))

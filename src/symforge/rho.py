@@ -12,8 +12,6 @@ import numpy as np
 from .errors import DimensionError, NotInImageError
 from .groups import CYCLIC, DIHEDRAL, SYMMETRIC
 
-VARIANTS = (CYCLIC, DIHEDRAL, SYMMETRIC)
-
 
 def _as_vector(x, min_len=2):
     x = np.asarray(x, dtype=float)

@@ -76,6 +76,26 @@ def test_posterior_update_shrinks_variance_along_arm():
     assert np.isclose(before - after, before**2 / (1 + before))
 
 
+def test_posterior_sample_reuses_the_update_factor(monkeypatch):
+    rng = np.random.default_rng(4)
+    post = BanditPosterior.fresh(5, nu=0.3)
+    for _ in range(8):
+        post = posterior_update(post, rng.integers(0, 2, size=5), float(rng.normal()))
+    assert np.allclose(post.L @ post.L.T, post.B)
+
+    def no_factorization(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    # A sample does no factorization of its own; an update converts a
+    # failed one into a NumericError.
+    monkeypatch.setattr(bandit, "cholesky", no_factorization)
+    z = np.random.default_rng(9).standard_normal(5)
+    mu = posterior_sample(post, np.random.default_rng(9))
+    assert np.allclose(post.L.T @ (mu - post.mu_hat), post.nu * z)
+    with pytest.raises(NumericError):
+        posterior_update(post, np.ones(5), 0.5)
+
+
 def test_posterior_rejects_nonfinite_reward():
     post = BanditPosterior.fresh(2, nu=0.5)
     with pytest.raises(NumericError):
@@ -312,6 +332,31 @@ def test_linear_instance_requires_unique_best():
     inst = LinearInstance(np.array([1.0, 0.4]), np.eye(2), 0.1)
     assert inst.best_index == 0
     assert np.isclose(inst.delta_min, 0.6)
+
+
+def test_linear_instance_derives_its_gap():
+    with pytest.raises(TypeError):
+        LinearInstance(np.array([1.0, 0.4]), np.eye(2), 0.1, 0.6)
+    for mu_star in ([], [1.0], [[1.0], [0.4]]):
+        with pytest.raises(ValueError):
+            LinearInstance(np.asarray(mu_star), np.eye(np.size(mu_star)), 0.1)
+
+
+# sha256 of the misid.csv bytes of simulate_linear at seeds 0-2, taken
+# before the posterior kept its Cholesky factor.
+SIMULATOR_DIGESTS = {
+    0: "fa18530c9be19d4e8d406c0ded0c9bb27c8f04f1b67e90ab89d671589f393308",
+    1: "6b821470c813020e585243806a960917c39bf122e9bad2f96e5de5fb74584349",
+    2: "3bb9975accb4f391b08913197dbc6fb6b6d5da86f65ed4cb69e2d66de652069a",
+}
+
+
+def test_simulator_golden_bits():
+    inst = LinearInstance(np.array([1.0, 0.6, 0.6, 0.6, 0.6]), np.eye(5), 0.5)
+    for seed, digest in SIMULATOR_DIGESTS.items():
+        rates = simulate_linear(inst, [10, 20, 40], nu=0.5, trials=40, seed=seed)
+        csv = "T,misid_rate\n" + "".join(f"{T},{rates[T]:.17g}\n" for T in sorted(rates))
+        assert hashlib.sha256(csv.encode()).hexdigest() == digest, seed
 
 
 def test_simulator_validation():

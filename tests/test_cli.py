@@ -3,6 +3,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from symforge import cli
 from symforge.cli import (
     ConfigError,
     VERIFY_SUITES,
@@ -14,6 +15,7 @@ from symforge.cli import (
     run_gen_data,
     run_verify,
 )
+from symforge.oracle import CountingReport, InvarianceReport
 
 
 def _write_config(tmp_path, **overrides):
@@ -187,15 +189,65 @@ def test_cli_exit_codes(tmp_path):
         ("task", {"sizes": [0, 10]}),
         ("bandit", {"reward_holdout": 1.5}),
         ("bandit", {"cold_start": False}),  # removed key
+        # These crashed the command named in the id with a traceback (exit 1),
+        # or ran it on a meaningless setting (the non-finite scales, and zero
+        # screening repeats, which kept every coordinate on NaN importances),
+        # while gen-data accepted most of them.
+        pytest.param("sim", {"mu_star": [1.0, 1.0]}, id="bandit-sim:sim.mu_star-tie"),
+        pytest.param("sim", {"mu_star": "abc"}, id="bandit-sim:sim.mu_star-text"),
+        pytest.param("sim", {"mu_star": [1.0]}, id="bandit-sim:sim.mu_star-one-arm"),
+        pytest.param("sim", {"horizons": []}, id="bandit-sim:sim.horizons-empty"),
+        pytest.param("sim", {"horizons": [0, 10]}, id="bandit-sim:sim.horizons-zero"),
+        pytest.param("sim", {"noise_sigma": "x"}, id="bandit-sim:sim.noise_sigma"),
+        pytest.param("sim", {"nu": "x"}, id="bandit-sim:sim.nu"),
+        pytest.param("sim", {"trials": "x"}, id="bandit-sim:sim.trials"),
+        pytest.param("sim", {"nu": float("nan")}, id="bandit-sim:sim.nu-nan"),
+        pytest.param("sim", {"mu_star": [1.0, float("nan")]}, id="bandit-sim:sim.mu_star-nan"),
+        pytest.param("sim", {"noise_sigma": float("inf")}, id="bandit-sim:sim.noise_sigma-inf"),
+        pytest.param("task", {"seed": "x"}, id="gen-data:task.seed"),
+        pytest.param("task", {"seed": -1}, id="gen-data:task.seed-negative"),
+        pytest.param("output", {"dir": 5}, id="gen-data:output.dir"),
+        pytest.param("arms", {"screen_threshold": "x"}, id="discover:arms.screen_threshold"),
+        pytest.param("arms", {"screen_repeats": "x"}, id="discover:arms.screen_repeats"),
+        pytest.param("arms", {"screen_repeats": 0}, id="discover:arms.screen_repeats-zero"),
+        pytest.param("bandit", {"nu": "x"}, id="discover:bandit.nu"),
+        pytest.param("bandit", {"nu": float("inf")}, id="discover:bandit.nu-inf"),
+        pytest.param("bandit", {"size_bonus": "x"}, id="discover:bandit.size_bonus"),
+        pytest.param(
+            "bandit", {"loss_cap": 0, "reward_holdout": 0}, id="discover:bandit.loss_cap"
+        ),
     ],
 )
 def test_cli_invalid_config_values_exit_2(tmp_path, section, values):
+    # Every section is checked at load, so each command that loads the
+    # config exits 2 before it runs.
     path = _write_config(tmp_path, **{section: values})
-    result = CliRunner().invoke(main, ["discover", "--config", str(path)])
+    for command in ("gen-data", "discover", "bandit-sim"):
+        result = CliRunner().invoke(main, [command, "--config", str(path)])
+        assert result.exit_code == 2, (command, result.output)
+        assert "error:" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit), command
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_names_the_bad_key_not_the_task(tmp_path):
+    # An empty task.sizes used to surface as "unknown task name 'S_I(4)'".
+    path = _write_config(tmp_path, task={"sizes": []})
+    result = CliRunner().invoke(main, ["gen-data", "--config", str(path)])
     assert result.exit_code == 2, result.output
-    assert "error:" in result.output
-    assert "Traceback" not in result.output
-    assert not isinstance(result.exception, ValueError)
+    assert "task.sizes" in result.output
+    assert "unknown task name" not in result.output
+
+
+def test_cli_unusable_output_dir_exits_2(tmp_path):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    path = _write_config(tmp_path, output={"dir": str(blocker)})
+    result = CliRunner().invoke(main, ["gen-data", "--config", str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "cannot create output directory" in result.output
 
 
 def test_discover_with_no_rows_to_hold_out(tmp_path):
@@ -227,3 +279,77 @@ def test_cli_verify_command():
     result = runner.invoke(main, ["verify", "--suite", "gradients"])
     assert result.exit_code == 0, result.output
     assert "suite gradients: pass" in result.output
+
+
+# The lines `symforge verify` printed for each suite before the suites
+# shared one verdict formatter.  The gradients value is checked against
+# its bound instead.
+VERIFY_LINES = {
+    "orbits": [
+        *(
+            f"orbits.{kind}-k{k}: pass"
+            for kind in ("cyclic", "dihedral", "symmetric")
+            for k in range(2, 6)
+        ),
+        "orbits.dihedral-duplicate-counterexample: found",
+        "suite orbits: pass",
+    ],
+    "product": [
+        "product.cyclic3xsymmetric2: pass",
+        "product.dihedral3xcyclic4: pass",
+        "suite product: pass",
+    ],
+    "nonreal": ["nonreal.k3: pass", "nonreal.k4: pass", "nonreal.k5: pass", "suite nonreal: pass"],
+    "gradients": ["gradients.max_relative_error: <= 1e-4", "suite gradients: pass"],
+    "invariance": [
+        "invariance.cyclic-k4: pass",
+        "invariance.dihedral-k4: pass",
+        "invariance.symmetric-k3: pass",
+        "suite invariance: pass",
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
+def test_cli_verify_suite_lines(suite):
+    result = CliRunner().invoke(main, ["verify", "--suite", suite])
+    assert result.exit_code == 0, result.output
+    lines = result.stdout.splitlines()
+    if suite == "gradients":
+        key, value = lines[0].split(": ")
+        assert key == "gradients.max_relative_error"
+        assert float(value) <= 1e-4
+        lines[0] = f"{key}: <= 1e-4"
+    assert lines == VERIFY_LINES[suite]
+
+
+def _failing_counts(k, trials=50):
+    return CountingReport(k, trials, failures=[("cyclic-orbit", 0), ("cyclic-orbit", 1)])
+
+
+@pytest.mark.parametrize(
+    "suite, name, fake, line",
+    [
+        ("nonreal", "nonrealizability_counts", _failing_counts, "nonreal.k3: 2 failures"),
+        (
+            "orbits",
+            "find_set_e_counterexample",
+            lambda k: None,
+            "orbits.dihedral-duplicate-counterexample: missing",
+        ),
+        (
+            "invariance",
+            "check_invariance",
+            lambda fn, descriptor, samples: InvarianceReport(0.5, None, None, 1e-9),
+            "invariance.cyclic-k4: violation 5.00e-01",
+        ),
+    ],
+    ids=["nonreal", "orbits", "invariance"],
+)
+def test_cli_verify_failing_report_exits_1(monkeypatch, suite, name, fake, line):
+    monkeypatch.setattr(cli, name, fake)
+    result = CliRunner().invoke(main, ["verify", "--suite", suite])
+    assert result.exit_code == 1, result.output
+    assert line in result.stdout.splitlines()
+    assert f"suite {suite}: FAIL" in result.stderr
+    assert f"suite {suite}: pass" not in result.output

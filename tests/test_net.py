@@ -55,8 +55,6 @@ def test_flat_round_trip():
     # The layers are views into the one weight vector.
     params.eta[0][0][0, 0] = 7.0
     assert vec[0] == 7.0
-    rec = params.to_record()
-    assert np.array_equal(PhiParams.from_record(rec).theta, vec)
     with pytest.raises(ValueError):
         PhiParams(np.zeros(vec.size + 1), params.p, params.h, params.n)
 
