@@ -41,13 +41,7 @@ from .oracle import (
 )
 from .relaxed import evaluate_relaxed, train_relaxed
 from .selection import SelectionPair, dense_matrix, enumerate_arms
-from .tasks import (
-    BUILTIN_NAMES,
-    builtin_polynomial,
-    gen_quadrangle_dataset,
-    make_splits,
-    persist_dataset,
-)
+from .tasks import BUILTIN_NAMES, builtin_polynomial, make_splits, persist_dataset
 
 _DEFAULTS = {
     "task": {"kind": "polynomial", "name": "Z_I(5)", "sizes": [64, 480, 4800], "seed": 0},
@@ -117,12 +111,12 @@ def _validate(cfg: dict, path) -> None:
     builders they call, so a bad value in any section fails here, whichever
     command loads the config.  It is a ConfigError; cfg is left as it is."""
     try:
-        _task_sizes(cfg)
-        Path(cfg["output"]["dir"])
+        _task(cfg)
+        _value(cfg, "output.dir", Path)
         _screening(cfg)
         _discovery_config(cfg, n=1)
         _simulation(cfg)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"invalid value in {path}: {exc}")
 
 
@@ -132,7 +126,7 @@ def config_hash(cfg: dict, tag: str = "") -> str:
 
 
 def output_dir(cfg: dict, tag: str = "") -> Path:
-    out = Path(cfg["output"]["dir"]) / config_hash(cfg, tag)
+    out = _value(cfg, "output.dir", Path) / config_hash(cfg, tag)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -140,107 +134,117 @@ def output_dir(cfg: dict, tag: str = "") -> Path:
     return out
 
 
+def _value(cfg: dict, key: str, cast, ok=None, need=""):
+    """The value at the dotted key "section.name", converted by cast.  A
+    failed cast, a NaN, or a value that ok rejects is a ConfigError that
+    names the key; need says what ok asks for."""
+    section, name = key.split(".")
+    raw = cfg[section][name]
+    try:
+        value = cast(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    if np.any(value != value):  # NaN is the one value unequal to itself
+        raise ConfigError(f"{key} must not be NaN")
+    if ok is not None and not ok(value):
+        raise ConfigError(f"{key} must be {need}, not {raw!r}")
+    return value
+
+
+def _whole(value) -> int:
+    """int(value), refusing a float with a fraction, which int() truncates."""
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise ValueError(f"{value!r} is not a whole number")
+    return number
+
+
+def _counts(values) -> list:
+    """A non-empty list of whole numbers >= 1, as task.sizes and sim.horizons are."""
+    counts = [_whole(value) for value in values]
+    if not counts or min(counts) < 1:
+        raise ValueError(f"{values!r} is not a non-empty list of values >= 1")
+    return counts
+
+
+def _bool(value) -> bool:
+    """value itself when it is true or false; bool() would take "no" as true."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not true or false")
+    return value
+
+
 def _seed(cfg: dict) -> int:
-    seed = int(cfg["task"]["seed"])
-    if seed < 0:
-        raise ValueError("task.seed must be >= 0")
-    return seed
+    return _value(cfg, "task.seed", _whole, lambda seed: seed >= 0, ">= 0")
 
 
-def _task_sizes(cfg: dict) -> tuple:
-    sizes = tuple(int(size) for size in cfg["task"]["sizes"])
-    if not sizes or min(sizes) < 1:
-        raise ValueError("task.sizes must be a non-empty list of values >= 1")
-    return sizes
+def _task(cfg: dict) -> tuple:
+    """(sizes, seed) of the task section; polynomial is the one task kind."""
+    _value(cfg, "task.kind", str, lambda kind: kind == "polynomial", "polynomial")
+    return _value(cfg, "task.sizes", _counts), _seed(cfg)
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    t = cfg["training"]
     return TrainConfig(
-        epochs=int(t["epochs"]),
-        batch_size=int(t["batch_size"]),
-        lr_initial=float(t["lr_initial"]),
-        lr_decay=float(t["lr_decay"]),
-        loss_kind=t["loss"],
+        epochs=_value(cfg, "training.epochs", _whole),
+        batch_size=_value(cfg, "training.batch_size", _whole),
+        lr_initial=_value(cfg, "training.lr_initial", float),
+        lr_decay=_value(cfg, "training.lr_decay", float),
+        loss_kind=_value(cfg, "training.loss", str),
     )
 
 
-def _screening(cfg: dict) -> dict:
-    """screen_coordinates' keyword arguments from the arms section."""
-    a = cfg["arms"]
-    repeats = int(a["screen_repeats"])
-    if repeats < 1:
-        raise ValueError("arms.screen_repeats must be >= 1")
-    return {"threshold": float(a["screen_threshold"]), "repeats": repeats}
+def _screening(cfg: dict) -> dict | None:
+    """screen_coordinates' keyword arguments from the arms section, or None
+    when arms.screen is false."""
+    kwargs = {
+        "threshold": _value(cfg, "arms.screen_threshold", float),
+        "repeats": _value(cfg, "arms.screen_repeats", _whole, lambda r: r >= 1, ">= 1"),
+    }
+    return kwargs if _value(cfg, "arms.screen", _bool) else None
 
 
 def _discovery_config(cfg: dict, n: int) -> DiscoveryConfig:
     """The bandit's settings for a task on n coordinates."""
-    b = cfg["bandit"]
-    T = 4 * n if b["T"] is None else int(b["T"])
-    if T < 1:
-        raise ValueError("bandit.T must be null (4n) or >= 1")
     return DiscoveryConfig(
-        T=T,
-        nu=float(b["nu"]),
+        T=_value(
+            cfg,
+            "bandit.T",
+            lambda T: 4 * n if T is None else _whole(T),
+            lambda T: T >= 1,
+            "null (4n) or >= 1",
+        ),
+        nu=_value(cfg, "bandit.nu", float),
         train_cfg=_train_config(cfg),
-        loss_cap=float(b["loss_cap"]),
-        reward_holdout=float(b["reward_holdout"]),
-        size_bonus=float(b["size_bonus"]),
+        loss_cap=_value(cfg, "bandit.loss_cap", float),
+        reward_holdout=_value(cfg, "bandit.reward_holdout", float),
+        size_bonus=_value(cfg, "bandit.size_bonus", float),
         seed=_seed(cfg),
     )
 
 
 def _simulation(cfg: dict) -> dict:
     """simulate_linear's arguments from the sim section."""
-    s = cfg["sim"]
-    mu_star = np.asarray(s["mu_star"], dtype=float)
-    horizons = [int(T) for T in s["horizons"]]
-    trials = int(s["trials"])
-    nu = float(s["nu"])
-    if not horizons or min(horizons) < 1:
-        raise ValueError("sim.horizons must be a non-empty list of values >= 1")
-    if trials < 1:
-        raise ValueError("sim.trials must be >= 1")
-    if not 0 <= nu < np.inf:
-        raise ValueError("sim.nu must be finite and >= 0")
+    mu_star = _value(cfg, "sim.mu_star", lambda mu: np.asarray(mu, dtype=float))
+    noise_sigma = _value(cfg, "sim.noise_sigma", float)
     return {
-        "instance": LinearInstance(mu_star, np.eye(mu_star.size), float(s["noise_sigma"])),
-        "horizons": horizons,
-        "nu": nu,
-        "trials": trials,
+        "instance": LinearInstance(mu_star, np.eye(mu_star.size), noise_sigma),
+        "horizons": _value(cfg, "sim.horizons", _counts),
+        "nu": _value(cfg, "sim.nu", float, lambda nu: 0 <= nu < np.inf, "finite and >= 0"),
+        "trials": _value(cfg, "sim.trials", _whole, lambda trials: trials >= 1, ">= 1"),
         "seed": _seed(cfg),
     }
 
 
 def _task_splits(cfg: dict):
-    task = cfg["task"]
-    sizes = _task_sizes(cfg)
-    seed = _seed(cfg)
-    if task["kind"] == "polynomial":
-        try:
-            spec = builtin_polynomial(task["name"])
-        except KeyError as exc:
-            raise ConfigError(
-                f"unknown task name {task['name']!r}; valid names: {BUILTIN_NAMES}"
-            ) from exc
-        return make_splits(spec, sizes, seed=seed)
-    if task["kind"] == "quadrangle":
-        names = ("train", "val", "test")[: len(sizes)]
-        streams = np.random.SeedSequence(seed).spawn(len(sizes))
-        splits = {
-            name: gen_quadrangle_dataset(size, np.random.default_rng(stream))
-            for name, size, stream in zip(names, sizes, streams)
-        }
-        manifest = {
-            "spec": "quadrangle-area",
-            "seed": seed,
-            "sizes": {name: size for name, size in zip(names, sizes)},
-        }
-        return splits, manifest
-    raise ConfigError(
-        f"unknown task kind {task['kind']!r}; valid kinds: polynomial, quadrangle"
-    )
+    sizes, seed = _task(cfg)
+    try:
+        spec = builtin_polynomial(cfg["task"]["name"])
+    except KeyError as exc:
+        raise ConfigError(
+            f"unknown task name {cfg['task']['name']!r}; valid names: {BUILTIN_NAMES}"
+        ) from exc
+    return make_splits(spec, sizes, seed=seed)
 
 
 def run_gen_data(cfg: dict) -> Path:
@@ -264,14 +268,6 @@ def _write_matrix(path, matrix):
 
 
 def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
-    if cfg["task"]["kind"] == "quadrangle":
-        # A vertex relabeling moves (x_i, y_i) coordinate pairs together, which
-        # no arm on single coordinates expresses, and the stored vertices are
-        # in canonical order, so the data never shows the symmetry.
-        raise ConfigError(
-            "discover does not support task kind 'quadrangle': no arm can express "
-            "its vertex relabelings; use gen-data for its datasets"
-        )
     t_start = time.perf_counter()
     splits, manifest = _task_splits(cfg)
     train = splits["train"]
@@ -298,8 +294,9 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
 
     arms = enumerate_arms(n)
     kept = tuple(range(n))
-    if cfg["arms"]["screen"]:
-        kept = screen_coordinates(train, train_cfg, seed=dcfg.seed, **_screening(cfg))
+    screening = _screening(cfg)
+    if screening is not None:
+        kept = screen_coordinates(train, train_cfg, seed=dcfg.seed, **screening)
         arms = filter_arms(arms, kept)
     result = run_discovery(arms, train, dcfg)
 

@@ -34,4 +34,4 @@ class TrainingDivergedError(SymforgeError):
 
 
 class GenerationError(SymforgeError):
-    """Rejection sampling exhausted its retry budget."""
+    """A generated training split has a degenerate target range."""

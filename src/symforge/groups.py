@@ -142,19 +142,6 @@ class GroupDescriptor:
             "n": self.n,
         }
 
-    @staticmethod
-    def from_record(record: dict) -> "GroupDescriptor":
-        if record["kind"] == PRODUCT:
-            comps = tuple(
-                GroupDescriptor.from_record(c) for c in record["components"]
-            )
-            return GroupDescriptor(PRODUCT, (), record["n"], comps)
-        return GroupDescriptor(
-            record["kind"],
-            tuple(i - 1 for i in record["index_set"]),
-            record["n"],
-        )
-
 
 @dataclass(frozen=True)
 class Orbit:

@@ -85,8 +85,8 @@ def forward_relaxed(params: RelaxedParams, X) -> np.ndarray:
     return out[:, 0]
 
 
-def loss_and_grad_relaxed(params: RelaxedParams, X, y):
-    """Mean squared loss and gradients for all relaxed parameters."""
+def loss_and_grad_relaxed(params: RelaxedParams, X, y, loss_kind=SQUARED):
+    """Mean loss over the batch and its gradients for all relaxed parameters."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     m, n = X.shape
@@ -95,12 +95,12 @@ def loss_and_grad_relaxed(params: RelaxedParams, X, y):
     z = np.concatenate([pooled, Q], axis=1)
     out, mu_caches = _mlp_forward(params.phi.mu_head, z)
     resid = out[:, 0] - y
-    loss = _residual_loss(resid, SQUARED)
+    loss = _residual_loss(resid, loss_kind)
     if not np.isfinite(loss):
         raise NumericError("non-finite relaxed loss")
 
     grads = RelaxedParams(np.empty_like(params.theta), n, params.p, params.h)
-    dpred = _residual_grad(resid, SQUARED)[:, None]
+    dpred = _residual_grad(resid, loss_kind)[:, None]
     dz = _mlp_backward(params.phi.mu_head, mu_caches, dpred, grads.phi.mu_head)
     p = params.p
     d_pooled = dz[:, :p] / s
@@ -126,11 +126,11 @@ def train_relaxed(dataset: Dataset, cfg: TrainConfig, p: int = 16, h: int = 32):
     X, y = dataset.inputs, dataset.targets
 
     def grad_fn(rows):
-        loss, grads = loss_and_grad_relaxed(params, X[rows], y[rows])
+        loss, grads = loss_and_grad_relaxed(params, X[rows], y[rows], cfg.loss_kind)
         return loss, grads.theta
 
     _sgd(params.theta, grad_fn, cfg, len(dataset), rng)
-    return params, _residual_loss(forward_relaxed(params, X) - y, SQUARED)
+    return params, _residual_loss(forward_relaxed(params, X) - y, cfg.loss_kind)
 
 
 def evaluate_relaxed(params: RelaxedParams, dataset: Dataset, metric="MAE") -> float:

@@ -125,15 +125,6 @@ def encode_arm(descriptor: GroupDescriptor) -> ArmFeature:
     return ArmFeature(tuple(bits), descriptor)
 
 
-def decode_arm(bits, n: int) -> GroupDescriptor:
-    bits = tuple(int(b) for b in bits)
-    if len(bits) != n + 3 or sum(bits[n:]) != 1:
-        raise InvalidDescriptorError("arm feature needs n index bits and one kind bit")
-    index_set = tuple(i for i in range(n) if bits[i])
-    kind = KIND_BIT_ORDER[bits[n:].index(1)]
-    return GroupDescriptor(kind, index_set, n)
-
-
 def enumerate_arms(n: int) -> list[ArmFeature]:
     """All (kind, I) arms with |I| >= 2; for |I| = 2 the three kinds coincide
     as actions, so only the symmetric arm is kept."""

@@ -1,9 +1,9 @@
-"""Synthetic regression tasks: invariant polynomials and quadrangle areas.
+"""Synthetic regression tasks: the builtin invariant polynomials.
 
 The builtin polynomials have integer coefficients and are term-permutations
-under their group, so generated targets are exactly invariant.  Targets of
-polynomial tasks are min-max normalized with train-split statistics so the
-bandit's loss cap is meaningful; quadrangle areas already live in (0, 1].
+under their group, so generated targets are exactly invariant.  Targets are
+min-max normalized with train-split statistics so the bandit's loss cap is
+meaningful.
 """
 
 from __future__ import annotations
@@ -132,72 +132,6 @@ def make_splits(spec: PolynomialSpec, sizes=(64, 480, 4800), seed=0):
         "normalization": {"y_min": y_min, "y_max": y_max},
     }
     return splits, manifest
-
-
-def _shoelace(vertices) -> float:
-    v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def canonical_quadrangle(vertices) -> np.ndarray:
-    """Counterclockwise cyclic order starting at the smallest vertex.
-
-    Idempotent, and constant on the 8 dihedral relabelings of the vertex
-    list (cyclic shifts and reversal)."""
-    v = np.asarray(vertices, dtype=float)
-    if _shoelace(v) < 0:
-        v = v[::-1]
-    start = min(range(len(v)), key=lambda i: (v[i, 0], v[i, 1]))
-    return np.roll(v, -start, axis=0)
-
-
-@dataclass(frozen=True)
-class QuadrangleSample:
-    vertices: np.ndarray  # (4, 2), canonical order
-    area: float
-
-
-def _in_convex_position(vertices) -> bool:
-    v = np.asarray(vertices, dtype=float)
-    cross = []
-    for i in range(4):
-        a, b, c = v[i], v[(i + 1) % 4], v[(i + 2) % 4]
-        u, w = b - a, c - b
-        cross.append(u[0] * w[1] - u[1] * w[0])
-    cross = np.asarray(cross)
-    return bool(np.all(cross > 1e-12) or np.all(cross < -1e-12))
-
-
-def sample_quadrangle(rng, max_tries=10**4) -> QuadrangleSample:
-    """Rejection-sample a convex quadrangle in [0,2]^2 with area in (0,1].
-
-    Points are sorted around their centroid before the convexity test so
-    that any convex 4-point configuration is accepted."""
-    for _ in range(max_tries):
-        pts = rng.uniform(0.0, 2.0, size=(4, 2))
-        centroid = pts.mean(axis=0)
-        angles = np.arctan2(pts[:, 1] - centroid[1], pts[:, 0] - centroid[0])
-        ordered = pts[np.argsort(angles)]
-        if not _in_convex_position(ordered):
-            continue
-        ordered = canonical_quadrangle(ordered)
-        area = _shoelace(ordered)
-        if 0.0 < area <= 1.0:
-            return QuadrangleSample(ordered, area)
-    raise GenerationError("quadrangle rejection budget exhausted")
-
-
-def gen_quadrangle_dataset(m: int, rng) -> Dataset:
-    """Inputs are the 8 flattened vertex coordinates; targets the areas."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    samples = [sample_quadrangle(rng) for _ in range(m)]
-    X = np.stack([s.vertices.ravel() for s in samples])
-    y = np.asarray([s.area for s in samples])
-    return Dataset(X, y)
 
 
 def persist_dataset(dataset: Dataset, path) -> None:

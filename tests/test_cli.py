@@ -81,28 +81,18 @@ def test_gen_data_writes_splits_and_manifest(tmp_path):
     assert header == "x_1,x_2,x_3,x_4,x_5,y"
 
 
-def test_gen_data_quadrangle(tmp_path):
-    cfg = load_config(
-        _write_config(tmp_path, task={"kind": "quadrangle", "sizes": [8, 4]})
-    )
-    out = run_gen_data(cfg)
-    lines = (out / "train.csv").read_text().splitlines()
-    assert len(lines) == 9
-    assert lines[0].startswith("x_1,") and lines[0].endswith(",y")
-
-
-def test_discover_rejects_quadrangle(tmp_path):
-    # No arm can express the quadrangle's vertex relabelings, so discover
-    # refuses the task with exit 2; gen-data still writes its datasets.
-    path = _write_config(tmp_path, task={"kind": "quadrangle", "sizes": [8, 4]})
-    with pytest.raises(ConfigError):
-        run_discover(load_config(path))
-    runner = CliRunner()
-    for extra in ([], ["--sgd-only"]):
-        result = runner.invoke(main, ["discover", "--config", str(path), *extra])
-        assert result.exit_code == 2, result.output
-        assert "quadrangle" in result.output
-        assert not (tmp_path / "runs").exists()
+def test_cli_rejects_unknown_task_kind(tmp_path):
+    # polynomial is the one task kind: any other, quadrangle among them,
+    # exits 2 at load on every command that runs a task, naming the key.
+    path = _write_config(tmp_path, task={"kind": "quadrangle"})
+    with pytest.raises(ConfigError, match="task.kind"):
+        load_config(path)
+    for command, extra in (("gen-data", []), ("discover", []), ("discover", ["--sgd-only"])):
+        result = CliRunner().invoke(main, [command, "--config", str(path), *extra])
+        assert result.exit_code == 2, (command, extra, result.output)
+        assert "task.kind" in result.output
+        assert isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "runs").exists()
 
 
 def test_gen_data_unknown_task_name(tmp_path):
@@ -180,45 +170,101 @@ def test_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "section, values",
+    "section, values, key",
     [
-        ("training", {"epochs": 0}),
-        ("training", {"batch_size": 0}),
-        ("bandit", {"T": -3}),
-        ("bandit", {"T": 0}),
-        ("task", {"sizes": [0, 10]}),
-        ("bandit", {"reward_holdout": 1.5}),
-        ("bandit", {"cold_start": False}),  # removed key
+        # key: the dotted key the error line names, or None where a range
+        # check of TrainConfig, DiscoveryConfig or LinearInstance rejects it.
+        pytest.param("training", {"epochs": 0}, None, id="training-values0"),
+        pytest.param("training", {"batch_size": 0}, None, id="training-values1"),
+        pytest.param("bandit", {"T": -3}, "bandit.T", id="bandit-values2"),
+        pytest.param("bandit", {"T": 0}, "bandit.T", id="bandit-values3"),
+        pytest.param("task", {"sizes": [0, 10]}, "task.sizes", id="task-values4"),
+        pytest.param("bandit", {"reward_holdout": 1.5}, None, id="bandit-values5"),
+        # A removed key.
+        pytest.param("bandit", {"cold_start": False}, "bandit.cold_start", id="bandit-values6"),
         # These crashed the command named in the id with a traceback (exit 1),
         # or ran it on a meaningless setting (the non-finite scales, and zero
         # screening repeats, which kept every coordinate on NaN importances),
         # while gen-data accepted most of them.
-        pytest.param("sim", {"mu_star": [1.0, 1.0]}, id="bandit-sim:sim.mu_star-tie"),
-        pytest.param("sim", {"mu_star": "abc"}, id="bandit-sim:sim.mu_star-text"),
-        pytest.param("sim", {"mu_star": [1.0]}, id="bandit-sim:sim.mu_star-one-arm"),
-        pytest.param("sim", {"horizons": []}, id="bandit-sim:sim.horizons-empty"),
-        pytest.param("sim", {"horizons": [0, 10]}, id="bandit-sim:sim.horizons-zero"),
-        pytest.param("sim", {"noise_sigma": "x"}, id="bandit-sim:sim.noise_sigma"),
-        pytest.param("sim", {"nu": "x"}, id="bandit-sim:sim.nu"),
-        pytest.param("sim", {"trials": "x"}, id="bandit-sim:sim.trials"),
-        pytest.param("sim", {"nu": float("nan")}, id="bandit-sim:sim.nu-nan"),
-        pytest.param("sim", {"mu_star": [1.0, float("nan")]}, id="bandit-sim:sim.mu_star-nan"),
-        pytest.param("sim", {"noise_sigma": float("inf")}, id="bandit-sim:sim.noise_sigma-inf"),
-        pytest.param("task", {"seed": "x"}, id="gen-data:task.seed"),
-        pytest.param("task", {"seed": -1}, id="gen-data:task.seed-negative"),
-        pytest.param("output", {"dir": 5}, id="gen-data:output.dir"),
-        pytest.param("arms", {"screen_threshold": "x"}, id="discover:arms.screen_threshold"),
-        pytest.param("arms", {"screen_repeats": "x"}, id="discover:arms.screen_repeats"),
-        pytest.param("arms", {"screen_repeats": 0}, id="discover:arms.screen_repeats-zero"),
-        pytest.param("bandit", {"nu": "x"}, id="discover:bandit.nu"),
-        pytest.param("bandit", {"nu": float("inf")}, id="discover:bandit.nu-inf"),
-        pytest.param("bandit", {"size_bonus": "x"}, id="discover:bandit.size_bonus"),
+        pytest.param("sim", {"mu_star": [1.0, 1.0]}, None, id="bandit-sim:sim.mu_star-tie"),
+        pytest.param("sim", {"mu_star": "abc"}, "sim.mu_star", id="bandit-sim:sim.mu_star-text"),
+        pytest.param("sim", {"mu_star": [1.0]}, None, id="bandit-sim:sim.mu_star-one-arm"),
+        pytest.param("sim", {"horizons": []}, "sim.horizons", id="bandit-sim:sim.horizons-empty"),
         pytest.param(
-            "bandit", {"loss_cap": 0, "reward_holdout": 0}, id="discover:bandit.loss_cap"
+            "sim", {"horizons": [0, 10]}, "sim.horizons", id="bandit-sim:sim.horizons-zero"
         ),
+        pytest.param(
+            "sim", {"noise_sigma": "x"}, "sim.noise_sigma", id="bandit-sim:sim.noise_sigma"
+        ),
+        pytest.param("sim", {"nu": "x"}, "sim.nu", id="bandit-sim:sim.nu"),
+        pytest.param("sim", {"trials": "x"}, "sim.trials", id="bandit-sim:sim.trials"),
+        pytest.param("sim", {"nu": float("nan")}, "sim.nu", id="bandit-sim:sim.nu-nan"),
+        pytest.param(
+            "sim", {"mu_star": [1.0, float("nan")]}, "sim.mu_star", id="bandit-sim:sim.mu_star-nan"
+        ),
+        pytest.param(
+            "sim", {"noise_sigma": float("inf")}, None, id="bandit-sim:sim.noise_sigma-inf"
+        ),
+        pytest.param("task", {"seed": "x"}, "task.seed", id="gen-data:task.seed"),
+        pytest.param("task", {"seed": -1}, "task.seed", id="gen-data:task.seed-negative"),
+        pytest.param("output", {"dir": 5}, "output.dir", id="gen-data:output.dir"),
+        pytest.param(
+            "arms",
+            {"screen_threshold": "x"},
+            "arms.screen_threshold",
+            id="discover:arms.screen_threshold",
+        ),
+        pytest.param(
+            "arms",
+            {"screen_repeats": "x"},
+            "arms.screen_repeats",
+            id="discover:arms.screen_repeats",
+        ),
+        pytest.param(
+            "arms",
+            {"screen_repeats": 0},
+            "arms.screen_repeats",
+            id="discover:arms.screen_repeats-zero",
+        ),
+        pytest.param("bandit", {"nu": "x"}, "bandit.nu", id="discover:bandit.nu"),
+        pytest.param("bandit", {"nu": float("inf")}, None, id="discover:bandit.nu-inf"),
+        pytest.param(
+            "bandit", {"size_bonus": "x"}, "bandit.size_bonus", id="discover:bandit.size_bonus"
+        ),
+        pytest.param(
+            "bandit",
+            {"loss_cap": 0, "reward_holdout": 0},
+            None,
+            id="discover:bandit.loss_cap",
+        ),
+        # NaN passed the load check: discover trained an arm and then failed
+        # on a NaN reward, or screening kept every coordinate.
+        pytest.param(
+            "bandit",
+            {"size_bonus": float("nan")},
+            "bandit.size_bonus",
+            id="discover:bandit.size_bonus-nan",
+        ),
+        pytest.param(
+            "arms",
+            {"screen_threshold": float("nan")},
+            "arms.screen_threshold",
+            id="discover:arms.screen_threshold-nan",
+        ),
+        # int() truncated the fraction (2 epochs, 2 pulls), an infinite count
+        # raised OverflowError, and bool("no") is true, so screening ran.
+        pytest.param("training", {"epochs": 2.5}, "training.epochs", id="discover:training.epochs"),
+        pytest.param(
+            "training",
+            {"epochs": float("inf")},
+            "training.epochs",
+            id="gen-data:training.epochs-inf",
+        ),
+        pytest.param("bandit", {"T": 2.7}, "bandit.T", id="discover:bandit.T"),
+        pytest.param("arms", {"screen": "no"}, "arms.screen", id="discover:arms.screen"),
     ],
 )
-def test_cli_invalid_config_values_exit_2(tmp_path, section, values):
+def test_cli_invalid_config_values_exit_2(tmp_path, section, values, key):
     # Every section is checked at load, so each command that loads the
     # config exits 2 before it runs.
     path = _write_config(tmp_path, **{section: values})
@@ -228,6 +274,9 @@ def test_cli_invalid_config_values_exit_2(tmp_path, section, values):
         assert "error:" in result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit), command
+        if key is not None:
+            (line,) = [line for line in result.output.splitlines() if line.startswith("error:")]
+            assert key in line, (command, line)
     assert not (tmp_path / "runs").exists()
 
 

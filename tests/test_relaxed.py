@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from symforge.errors import TrainingDivergedError
-from symforge.net import Dataset, TrainConfig
+from symforge.net import ABSOLUTE, SQUARED, Dataset, TrainConfig
 from symforge.relaxed import (
     evaluate_relaxed,
     forward_relaxed,
@@ -51,6 +51,21 @@ def test_relaxed_training_reduces_loss_deterministically():
     assert final == final2
     assert np.array_equal(params.m1, params2.m1)
     assert np.array_equal(params.m2, params2.m2)
+
+
+def test_relaxed_training_follows_the_loss_kind():
+    # The ablation trains and reports on the configured loss, as train_sgd does.
+    rng = np.random.default_rng(7)
+    X = rng.uniform(size=(32, 3))
+    ds = Dataset(X, X[:, 0] * X[:, 1] + X[:, 2])
+    cfg = TrainConfig(epochs=10, batch_size=16, lr_initial=0.05, seed=1)
+    squared, squared_loss = train_relaxed(ds, cfg, p=4, h=8)
+    absolute, absolute_loss = train_relaxed(ds, replace(cfg, loss_kind=ABSOLUTE), p=4, h=8)
+    assert cfg.loss_kind == SQUARED
+    assert not np.array_equal(absolute.theta, squared.theta)
+    resid = forward_relaxed(absolute, X) - ds.targets
+    assert absolute_loss == float(np.mean(np.abs(resid)))
+    assert squared_loss == float(np.mean((forward_relaxed(squared, X) - ds.targets) ** 2))
 
 
 def test_relaxed_matrices_are_dense():

@@ -16,7 +16,6 @@ from symforge.selection import (
     arm_matrix,
     build_m1,
     build_m2,
-    decode_arm,
     dense_matrix,
     encode_arm,
     enumerate_arms,
@@ -98,14 +97,11 @@ def test_encode_arm_reference_example():
     assert arm.bits == (0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1)
 
 
-def test_encode_decode_round_trip():
-    for kind in (CYCLIC, DIHEDRAL, SYMMETRIC):
-        d = GroupDescriptor(kind, (1, 2, 4), 6)
-        assert decode_arm(encode_arm(d).bits, 6) == d
-    with pytest.raises(InvalidDescriptorError):
-        decode_arm((1, 1, 0, 0, 0, 0), 3)  # no kind bit set
-    with pytest.raises(InvalidDescriptorError):
-        decode_arm((1, 1, 0, 1, 1, 0), 3)  # two kind bits
+def test_encode_arm_kind_bits():
+    # The trailing three bits one-hot the kind in KIND_BIT_ORDER: S, D, Z.
+    for kind, kind_bits in ((SYMMETRIC, (1, 0, 0)), (DIHEDRAL, (0, 1, 0)), (CYCLIC, (0, 0, 1))):
+        arm = encode_arm(GroupDescriptor(kind, (1, 2, 4), 6))
+        assert arm.bits == (0, 1, 1, 0, 1, 0) + kind_bits
 
 
 def test_enumerate_arms_counts():

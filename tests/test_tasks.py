@@ -5,12 +5,9 @@ from symforge.oracle import check_invariance
 from symforge.tasks import (
     BUILTIN_NAMES,
     builtin_polynomial,
-    canonical_quadrangle,
     gen_poly_dataset,
-    gen_quadrangle_dataset,
     make_splits,
     persist_dataset,
-    sample_quadrangle,
 )
 
 
@@ -93,48 +90,11 @@ def test_make_splits_reproducible():
     assert np.array_equal(s1["val"].targets, s2["val"].targets)
 
 
-def test_unit_square_area():
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    canon = canonical_quadrangle(square)
-    from symforge.tasks import _shoelace
-
-    assert np.isclose(_shoelace(canon), 1.0)
-
-
-def test_canonical_quadrangle_invariances():
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    canon = canonical_quadrangle(square)
-    assert np.array_equal(canonical_quadrangle(canon), canon)  # idempotent
-    for shift in range(4):
-        rolled = np.roll(square, shift, axis=0)
-        assert np.array_equal(canonical_quadrangle(rolled), canon)
-        assert np.array_equal(canonical_quadrangle(rolled[::-1]), canon)
-
-
-def test_sample_quadrangle_properties():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        s = sample_quadrangle(rng)
-        assert 0.0 < s.area <= 1.0
-        assert np.array_equal(canonical_quadrangle(s.vertices), s.vertices)
-
-
-def test_quadrangle_dataset_targets_are_relabeling_invariant():
-    ds = gen_quadrangle_dataset(10, np.random.default_rng(1))
-    assert ds.inputs.shape == (10, 8)
-    from symforge.tasks import _shoelace
-
-    for x, y in zip(ds.inputs, ds.targets):
-        verts = x.reshape(4, 2)
-        assert np.isclose(_shoelace(verts), y)
-        assert np.isclose(abs(_shoelace(np.roll(verts, 1, axis=0))), y)
-
-
 def test_persist_load_round_trip(tmp_path):
-    ds = gen_quadrangle_dataset(5, np.random.default_rng(2))
+    ds = gen_poly_dataset(builtin_polynomial("S_I(4)"), 5, np.random.default_rng(2))
     path = tmp_path / "data.csv"
     persist_dataset(ds, path)
-    assert path.read_text().splitlines()[0] == "x_1,x_2,x_3,x_4,x_5,x_6,x_7,x_8,y"
+    assert path.read_text().splitlines()[0] == "x_1,x_2,x_3,x_4,x_5,y"
     loaded = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(loaded[:, :-1], ds.inputs)
     assert np.array_equal(loaded[:, -1], ds.targets)
