@@ -264,7 +264,7 @@ def evaluate_top_arms(
                 params, _ = train_sgd(train_data, sp, train_cfg)
             except TrainingDivergedError:
                 params = None
-        mae = None if params is None else evaluate(params, sp, dataset, metric="MAE")
+        mae = None if params is None else evaluate(params, sp, dataset)
         out.append((arm, mae))
     return out
 

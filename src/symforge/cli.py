@@ -152,16 +152,18 @@ def _value(cfg: dict, key: str, cast, ok=None, need=""):
 
 
 def _whole(value) -> int:
-    """int(value), refusing a float with a fraction, which int() truncates."""
+    """int(value), refusing a bool, which int() takes as 0 or 1, and a float
+    with a fraction, which int() truncates."""
     number = int(value)
-    if isinstance(value, float) and number != value:
+    if isinstance(value, bool) or isinstance(value, float) and number != value:
         raise ValueError(f"{value!r} is not a whole number")
     return number
 
 
 def _counts(values) -> list:
-    """A non-empty list of whole numbers >= 1, as task.sizes and sim.horizons are."""
-    counts = [_whole(value) for value in values]
+    """A non-empty list of whole numbers >= 1, as task.sizes and sim.horizons
+    are; any other iterable, such as the string "48", is refused."""
+    counts = [_whole(value) for value in values] if isinstance(values, list) else []
     if not counts or min(counts) < 1:
         raise ValueError(f"{values!r} is not a non-empty list of values >= 1")
     return counts
@@ -181,7 +183,7 @@ def _seed(cfg: dict) -> int:
 def _task(cfg: dict) -> tuple:
     """(sizes, seed) of the task section; polynomial is the one task kind."""
     _value(cfg, "task.kind", str, lambda kind: kind == "polynomial", "polynomial")
-    return _value(cfg, "task.sizes", _counts), _seed(cfg)
+    return _value(cfg, "task.sizes", _counts, lambda s: len(s) <= 3, "1-3 counts"), _seed(cfg)
 
 
 def _train_config(cfg: dict) -> TrainConfig:

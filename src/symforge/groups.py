@@ -143,12 +143,6 @@ class GroupDescriptor:
         }
 
 
-@dataclass(frozen=True)
-class Orbit:
-    representative: tuple[float, ...]
-    elements: frozenset[tuple[float, ...]]
-
-
 def cyclic_generator(index_set, n: int) -> Permutation:
     """The permutation cycling `index_set` one step and fixing everything else."""
     idx = tuple(sorted(index_set))
@@ -231,7 +225,7 @@ def act(g: Permutation, x) -> np.ndarray:
     return x[..., list(g.mapping)]
 
 
-def orbit(descriptor: GroupDescriptor, x) -> Orbit:
+def orbit(descriptor: GroupDescriptor, x) -> frozenset[tuple[float, ...]]:
+    """The points g . x over the group's elements."""
     x = np.asarray(x, dtype=float)
-    elems = frozenset(tuple(act(g, x)) for g in elements(descriptor))
-    return Orbit(representative=tuple(x), elements=elems)
+    return frozenset(tuple(act(g, x)) for g in elements(descriptor))

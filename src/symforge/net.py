@@ -215,17 +215,17 @@ def forward(params: PhiParams, sp: SelectionPair, x) -> float:
 
 
 def _residual_loss(resid, kind) -> float:
-    """Mean squared (SQUARED or "MSE") or absolute (ABSOLUTE or "MAE") residual."""
-    if kind in (SQUARED, "MSE"):
+    """Mean squared (SQUARED) or absolute (ABSOLUTE) residual."""
+    if kind == SQUARED:
         return float(np.mean(resid**2))
-    if kind in (ABSOLUTE, "MAE"):
+    if kind == ABSOLUTE:
         return float(np.mean(np.abs(resid)))
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
 def _residual_grad(resid, kind) -> np.ndarray:
     """Gradient of `_residual_loss` wrt each residual."""
-    if kind in (SQUARED, "MSE"):
+    if kind == SQUARED:
         return 2.0 * resid / len(resid)
     return np.sign(resid) / len(resid)
 
@@ -382,6 +382,6 @@ def train_reference_mlp(dataset: Dataset, cfg: TrainConfig, h: int = 32):
     return layers, predict
 
 
-def evaluate(params: PhiParams, sp: SelectionPair, dataset: Dataset, metric="MAE"):
+def evaluate(params: PhiParams, sp: SelectionPair, dataset: Dataset, metric=ABSOLUTE):
     pred = forward_batch(params, sp, dataset.inputs)
     return _residual_loss(pred - dataset.targets, metric)

@@ -1,5 +1,11 @@
-"""Brute-force ground truth: invariance checks, symmetrization, orbit-mapping
+"""Brute-force ground truth: invariance checks, symmetrization, lift
 verification and orbit-counting arguments.
+
+One lift verifier serves single-kind and product groups: a single-kind
+group is the one-component case of `rho_product`, so the same per-trial
+checks (injectivity, equivariance, image characterization) and the same
+relabeling search run for both, and `verify_orbit_mapping` adds the
+orbit-to-canonical-form check on top.
 
 The orbit of a pair matrix under row permutations is never enumerated;
 sorting the rows lexicographically gives a canonical representative, and
@@ -82,27 +88,45 @@ def _row_multiset(m) -> tuple:
     return tuple(sorted(map(tuple, np.asarray(m))))
 
 
-def step3_passing_perms(kind: str, x) -> list[Permutation]:
-    """All coordinate relabelings preserving the row multiset of rho(x)."""
+def rho_product(components, x) -> np.ndarray:
+    """Concatenated per-component pair lifts on the component index sets."""
     x = np.asarray(x, dtype=float)
-    k = x.shape[0]
-    if k > 8:
-        raise EnumerationTooLargeError(f"S_{k} enumeration refused")
-    target = _row_multiset(rho_variant(x, kind))
+    blocks = [rho_variant(x[list(c.index_set)], c.kind) for c in components]
+    return np.concatenate(blocks, axis=0)
+
+
+def _preserving_relabelings(components, x, support) -> list[Permutation]:
+    """The relabelings of `support` (fixing every other coordinate) that
+    preserve the row multiset of rho_product(components, x), in the
+    lexicographic order of their images."""
+    if len(support) > 8:
+        raise EnumerationTooLargeError(f"S_{len(support)} enumeration refused")
+    target = _row_multiset(rho_product(components, x))
     out = []
-    for images in itertools.permutations(range(k)):
-        h = Permutation(images)
-        if _row_multiset(rho_variant(act(h, x), kind)) == target:
+    for images in itertools.permutations(support):
+        mapping = list(range(len(x)))
+        for pos, img in zip(support, images):
+            mapping[pos] = img
+        h = Permutation(tuple(mapping))
+        if _row_multiset(rho_product(components, act(h, x))) == target:
             out.append(h)
     return out
 
 
+def step3_passing_perms(kind: str, x) -> list[Permutation]:
+    """All coordinate relabelings preserving the row multiset of rho(x)."""
+    x = np.asarray(x, dtype=float)
+    k = x.shape[0]
+    return _preserving_relabelings((GroupDescriptor(kind, tuple(range(k)), k),), x, range(k))
+
+
 @dataclass
-class OrbitMappingReport:
-    kind: str
-    k: int
+class VerificationReport:
+    """A brute-force check's failures over `trials` samples of a group of
+    `order` elements, and each trial's count of row-preserving relabelings."""
+
+    order: int
     trials: int
-    expected_count: int
     failures: list = field(default_factory=list)
     counts: list = field(default_factory=list)
 
@@ -111,36 +135,38 @@ class OrbitMappingReport:
         return not self.failures
 
 
-def verify_orbit_mapping(kind: str, k: int, trials=100, seed=0) -> OrbitMappingReport:
-    """Check the four structural facts that make orbits recoverable from lifts.
+def _verify_lift(descriptor: GroupDescriptor, trials, seed, orbits=False):
+    """Steps 1-3 of the lift verification on distinct-entry samples, and
+    step 4 when `orbits` is set.
 
-    1. rho is injective (exact round trip through its inverse).
-    2. rho is equivariant: every group element permutes the rows.
-    3. Image characterization: exactly the group's relabelings keep the
-       lifted matrix in the image (distinct-entry inputs only).
-    4. Distinct orbits lift to distinct row-sorted canonical forms.
+    1. The lift is injective: each component's block of the lift
+       round-trips exactly through rho_inverse.
+    2. The lift is equivariant: every group element permutes the rows.
+    3. Image characterization: exactly the group's relabelings of the
+       support preserve the row multiset.
+    4. Distinct orbits lift to distinct row-sorted canonical forms, and a
+       random in-orbit representative lifts to the same one.
     """
     rng = np.random.default_rng(seed)
-    descriptor = GroupDescriptor(kind, tuple(range(k)), k)
+    components = descriptor.components or (descriptor,)
     group = elements(descriptor)
     group_set = {g.mapping for g in group}
-    report = OrbitMappingReport(kind, k, trials, expected_count=len(group))
+    report = VerificationReport(len(group), trials)
 
     canon_by_orbit = []
     for trial in range(trials):
-        x = _distinct_sample(rng, k)
-        lifted = rho_variant(x, kind)
+        x = _distinct_sample(rng, descriptor.n)
+        for c in components:
+            xc = x[list(c.index_set)]
+            if not np.array_equal(rho_inverse(rho_variant(xc, c.kind), c.kind), xc):
+                report.failures.append(("step1", trial, c))
 
-        recovered = rho_inverse(lifted, kind)
-        if not np.array_equal(recovered, x):
-            report.failures.append(("step1", trial, x))
-
-        base = _row_multiset(lifted)
+        canon = _row_multiset(rho_product(components, x))
         for h in group:
-            if _row_multiset(rho_variant(act(h, x), kind)) != base:
+            if _row_multiset(rho_product(components, act(h, x))) != canon:
                 report.failures.append(("step2", trial, h))
 
-        passing = step3_passing_perms(kind, x)
+        passing = _preserving_relabelings(components, x, descriptor.index_set)
         report.counts.append(len(passing))
         if len(passing) != len(group):
             report.failures.append(("step3-count", trial, len(passing)))
@@ -148,18 +174,25 @@ def verify_orbit_mapping(kind: str, k: int, trials=100, seed=0) -> OrbitMappingR
             if h.mapping not in group_set:
                 report.failures.append(("step3-membership", trial, h))
 
-        canon = _row_multiset(lifted)
-        this_orbit = orbit(descriptor, x).elements
+        if not orbits:
+            continue
+        this_orbit = orbit(descriptor, x)
         for other_orbit, other_canon in canon_by_orbit:
             same_orbit = this_orbit == other_orbit
             if same_orbit != (canon == other_canon):
                 report.failures.append(("step4", trial, x))
         # A random in-orbit representative must map to the same canonical form.
         g = group[rng.integers(len(group))]
-        if _row_multiset(rho_variant(act(g, x), kind)) != canon:
+        if _row_multiset(rho_product(components, act(g, x))) != canon:
             report.failures.append(("step4-orbit", trial, g))
         canon_by_orbit.append((this_orbit, canon))
     return report
+
+
+def verify_orbit_mapping(kind: str, k: int, trials=100, seed=0) -> VerificationReport:
+    """All four steps of the lift verification for one kind on k coordinates."""
+    descriptor = GroupDescriptor(kind, tuple(range(k)), k)
+    return _verify_lift(descriptor, trials, seed, orbits=True)
 
 
 def find_set_e_counterexample(k=4, seed=0, max_tries=200):
@@ -178,17 +211,6 @@ def find_set_e_counterexample(k=4, seed=0, max_tries=200):
     return None
 
 
-@dataclass
-class CountingReport:
-    k: int
-    trials: int
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
 def nonrealizability_counts(k: int, trials=50, seed=0, cond_cap=1e3):
     """Orbit-size counting behind the linear non-realizability argument:
     cyclic orbits have at most k points while the symmetric orbit of a
@@ -198,7 +220,7 @@ def nonrealizability_counts(k: int, trials=50, seed=0, cond_cap=1e3):
     rng = np.random.default_rng(seed)
     cyclic = GroupDescriptor(CYCLIC, tuple(range(k)), k)
     symmetric = GroupDescriptor(SYMMETRIC, tuple(range(k)), k)
-    report = CountingReport(k, trials)
+    report = VerificationReport(math.factorial(k), trials)
     for trial in range(trials):
         while True:
             M = rng.normal(size=(k, k))
@@ -209,80 +231,19 @@ def nonrealizability_counts(k: int, trials=50, seed=0, cond_cap=1e3):
         if len(set(z.tolist())) < k:
             report.failures.append(("degenerate-image", trial))
             continue
-        if len(orbit(cyclic, x).elements) > k:
+        if len(orbit(cyclic, x)) > k:
             report.failures.append(("cyclic-orbit", trial, x))
-        if len(orbit(symmetric, z).elements) != math.factorial(k):
+        if len(orbit(symmetric, z)) != report.order:
             report.failures.append(("symmetric-orbit", trial, z))
     return report
 
 
-def rho_product(components, x) -> np.ndarray:
-    """Concatenated per-component pair lifts on the component index sets."""
-    x = np.asarray(x, dtype=float)
-    blocks = [rho_variant(x[list(c.index_set)], c.kind) for c in components]
-    return np.concatenate(blocks, axis=0)
-
-
-@dataclass
-class ProductReport:
-    descriptor: GroupDescriptor
-    trials: int
-    order: int
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def verify_product_group(components, trials=20, seed=0) -> ProductReport:
-    """Injectivity, equivariance and image characterization for the
-    concatenated lift of a product group on disjoint index sets."""
+def verify_product_group(components, trials=20, seed=0) -> VerificationReport:
+    """Steps 1-3 of the lift verification for the concatenated lift of a
+    product group on disjoint index sets."""
     components = tuple(components)
     n = components[0].n
     descriptor = GroupDescriptor(PRODUCT, (), n, components)
     if descriptor.order() > 10**4:
         raise EnumerationTooLargeError("product order exceeds verification guard")
-    support = descriptor.index_set
-    if len(support) > 8:
-        raise EnumerationTooLargeError("support too large for S_|I| enumeration")
-    group = elements(descriptor)
-    group_restricted = {tuple(g.mapping[i] for i in support) for g in group}
-    rng = np.random.default_rng(seed)
-    report = ProductReport(descriptor, trials, len(group))
-
-    for trial in range(trials):
-        x = np.empty(n)
-        x[:] = _distinct_sample(rng, n)
-        lifted = rho_product(components, x)
-
-        # Step 1: blockwise inversion recovers the supported coordinates.
-        offset = 0
-        for c in components:
-            rows = 2 * c.k if c.kind == DIHEDRAL else c.k
-            block = lifted[offset : offset + rows]
-            if not np.array_equal(rho_inverse(block, c.kind), x[list(c.index_set)]):
-                report.failures.append(("step1", trial, c))
-            offset += rows
-
-        # Step 2: equivariance, as row-multiset preservation.
-        base = _row_multiset(lifted)
-        for h in group:
-            if _row_multiset(rho_product(components, act(h, x))) != base:
-                report.failures.append(("step2", trial, h))
-
-        # Step 3: only the group's relabelings of the support preserve rows.
-        passing = 0
-        for images in itertools.permutations(support):
-            mapping = list(range(n))
-            for pos, img in zip(support, images):
-                mapping[pos] = img
-            h = Permutation(tuple(mapping))
-            if _row_multiset(rho_product(components, act(h, x))) == base:
-                passing += 1
-                restricted = tuple(h.mapping[i] for i in support)
-                if restricted not in group_restricted:
-                    report.failures.append(("step3-membership", trial, h))
-        if passing != len(group):
-            report.failures.append(("step3-count", trial, passing))
-    return report
+    return _verify_lift(descriptor, trials, seed)

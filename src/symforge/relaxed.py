@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import NumericError
 from .net import (
+    ABSOLUTE,
     SQUARED,
     Dataset,
     PhiParams,
@@ -133,5 +134,5 @@ def train_relaxed(dataset: Dataset, cfg: TrainConfig, p: int = 16, h: int = 32):
     return params, _residual_loss(forward_relaxed(params, X) - y, cfg.loss_kind)
 
 
-def evaluate_relaxed(params: RelaxedParams, dataset: Dataset, metric="MAE") -> float:
+def evaluate_relaxed(params: RelaxedParams, dataset: Dataset, metric=ABSOLUTE) -> float:
     return _residual_loss(forward_relaxed(params, dataset.inputs) - dataset.targets, metric)

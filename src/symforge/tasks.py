@@ -94,8 +94,6 @@ def gen_poly_dataset(spec: PolynomialSpec, m: int, rng) -> Dataset:
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     rows = []
     while len(rows) < m:
         x = rng.uniform(size=spec.n)

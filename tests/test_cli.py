@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import yaml
@@ -15,7 +17,7 @@ from symforge.cli import (
     run_gen_data,
     run_verify,
 )
-from symforge.oracle import CountingReport, InvarianceReport
+from symforge.oracle import InvarianceReport, VerificationReport
 
 
 def _write_config(tmp_path, **overrides):
@@ -262,6 +264,19 @@ def test_cli_exit_codes(tmp_path):
         ),
         pytest.param("bandit", {"T": 2.7}, "bandit.T", id="discover:bandit.T"),
         pytest.param("arms", {"screen": "no"}, "arms.screen", id="discover:arms.screen"),
+        # int(True) is 1, so a bool epoch count trained one epoch; a string
+        # of digits was read digit by digit (train 4, val 8; horizons 1 and
+        # 2); and a fourth size was dropped without a word.
+        pytest.param(
+            "training", {"epochs": True}, "training.epochs", id="gen-data:training.epochs-bool"
+        ),
+        pytest.param("task", {"sizes": "48"}, "task.sizes", id="gen-data:task.sizes-string"),
+        pytest.param(
+            "sim", {"horizons": "12"}, "sim.horizons", id="bandit-sim:sim.horizons-string"
+        ),
+        pytest.param(
+            "task", {"sizes": [8, 4, 4, 4]}, "task.sizes", id="gen-data:task.sizes-four"
+        ),
     ],
 )
 def test_cli_invalid_config_values_exit_2(tmp_path, section, values, key):
@@ -373,7 +388,9 @@ def test_cli_verify_suite_lines(suite):
 
 
 def _failing_counts(k, trials=50):
-    return CountingReport(k, trials, failures=[("cyclic-orbit", 0), ("cyclic-orbit", 1)])
+    return VerificationReport(
+        math.factorial(k), trials, failures=[("cyclic-orbit", 0), ("cyclic-orbit", 1)]
+    )
 
 
 @pytest.mark.parametrize(

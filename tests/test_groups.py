@@ -137,11 +137,11 @@ def test_product_validation():
 
 def test_orbit_sizes():
     x = np.array([0.1, 0.2, 0.3, 0.9, 0.8])
-    assert len(orbit(GroupDescriptor(CYCLIC, (0, 1, 2), 5), x).elements) == 3
-    assert len(orbit(GroupDescriptor(SYMMETRIC, (0, 1, 2), 5), x).elements) == 6
+    assert len(orbit(GroupDescriptor(CYCLIC, (0, 1, 2), 5), x)) == 3
+    assert len(orbit(GroupDescriptor(SYMMETRIC, (0, 1, 2), 5), x)) == 6
     # A constant vector is a fixed point of every subgroup action.
     ones = np.ones(5)
-    assert len(orbit(GroupDescriptor(SYMMETRIC, (0, 1, 2, 3, 4), 5), ones).elements) == 1
+    assert len(orbit(GroupDescriptor(SYMMETRIC, (0, 1, 2, 3, 4), 5), ones)) == 1
 
 
 def test_generated_group_matches_descriptor():

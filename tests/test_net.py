@@ -156,8 +156,8 @@ def test_mae_bounded_by_rmse():
     ds = Dataset(rng.uniform(size=(20, 5)), rng.uniform(size=20))
     sp = _pair()
     params = init_params(5, p=4, h=6, seed=0)
-    mae = evaluate(params, sp, ds, metric="MAE")
-    mse = evaluate(params, sp, ds, metric="MSE")
+    mae = evaluate(params, sp, ds)
+    mse = evaluate(params, sp, ds, metric=SQUARED)
     assert mae <= np.sqrt(mse) + 1e-12
     assert mae == mean_loss(params, sp, ds, ABSOLUTE)
     assert mse == mean_loss(params, sp, ds, SQUARED)

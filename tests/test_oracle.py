@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from symforge import oracle
 from symforge.bandit import DiscoveryConfig, run_discovery
 from symforge.errors import EnumerationTooLargeError
 from symforge.groups import (
@@ -73,7 +74,7 @@ def test_orbit_mapping_verification(kind):
     for k in (3, 4):
         report = verify_orbit_mapping(kind, k, trials=25, seed=1)
         assert report.passed, report.failures
-        assert report.counts == [report.expected_count] * report.trials
+        assert report.counts == [report.order] * report.trials
 
 
 def test_duplicate_entries_break_dihedral_characterization():
@@ -163,3 +164,61 @@ def test_end_to_end_symmetrized_probe_prefers_true_kind():
             for a in arms
         }
         assert losses[CYCLIC] <= min(losses[DIHEDRAL], losses[SYMMETRIC])
+
+
+_real_rho_variant = oracle.rho_variant
+_real_rho_inverse = oracle.rho_inverse
+
+
+def _reversed_inverse(m, kind):
+    return _real_rho_inverse(m, kind)[::-1]
+
+
+def _position_tagged_lift(x, kind):
+    lifted = _real_rho_variant(x, kind)
+    return np.column_stack([lifted, np.arange(len(lifted))])
+
+
+def _untagged_inverse(m, kind):
+    return _real_rho_inverse(m[:, :2], kind)
+
+
+def _symmetric_lift(x, kind):
+    return _real_rho_variant(x, SYMMETRIC)
+
+
+def _symmetric_inverse(m, kind):
+    return _real_rho_inverse(m, SYMMETRIC)
+
+
+BROKEN_LIFTS = {
+    # The inverse no longer recovers x: step 1 alone fails.
+    "reversed-inverse": (_real_rho_variant, _reversed_inverse, {"step1"}),
+    # Each row carries its position, so a relabeling moves rows to other
+    # tags: equivariance fails, and only the identity keeps the rows.
+    "position-tags": (_position_tagged_lift, _untagged_inverse, {"step2", "step3-count"}),
+    # The symmetric lift is preserved by every relabeling: equivariance
+    # holds, but more relabelings than the group's preserve the rows.
+    "symmetric-lift": (_symmetric_lift, _symmetric_inverse, {"step3-count", "step3-membership"}),
+}
+
+VERIFIERS = {
+    "cyclic-k4": lambda: oracle.verify_orbit_mapping(CYCLIC, 4, trials=3),
+    "cyclic3xsymmetric2": lambda: oracle.verify_product_group(
+        (GroupDescriptor(CYCLIC, (0, 1, 2), 5), GroupDescriptor(SYMMETRIC, (3, 4), 5)),
+        trials=3,
+    ),
+}
+
+
+@pytest.mark.parametrize("verifier", VERIFIERS)
+@pytest.mark.parametrize("broken", BROKEN_LIFTS)
+def test_verifiers_report_a_broken_lift(monkeypatch, broken, verifier):
+    lift, inverse, steps = BROKEN_LIFTS[broken]
+    monkeypatch.setattr(oracle, "rho_variant", lift)
+    monkeypatch.setattr(oracle, "rho_inverse", inverse)
+    report = VERIFIERS[verifier]()
+    assert not report.passed
+    labels = {failure[0] for failure in report.failures}
+    assert steps <= labels, labels
+    assert labels - steps <= {"step4", "step4-orbit"}, labels

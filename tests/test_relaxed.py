@@ -94,8 +94,8 @@ def test_relaxed_evaluate_metrics():
     rng = np.random.default_rng(6)
     ds = Dataset(rng.uniform(size=(10, 3)), rng.uniform(size=10))
     params = init_relaxed(3, p=4, h=6, seed=0)
-    mae = evaluate_relaxed(params, ds, metric="MAE")
-    mse = evaluate_relaxed(params, ds, metric="MSE")
+    mae = evaluate_relaxed(params, ds, metric=ABSOLUTE)
+    mse = evaluate_relaxed(params, ds, metric=SQUARED)
     assert mae <= np.sqrt(mse) + 1e-12
     with pytest.raises(ValueError):
         evaluate_relaxed(params, ds, metric="R2")

@@ -55,12 +55,12 @@ def test_gen_poly_dataset_shapes_and_exactness():
     assert ds.inputs.shape == (32, 5)
     assert np.array_equal(ds.targets, spec.evaluate(ds.inputs))
     with pytest.raises(ValueError):
-        gen_poly_dataset(spec, 0, 0)
+        gen_poly_dataset(spec, 0, np.random.default_rng(0))
 
 
 def test_dihedral_rows_have_distinct_coordinates():
     spec = builtin_polynomial("D_I(5)")
-    ds = gen_poly_dataset(spec, 20, 1)
+    ds = gen_poly_dataset(spec, 20, np.random.default_rng(1))
     for row in ds.inputs:
         assert len(set(row.tolist())) == spec.n
 
