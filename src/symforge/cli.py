@@ -176,6 +176,11 @@ def _bool(value) -> bool:
     return value
 
 
+# (ok, need) pairs for _value, shared by several keys.
+_AT_LEAST_1 = (lambda count: count >= 1, ">= 1")
+_FINITE_AT_LEAST_0 = (lambda scale: 0 <= scale < np.inf, "finite and >= 0")
+
+
 def _seed(cfg: dict) -> int:
     return _value(cfg, "task.seed", _whole, lambda seed: seed >= 0, ">= 0")
 
@@ -188,8 +193,8 @@ def _task(cfg: dict) -> tuple:
 
 def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
-        epochs=_value(cfg, "training.epochs", _whole),
-        batch_size=_value(cfg, "training.batch_size", _whole),
+        epochs=_value(cfg, "training.epochs", _whole, *_AT_LEAST_1),
+        batch_size=_value(cfg, "training.batch_size", _whole, *_AT_LEAST_1),
         lr_initial=_value(cfg, "training.lr_initial", float),
         lr_decay=_value(cfg, "training.lr_decay", float),
         loss_kind=_value(cfg, "training.loss", str),
@@ -201,7 +206,7 @@ def _screening(cfg: dict) -> dict | None:
     when arms.screen is false."""
     kwargs = {
         "threshold": _value(cfg, "arms.screen_threshold", float),
-        "repeats": _value(cfg, "arms.screen_repeats", _whole, lambda r: r >= 1, ">= 1"),
+        "repeats": _value(cfg, "arms.screen_repeats", _whole, *_AT_LEAST_1),
     }
     return kwargs if _value(cfg, "arms.screen", _bool) else None
 
@@ -216,10 +221,12 @@ def _discovery_config(cfg: dict, n: int) -> DiscoveryConfig:
             lambda T: T >= 1,
             "null (4n) or >= 1",
         ),
-        nu=_value(cfg, "bandit.nu", float),
+        nu=_value(cfg, "bandit.nu", float, *_FINITE_AT_LEAST_0),
         train_cfg=_train_config(cfg),
-        loss_cap=_value(cfg, "bandit.loss_cap", float),
-        reward_holdout=_value(cfg, "bandit.reward_holdout", float),
+        loss_cap=_value(cfg, "bandit.loss_cap", float, lambda c: 0 < c < np.inf, "finite and > 0"),
+        reward_holdout=_value(
+            cfg, "bandit.reward_holdout", float, lambda r: 0 <= r < 1, "in [0, 1)"
+        ),
         size_bonus=_value(cfg, "bandit.size_bonus", float),
         seed=_seed(cfg),
     )
@@ -228,12 +235,12 @@ def _discovery_config(cfg: dict, n: int) -> DiscoveryConfig:
 def _simulation(cfg: dict) -> dict:
     """simulate_linear's arguments from the sim section."""
     mu_star = _value(cfg, "sim.mu_star", lambda mu: np.asarray(mu, dtype=float))
-    noise_sigma = _value(cfg, "sim.noise_sigma", float)
+    noise_sigma = _value(cfg, "sim.noise_sigma", float, *_FINITE_AT_LEAST_0)
     return {
         "instance": LinearInstance(mu_star, np.eye(mu_star.size), noise_sigma),
         "horizons": _value(cfg, "sim.horizons", _counts),
-        "nu": _value(cfg, "sim.nu", float, lambda nu: 0 <= nu < np.inf, "finite and >= 0"),
-        "trials": _value(cfg, "sim.trials", _whole, lambda trials: trials >= 1, ">= 1"),
+        "nu": _value(cfg, "sim.nu", float, *_FINITE_AT_LEAST_0),
+        "trials": _value(cfg, "sim.trials", _whole, *_AT_LEAST_1),
         "seed": _seed(cfg),
     }
 

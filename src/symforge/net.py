@@ -14,6 +14,10 @@ The pair values, their per-row summation order and the complement block
 depend only on the arm and on each input row, so `train_sgd` builds this
 pair layout once per (arm, dataset) and every step takes its batch's rows.
 
+This module runs phi for the package: `_phi_forward` and
+`_phi_loss_and_grad` serve the arm network and the SGD-only ablation
+(`relaxed`), and one MLP loss step serves phi's head and the reference MLP.
+
 Everything is float64 numpy; gradients are hand-derived reverse mode and
 checked against central finite differences in the test suite.
 """
@@ -138,7 +142,7 @@ def _mlp_forward(layers, X):
     return a, caches
 
 
-def _mlp_backward(layers, caches, grad_out, grads, input_grad=True):
+def _mlp_backward(layers, caches, grad_out, grads, input_grad):
     """Writes the param grads into `grads`, (W, b) views shaped like
     `layers`; returns the grad wrt the MLP input, or None if not
     input_grad."""
@@ -180,34 +184,45 @@ def _pair_layout(sp: SelectionPair, X) -> _PairLayout:
     return _PairLayout(P, order, X * sp.complement_mask())
 
 
-def _front_features(params: PhiParams, layout: _PairLayout):
-    """Pooled embedding s and complement q for a batch, plus caches."""
-    P, order, q = layout
+def _phi_pool(params: PhiParams, P, order, q):
+    """The head input [mean of eta over the pair rows P (m, s, 2) ; q] and
+    eta's caches.  Each sample's rows are summed in its `order`, when one is
+    given, for the bitwise invariance the module docstring describes."""
     m, s_count, _ = P.shape
     E, eta_caches = _mlp_forward(params.eta, P.reshape(m * s_count, 2))
-    # Fixed summation order over sorted pair values: bitwise invariant to
-    # any permutation of the selected rows.
-    gather = (order + np.arange(m)[:, None] * s_count).ravel()
-    E_sorted = E[gather].reshape(m, s_count, params.p)
-    # Mean over the selected rows.  Equals the all-row sum with the constant
-    # (n^2 - s) eta(0,0) contribution subtracted and rescaled, so it stays in
-    # the row-permutation-invariant class while keeping the head input
-    # well-scaled for any n.
-    s = E_sorted.sum(axis=1) / s_count
-    caches = (eta_caches, s_count)
-    return s, q, caches
+    if order is not None:
+        E = E[(order + np.arange(m)[:, None] * s_count).ravel()]
+    pooled = E.reshape(m, s_count, params.p).sum(axis=1) / s_count
+    return np.concatenate([pooled, q], axis=1), eta_caches
+
+
+def _phi_forward(params: PhiParams, P, order, q) -> np.ndarray:
+    """phi's output (m,) for pair rows P, summation order and complement q."""
+    out, _ = _mlp_forward(params.mu_head, _phi_pool(params, P, order, q)[0])
+    if not np.all(np.isfinite(out)):
+        raise NumericError("non-finite network output")
+    return out[:, 0]
+
+
+def _phi_loss_and_grad(params: PhiParams, P, order, q, y, loss_kind, grads, input_grad):
+    """Mean loss of phi on the batch; writes the weight gradient into grads,
+    a PhiParams.  Returns (loss, dP, dq): the gradients wrt the pair rows,
+    flattened to (m * s, 2), and wrt q, or None for dP if not input_grad."""
+    z, eta_caches = _phi_pool(params, P, order, q)
+    loss, dz = _mlp_loss_and_grad(params.mu_head, z, y, loss_kind, grads.mu_head, input_grad=True)
+    s_count = P.shape[1]
+    # Each pair row of a sample shares that sample's pooled gradient, at the
+    # mean-pooling scale.
+    up = np.repeat(dz[:, : params.p] / s_count, s_count, axis=0)  # (m * s, p)
+    dP = _mlp_backward(params.eta, eta_caches, up, grads.eta, input_grad)
+    return loss, dP, dz[:, params.p :]
 
 
 def forward_batch(params: PhiParams, sp: SelectionPair, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise NumericError("non-finite input")
-    s, q, _ = _front_features(params, _pair_layout(sp, X))
-    z = np.concatenate([s, q], axis=1)
-    out, _ = _mlp_forward(params.mu_head, z)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("non-finite network output")
-    return out[:, 0]
+    return _phi_forward(params, *_pair_layout(sp, X))
 
 
 def forward(params: PhiParams, sp: SelectionPair, x) -> float:
@@ -230,6 +245,19 @@ def _residual_grad(resid, kind) -> np.ndarray:
     return np.sign(resid) / len(resid)
 
 
+def _mlp_loss_and_grad(layers, X, y, loss_kind, grads, input_grad):
+    """Mean loss of the MLP on (X, y); writes its weight gradient into
+    grads, (W, b) views shaped like layers.  Returns (loss, gradient wrt X
+    or None if not input_grad); a non-finite loss raises NumericError."""
+    out, caches = _mlp_forward(layers, X)
+    resid = out[:, 0] - y
+    loss = _residual_loss(resid, loss_kind)
+    if not np.isfinite(loss):
+        raise NumericError("non-finite loss")
+    dpred = _residual_grad(resid, loss_kind)
+    return loss, _mlp_backward(layers, caches, dpred[:, None], grads, input_grad)
+
+
 def loss_and_grad(
     params: PhiParams, sp: SelectionPair, X, y, loss_kind=SQUARED, *, out=None
 ):
@@ -240,24 +268,12 @@ def loss_and_grad(
     """
     if not isinstance(X, _PairLayout):
         X = _pair_layout(sp, np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    s, q, (eta_caches, s_count) = _front_features(params, X)
-    z = np.concatenate([s, q], axis=1)
-    pred, mu_caches = _mlp_forward(params.mu_head, z)
-    resid = pred[:, 0] - y
-    loss = _residual_loss(resid, loss_kind)
-    if not np.isfinite(loss):
-        raise NumericError("non-finite loss")
-
     grads = out
     if grads is None:
         grads = PhiParams(np.empty_like(params.theta), params.p, params.h, params.n)
-    dpred = _residual_grad(resid, loss_kind)
-    dz = _mlp_backward(params.mu_head, mu_caches, dpred[:, None], grads.mu_head)
-    ds = dz[:, : params.p] / s_count  # (m, p), mean-pooling scale
-    # Each selected row of a sample shares that sample's pooled gradient.
-    up = np.repeat(ds, s_count, axis=0)  # (m * s, p)
-    _mlp_backward(params.eta, eta_caches, up, grads.eta, input_grad=False)
+    loss, _, _ = _phi_loss_and_grad(
+        params, *X, np.asarray(y, dtype=float), loss_kind, grads, input_grad=False
+    )
     return loss, grads
 
 
@@ -364,13 +380,9 @@ def train_reference_mlp(dataset: Dataset, cfg: TrainConfig, h: int = 32):
     X, y = dataset.inputs, dataset.targets
 
     def grad_fn(rows):
-        out, caches = _mlp_forward(layers, X[rows])
-        resid = out[:, 0] - y[rows]
-        loss = _residual_loss(resid, cfg.loss_kind)
-        if not np.isfinite(loss):
-            raise NumericError("non-finite reference loss")
-        dpred = _residual_grad(resid, cfg.loss_kind)
-        _mlp_backward(layers, caches, dpred[:, None], grad_layers, input_grad=False)
+        loss, _ = _mlp_loss_and_grad(
+            layers, X[rows], y[rows], cfg.loss_kind, grad_layers, input_grad=False
+        )
         return loss, grad
 
     _sgd(theta, grad_fn, cfg, len(dataset), rng)

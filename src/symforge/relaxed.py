@@ -4,12 +4,18 @@ Instead of selecting a discrete (M1, M2) arm, both matrices are relaxed to
 unconstrained reals and learned by the same minibatch SGD as the embedding
 and head networks.  The pipeline is
 
-    y = M1 x;  P = all-pairs rows (y_i, y_j);  Z = M2 P;
-    pooled = mean_rows eta(Z);  q = (I - M1) x;  out = mu_head([pooled; q]).
+    y = M1 x;  P = all-pairs rows (y_i, y_j);  Z = M2 P;  Q = (I - M1) x;
+    out = phi(Z, Q).
 
-This reproduces the ablation result that joint gradient descent over the
-matrices underperforms discrete selection and produces dense,
-uninterpretable matrices.
+This module holds the dense front (Z, Q) and its backward into M1 and M2;
+phi's pass is `net`'s, with the rows of Z pooled in their own order.
+
+Neither learned matrix reads as an arm.  At the CLI defaults (seed 1) on
+the five builtin tasks, M1 ends dense: 92-100% of its off-diagonal entries
+exceed 0.01 in size, the largest 0.44-0.78.  M2 barely moves from its
+near-identity start: it stays within 0.033 (n = 10) and 0.106 (S_I(4),
+n = 5) of the identity, entrywise, and rounds to the identity, which is no
+arm's M2.
 """
 
 from __future__ import annotations
@@ -18,16 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError
 from .net import (
     ABSOLUTE,
     SQUARED,
     Dataset,
     PhiParams,
     TrainConfig,
-    _mlp_backward,
-    _mlp_forward,
-    _residual_grad,
+    _phi_forward,
+    _phi_loss_and_grad,
     _residual_loss,
     _sgd,
     init_params,
@@ -63,52 +67,32 @@ def init_relaxed(n: int, p: int = 16, h: int = 32, seed: int = 0) -> RelaxedPara
     return RelaxedParams(np.concatenate([m1.ravel(), m2.ravel(), phi.theta]), n, p, h)
 
 
-def _relaxed_front(params: RelaxedParams, X):
-    """Pooled embedding and complement for a batch, plus caches."""
-    m, n = X.shape
+def _dense_front(params: RelaxedParams, X):
+    """The all-pairs rows P (m, n^2, 2) of Y = M1 x, Z = M2 P and
+    Q = (I - M1) x for a batch."""
+    n = X.shape[1]
     Y = X @ params.m1.T  # (m, n)
     # All-pairs rows in row-major order: row i*n+j holds (y_i, y_j).
-    P = np.stack([np.repeat(Y, n, axis=1), np.tile(Y, (1, n))], axis=2)  # (m, n^2, 2)
-    Z = np.einsum("rs,msk->mrk", params.m2, P)  # (m, n^2, 2)
-    flatZ = Z.reshape(m * n * n, 2)
-    E, eta_caches = _mlp_forward(params.phi.eta, flatZ)
-    pooled = E.reshape(m, n * n, params.phi.p).mean(axis=1)
-    Q = X - Y  # (I - M1) x
-    return pooled, Q, (P, eta_caches)
+    P = np.stack([np.repeat(Y, n, axis=1), np.tile(Y, (1, n))], axis=2)
+    Z = np.einsum("rs,msk->mrk", params.m2, P)
+    return P, Z, X - Y
 
 
 def forward_relaxed(params: RelaxedParams, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    pooled, Q, _ = _relaxed_front(params, X)
-    out, _ = _mlp_forward(params.phi.mu_head, np.concatenate([pooled, Q], axis=1))
-    if not np.all(np.isfinite(out)):
-        raise NumericError("non-finite relaxed output")
-    return out[:, 0]
+    _, Z, Q = _dense_front(params, np.asarray(X, dtype=float))
+    return _phi_forward(params.phi, Z, None, Q)
 
 
 def loss_and_grad_relaxed(params: RelaxedParams, X, y, loss_kind=SQUARED):
     """Mean loss over the batch and its gradients for all relaxed parameters."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     m, n = X.shape
-    s = n * n
-    pooled, Q, (P, eta_caches) = _relaxed_front(params, X)
-    z = np.concatenate([pooled, Q], axis=1)
-    out, mu_caches = _mlp_forward(params.phi.mu_head, z)
-    resid = out[:, 0] - y
-    loss = _residual_loss(resid, loss_kind)
-    if not np.isfinite(loss):
-        raise NumericError("non-finite relaxed loss")
-
+    P, Z, Q = _dense_front(params, X)
     grads = RelaxedParams(np.empty_like(params.theta), n, params.p, params.h)
-    dpred = _residual_grad(resid, loss_kind)[:, None]
-    dz = _mlp_backward(params.phi.mu_head, mu_caches, dpred, grads.phi.mu_head)
-    p = params.p
-    d_pooled = dz[:, :p] / s
-    dQ = dz[:, p:]
-    up = np.repeat(d_pooled, s, axis=0)
-    dflatZ = _mlp_backward(params.phi.eta, eta_caches, up, grads.phi.eta)
-    dZ = dflatZ.reshape(m, s, 2)
+    loss, dZ, dQ = _phi_loss_and_grad(
+        params.phi, Z, None, Q, np.asarray(y, dtype=float), loss_kind, grads.phi, input_grad=True
+    )
+    dZ = dZ.reshape(m, n * n, 2)
     np.einsum("mrk,msk->rs", dZ, P, out=grads.m2)
     dP = np.einsum("rs,mrk->msk", params.m2, dZ)
     # P row i*n+j is (y_i, y_j): scatter the two slots back onto y.

@@ -174,14 +174,18 @@ def test_cli_exit_codes(tmp_path):
 @pytest.mark.parametrize(
     "section, values, key",
     [
-        # key: the dotted key the error line names, or None where a range
-        # check of TrainConfig, DiscoveryConfig or LinearInstance rejects it.
-        pytest.param("training", {"epochs": 0}, None, id="training-values0"),
-        pytest.param("training", {"batch_size": 0}, None, id="training-values1"),
+        # key: the dotted key the error line names, or None where a check of
+        # LinearInstance across several keys rejects it.
+        pytest.param("training", {"epochs": 0}, "training.epochs", id="training-values0"),
+        pytest.param(
+            "training", {"batch_size": 0}, "training.batch_size", id="training-values1"
+        ),
         pytest.param("bandit", {"T": -3}, "bandit.T", id="bandit-values2"),
         pytest.param("bandit", {"T": 0}, "bandit.T", id="bandit-values3"),
         pytest.param("task", {"sizes": [0, 10]}, "task.sizes", id="task-values4"),
-        pytest.param("bandit", {"reward_holdout": 1.5}, None, id="bandit-values5"),
+        pytest.param(
+            "bandit", {"reward_holdout": 1.5}, "bandit.reward_holdout", id="bandit-values5"
+        ),
         # A removed key.
         pytest.param("bandit", {"cold_start": False}, "bandit.cold_start", id="bandit-values6"),
         # These crashed the command named in the id with a traceback (exit 1),
@@ -205,7 +209,10 @@ def test_cli_exit_codes(tmp_path):
             "sim", {"mu_star": [1.0, float("nan")]}, "sim.mu_star", id="bandit-sim:sim.mu_star-nan"
         ),
         pytest.param(
-            "sim", {"noise_sigma": float("inf")}, None, id="bandit-sim:sim.noise_sigma-inf"
+            "sim",
+            {"noise_sigma": float("inf")},
+            "sim.noise_sigma",
+            id="bandit-sim:sim.noise_sigma-inf",
         ),
         pytest.param("task", {"seed": "x"}, "task.seed", id="gen-data:task.seed"),
         pytest.param("task", {"seed": -1}, "task.seed", id="gen-data:task.seed-negative"),
@@ -229,14 +236,14 @@ def test_cli_exit_codes(tmp_path):
             id="discover:arms.screen_repeats-zero",
         ),
         pytest.param("bandit", {"nu": "x"}, "bandit.nu", id="discover:bandit.nu"),
-        pytest.param("bandit", {"nu": float("inf")}, None, id="discover:bandit.nu-inf"),
+        pytest.param("bandit", {"nu": float("inf")}, "bandit.nu", id="discover:bandit.nu-inf"),
         pytest.param(
             "bandit", {"size_bonus": "x"}, "bandit.size_bonus", id="discover:bandit.size_bonus"
         ),
         pytest.param(
             "bandit",
             {"loss_cap": 0, "reward_holdout": 0},
-            None,
+            "bandit.loss_cap",
             id="discover:bandit.loss_cap",
         ),
         # NaN passed the load check: discover trained an arm and then failed

@@ -237,6 +237,24 @@ def test_layout_rows_match_per_batch_path():
             assert out.theta.tobytes() == grads.theta.tobytes()
 
 
+# sha256 of train_reference_mlp's predictions on its own training set, on the
+# train_sgd golden set.  Same BLAS caveat as TRAIN_SGD_DIGESTS.
+REFERENCE_MLP_DIGESTS = {
+    SQUARED: "319ffccbedaa357987a972e0e693f14d23f05253e30408f15b03fe572db1f50d",
+    ABSOLUTE: "27b8b0f23b383ec75269bfaacb3d9bc9fc1db7a47ef6cd98b93d5ce7edd81dc9",
+}
+
+
+def test_train_reference_mlp_golden_bits():
+    rng = np.random.default_rng(12)
+    ds = Dataset(rng.uniform(size=(37, 5)), rng.uniform(size=37))
+    for loss_kind, digest in REFERENCE_MLP_DIGESTS.items():
+        cfg = TrainConfig(epochs=4, batch_size=8, seed=3, loss_kind=loss_kind)
+        _, predict = train_reference_mlp(ds, cfg)
+        got = hashlib.sha256(predict(ds.inputs).tobytes()).hexdigest()
+        assert got == digest, loss_kind
+
+
 def test_reference_mlp_divergence_raises():
     # lr 2.0 without decay blows the reference fit up; it must not hand back
     # a predictor that outputs NaN.

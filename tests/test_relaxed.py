@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -99,3 +100,22 @@ def test_relaxed_evaluate_metrics():
     assert mae <= np.sqrt(mse) + 1e-12
     with pytest.raises(ValueError):
         evaluate_relaxed(params, ds, metric="R2")
+
+
+# sha256 of train_relaxed's weight bytes followed by its final loss's bytes.
+# Float64 results can depend on the BLAS build; these come from numpy 2.4
+# with OpenBLAS 0.3 on x86-64.
+TRAIN_RELAXED_DIGESTS = {
+    SQUARED: "2f2b26f8db47e42b4fe894911ea0918b058baf72e125f984fb922ea8d0f65db3",
+    ABSOLUTE: "d2f56d28b19302c11063dae1dfc1d40a77afc8592d0bb6d87ce47e5b82450edb",
+}
+
+
+def test_train_relaxed_golden_bits():
+    rng = np.random.default_rng(12)
+    ds = Dataset(rng.uniform(size=(37, 5)), rng.uniform(size=37))  # short last batch
+    for loss_kind, digest in TRAIN_RELAXED_DIGESTS.items():
+        cfg = TrainConfig(epochs=4, batch_size=8, seed=3, loss_kind=loss_kind)
+        params, loss = train_relaxed(ds, cfg)
+        got = hashlib.sha256(params.theta.tobytes() + np.float64(loss).tobytes())
+        assert got.hexdigest() == digest, loss_kind
