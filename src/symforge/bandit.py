@@ -95,10 +95,12 @@ def _reference_fit(fit: Dataset, held: Dataset, train_cfg: TrainConfig, loss_kin
     return predict, max(loss, 1e-12)
 
 
+_SCREEN_HOLDOUT = 0.25  # the share of rows, at the tail, that screening holds out
+
+
 def screen_coordinates(
     dataset: Dataset,
     train_cfg: TrainConfig,
-    holdout: float = 0.25,
     threshold: float = 0.08,
     repeats: int = 30,
     seed: int = 0,
@@ -114,7 +116,7 @@ def screen_coordinates(
     two pass, or if the dataset is too small to hold any rows out.
     """
     n = dataset.inputs.shape[1]
-    fit, held = _holdout_split(dataset, holdout)
+    fit, held = _holdout_split(dataset, _SCREEN_HOLDOUT)
     if held is None:
         return tuple(range(n))
     predict, base = _reference_fit(fit, held, train_cfg, SQUARED)

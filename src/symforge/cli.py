@@ -5,8 +5,8 @@ Every command is a pure function of (config file, seed): artifacts land in
 an output directory named by the hash of the effective configuration, so
 re-running a config reproduces its outputs bit for bit.
 
-Exit codes: 0 = ok, 1 = a verification or discovery check failed,
-2 = usage or configuration error.
+Exit codes: 0 = ok, 1 = a `verify` suite failed, 2 = usage or
+configuration error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .bandit import (
 )
 from .errors import SymforgeError
 from .groups import CYCLIC, DIHEDRAL, SYMMETRIC, GroupDescriptor
-from .net import TrainConfig, forward, gradient_check, init_params
+from .net import ABSOLUTE, SQUARED, TrainConfig, forward, gradient_check, init_params
 from .oracle import (
     check_invariance,
     find_set_e_counterexample,
@@ -43,112 +43,9 @@ from .relaxed import evaluate_relaxed, train_relaxed
 from .selection import SelectionPair, dense_matrix, enumerate_arms
 from .tasks import BUILTIN_NAMES, builtin_polynomial, make_splits, persist_dataset
 
-_DEFAULTS = {
-    "task": {"kind": "polynomial", "name": "Z_I(5)", "sizes": [64, 480, 4800], "seed": 0},
-    "arms": {"screen": True, "screen_threshold": 0.08, "screen_repeats": 30},
-    "bandit": {
-        "T": None,  # default 4n
-        "nu": 0.5,
-        "loss_cap": 1.0,
-        "reward_holdout": 0.25,
-        "size_bonus": 1.2,
-    },
-    "training": {
-        "epochs": 400,
-        "batch_size": 16,
-        "lr_initial": 0.2,
-        "lr_decay": 0.997,
-        "loss": "squared",
-    },
-    "sim": {
-        "mu_star": [1.0, 0.2, 0.2, 0.2, 0.2],
-        "noise_sigma": 0.1,
-        "nu": 0.5,
-        "horizons": [100, 200, 400, 800],
-        "trials": 200,
-    },
-    "output": {"dir": "runs"},
-}
-
 
 class ConfigError(SymforgeError):
     pass
-
-
-def load_config(path, seed_override=None) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    try:
-        raw = yaml.safe_load(text) or {}
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"malformed config {path}: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must be a mapping of sections")
-    cfg = {}
-    for section, defaults in _DEFAULTS.items():
-        merged = dict(defaults)
-        user = raw.get(section, {})
-        if not isinstance(user, dict):
-            raise ConfigError(f"section '{section}' must be a mapping in {path}")
-        for key, value in user.items():
-            if key not in merged:
-                raise ConfigError(f"unknown key '{section}.{key}' in {path}")
-            merged[key] = value
-        cfg[section] = merged
-    for section in raw:
-        if section not in _DEFAULTS:
-            raise ConfigError(f"unknown section '{section}' in {path}")
-    if seed_override is not None:
-        cfg["task"]["seed"] = int(seed_override)
-    _validate(cfg, path)
-    return cfg
-
-
-def _validate(cfg: dict, path) -> None:
-    """Make every conversion and check the runners make, by calling the
-    builders they call, so a bad value in any section fails here, whichever
-    command loads the config.  It is a ConfigError; cfg is left as it is."""
-    try:
-        _task(cfg)
-        _value(cfg, "output.dir", Path)
-        _screening(cfg)
-        _discovery_config(cfg, n=1)
-        _simulation(cfg)
-    except (TypeError, ValueError, ConfigError) as exc:
-        raise ConfigError(f"invalid value in {path}: {exc}")
-
-
-def config_hash(cfg: dict, tag: str = "") -> str:
-    canon = yaml.safe_dump(cfg, sort_keys=True) + tag
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-
-def output_dir(cfg: dict, tag: str = "") -> Path:
-    out = _value(cfg, "output.dir", Path) / config_hash(cfg, tag)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}")
-    return out
-
-
-def _value(cfg: dict, key: str, cast, ok=None, need=""):
-    """The value at the dotted key "section.name", converted by cast.  A
-    failed cast, a NaN, or a value that ok rejects is a ConfigError that
-    names the key; need says what ok asks for."""
-    section, name = key.split(".")
-    raw = cfg[section][name]
-    try:
-        value = cast(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-    if np.any(value != value):  # NaN is the one value unequal to itself
-        raise ConfigError(f"{key} must not be NaN")
-    if ok is not None and not ok(value):
-        raise ConfigError(f"{key} must be {need}, not {raw!r}")
-    return value
 
 
 def _whole(value) -> int:
@@ -176,84 +73,159 @@ def _bool(value) -> bool:
     return value
 
 
-# (ok, need) pairs for _value, shared by several keys.
+def _mu_star(values) -> np.ndarray:
+    """values as the simulator's mean vector: finite, and refused by
+    LinearInstance over the unit arms unless one arm is uniquely best."""
+    mu_star = np.asarray(values, dtype=float)
+    if not np.isfinite(mu_star).all():
+        raise ValueError(f"{values!r} is not finite")
+    return LinearInstance(mu_star, np.eye(mu_star.size), 0.0).mu_star
+
+
+# (ok, need) rules shared by several keys; the cast alone checks a key with
+# no rule.
+_NO_RULE = (None, "")
 _AT_LEAST_1 = (lambda count: count >= 1, ">= 1")
 _FINITE_AT_LEAST_0 = (lambda scale: 0 <= scale < np.inf, "finite and >= 0")
 
+# Every config key: "section.name": (default, cast, ok, need).  cast converts
+# the YAML value or raises; ok, unless None, is the rule the converted value
+# must meet, and need says it in words.  The library classes check the same
+# ranges again, as library input, but their messages do not name the key.
+_KEYS = {
+    "task.kind": ("polynomial", str, lambda kind: kind == "polynomial", "polynomial"),
+    "task.name": ("Z_I(5)", str, *_NO_RULE),  # checked against the builtins when run
+    "task.sizes": ([64, 480, 4800], _counts, lambda sizes: len(sizes) <= 3, "1-3 counts"),
+    "task.seed": (0, _whole, lambda seed: seed >= 0, ">= 0"),
+    "arms.screen": (True, _bool, *_NO_RULE),
+    "arms.screen_threshold": (0.08, float, *_NO_RULE),
+    "arms.screen_repeats": (30, _whole, *_AT_LEAST_1),
+    "bandit.T": (
+        None,
+        lambda T: T if T is None else _whole(T),
+        lambda T: T is None or T >= 1,
+        "null (4n) or >= 1",
+    ),
+    "bandit.nu": (0.5, float, *_FINITE_AT_LEAST_0),
+    "bandit.loss_cap": (1.0, float, lambda cap: 0 < cap < np.inf, "finite and > 0"),
+    "bandit.reward_holdout": (0.25, float, lambda share: 0 <= share < 1, "in [0, 1)"),
+    "bandit.size_bonus": (1.2, float, np.isfinite, "finite"),
+    "training.epochs": (400, _whole, *_AT_LEAST_1),
+    "training.batch_size": (16, _whole, *_AT_LEAST_1),
+    "training.lr_initial": (0.2, float, *_FINITE_AT_LEAST_0),
+    "training.lr_decay": (0.997, float, lambda decay: 0 < decay <= 1, "in (0, 1]"),
+    "training.loss": (
+        SQUARED,
+        str,
+        lambda loss: loss in (SQUARED, ABSOLUTE),
+        "squared or absolute",
+    ),
+    "sim.mu_star": ([1.0, 0.2, 0.2, 0.2, 0.2], _mu_star, *_NO_RULE),
+    "sim.noise_sigma": (0.1, float, *_FINITE_AT_LEAST_0),
+    "sim.nu": (0.5, float, *_FINITE_AT_LEAST_0),
+    "sim.horizons": ([100, 200, 400, 800], _counts, *_NO_RULE),
+    "sim.trials": (200, _whole, *_AT_LEAST_1),
+    "output.dir": ("runs", Path, *_NO_RULE),
+}
 
-def _seed(cfg: dict) -> int:
-    return _value(cfg, "task.seed", _whole, lambda seed: seed >= 0, ">= 0")
+
+def _value(cfg: dict, key: str):
+    """The value at the dotted key "section.name", converted by the key's
+    cast.  A failed cast, a NaN, or a value that breaks the key's rule is a
+    ConfigError that names the key."""
+    _, cast, ok, need = _KEYS[key]
+    section, name = key.split(".")
+    raw = cfg[section][name]
+    try:
+        value = cast(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    if np.any(value != value):  # NaN is the one value unequal to itself
+        raise ConfigError(f"{key} must not be NaN")
+    if ok is not None and not ok(value):
+        raise ConfigError(f"{key} must be {need}, not {raw!r}")
+    return value
 
 
-def _task(cfg: dict) -> tuple:
-    """(sizes, seed) of the task section; polynomial is the one task kind."""
-    _value(cfg, "task.kind", str, lambda kind: kind == "polynomial", "polynomial")
-    return _value(cfg, "task.sizes", _counts, lambda s: len(s) <= 3, "1-3 counts"), _seed(cfg)
+def load_config(path, seed_override=None) -> dict:
+    """The config at path merged over the defaults, each value as written.
+    Every key is checked here, whichever command loads the config, and
+    converted where it is read; any fault is a ConfigError."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
+    try:
+        raw = yaml.safe_load(text) or {}
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"malformed config {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a mapping of sections")
+    cfg: dict = {}
+    for key, (default, *_) in _KEYS.items():
+        section, name = key.split(".")
+        cfg.setdefault(section, {})[name] = default
+    for section, user in raw.items():
+        if section not in cfg:
+            raise ConfigError(f"unknown section '{section}' in {path}")
+        if not isinstance(user, dict):
+            raise ConfigError(f"section '{section}' must be a mapping in {path}")
+        for name, value in user.items():
+            if name not in cfg[section]:
+                raise ConfigError(f"unknown key '{section}.{name}' in {path}")
+            cfg[section][name] = value
+    if seed_override is not None:
+        cfg["task"]["seed"] = int(seed_override)
+    try:
+        for key in _KEYS:
+            _value(cfg, key)
+    except ConfigError as exc:
+        raise ConfigError(f"invalid value in {path}: {exc}") from None
+    return cfg
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=_value(cfg, "training.epochs", _whole, *_AT_LEAST_1),
-        batch_size=_value(cfg, "training.batch_size", _whole, *_AT_LEAST_1),
-        lr_initial=_value(cfg, "training.lr_initial", float),
-        lr_decay=_value(cfg, "training.lr_decay", float),
-        loss_kind=_value(cfg, "training.loss", str),
-    )
+def config_hash(cfg: dict, tag: str = "") -> str:
+    canon = yaml.safe_dump(cfg, sort_keys=True) + tag
+    return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _screening(cfg: dict) -> dict | None:
-    """screen_coordinates' keyword arguments from the arms section, or None
-    when arms.screen is false."""
-    kwargs = {
-        "threshold": _value(cfg, "arms.screen_threshold", float),
-        "repeats": _value(cfg, "arms.screen_repeats", _whole, *_AT_LEAST_1),
-    }
-    return kwargs if _value(cfg, "arms.screen", _bool) else None
+def output_dir(cfg: dict, tag: str = "") -> Path:
+    out = _value(cfg, "output.dir") / config_hash(cfg, tag)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}")
+    return out
 
 
 def _discovery_config(cfg: dict, n: int) -> DiscoveryConfig:
     """The bandit's settings for a task on n coordinates."""
+    T = _value(cfg, "bandit.T")
+    train_cfg = TrainConfig(
+        epochs=_value(cfg, "training.epochs"),
+        batch_size=_value(cfg, "training.batch_size"),
+        lr_initial=_value(cfg, "training.lr_initial"),
+        lr_decay=_value(cfg, "training.lr_decay"),
+        loss_kind=_value(cfg, "training.loss"),
+    )
     return DiscoveryConfig(
-        T=_value(
-            cfg,
-            "bandit.T",
-            lambda T: 4 * n if T is None else _whole(T),
-            lambda T: T >= 1,
-            "null (4n) or >= 1",
-        ),
-        nu=_value(cfg, "bandit.nu", float, *_FINITE_AT_LEAST_0),
-        train_cfg=_train_config(cfg),
-        loss_cap=_value(cfg, "bandit.loss_cap", float, lambda c: 0 < c < np.inf, "finite and > 0"),
-        reward_holdout=_value(
-            cfg, "bandit.reward_holdout", float, lambda r: 0 <= r < 1, "in [0, 1)"
-        ),
-        size_bonus=_value(cfg, "bandit.size_bonus", float),
-        seed=_seed(cfg),
+        T=4 * n if T is None else T,
+        nu=_value(cfg, "bandit.nu"),
+        train_cfg=train_cfg,
+        loss_cap=_value(cfg, "bandit.loss_cap"),
+        reward_holdout=_value(cfg, "bandit.reward_holdout"),
+        size_bonus=_value(cfg, "bandit.size_bonus"),
+        seed=_value(cfg, "task.seed"),
     )
 
 
-def _simulation(cfg: dict) -> dict:
-    """simulate_linear's arguments from the sim section."""
-    mu_star = _value(cfg, "sim.mu_star", lambda mu: np.asarray(mu, dtype=float))
-    noise_sigma = _value(cfg, "sim.noise_sigma", float, *_FINITE_AT_LEAST_0)
-    return {
-        "instance": LinearInstance(mu_star, np.eye(mu_star.size), noise_sigma),
-        "horizons": _value(cfg, "sim.horizons", _counts),
-        "nu": _value(cfg, "sim.nu", float, *_FINITE_AT_LEAST_0),
-        "trials": _value(cfg, "sim.trials", _whole, *_AT_LEAST_1),
-        "seed": _seed(cfg),
-    }
-
-
 def _task_splits(cfg: dict):
-    sizes, seed = _task(cfg)
+    name = _value(cfg, "task.name")
     try:
-        spec = builtin_polynomial(cfg["task"]["name"])
+        spec = builtin_polynomial(name)
     except KeyError as exc:
-        raise ConfigError(
-            f"unknown task name {cfg['task']['name']!r}; valid names: {BUILTIN_NAMES}"
-        ) from exc
-    return make_splits(spec, sizes, seed=seed)
+        raise ConfigError(f"unknown task name {name!r}; valid names: {BUILTIN_NAMES}") from exc
+    return make_splits(spec, _value(cfg, "task.sizes"), seed=_value(cfg, "task.seed"))
 
 
 def run_gen_data(cfg: dict) -> Path:
@@ -303,9 +275,14 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
 
     arms = enumerate_arms(n)
     kept = tuple(range(n))
-    screening = _screening(cfg)
-    if screening is not None:
-        kept = screen_coordinates(train, train_cfg, seed=dcfg.seed, **screening)
+    if _value(cfg, "arms.screen"):
+        kept = screen_coordinates(
+            train,
+            train_cfg,
+            threshold=_value(cfg, "arms.screen_threshold"),
+            repeats=_value(cfg, "arms.screen_repeats"),
+            seed=dcfg.seed,
+        )
         arms = filter_arms(arms, kept)
     result = run_discovery(arms, train, dcfg)
 
@@ -421,7 +398,14 @@ def run_verify(suite: str) -> tuple[bool, dict]:
 
 
 def run_bandit_sim(cfg: dict) -> tuple[Path, dict]:
-    rates = simulate_linear(**_simulation(cfg))
+    mu_star = _value(cfg, "sim.mu_star")
+    rates = simulate_linear(
+        LinearInstance(mu_star, np.eye(mu_star.size), _value(cfg, "sim.noise_sigma")),
+        horizons=_value(cfg, "sim.horizons"),
+        nu=_value(cfg, "sim.nu"),
+        trials=_value(cfg, "sim.trials"),
+        seed=_value(cfg, "task.seed"),
+    )
     out = output_dir(cfg)
     with open(out / "misid.csv", "w") as fh:
         fh.write("T,misid_rate\n")

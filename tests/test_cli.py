@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from symforge.cli import (
     run_verify,
 )
 from symforge.oracle import InvarianceReport, VerificationReport
+from symforge.selection import SelectionPair, dense_matrix, enumerate_arms
 
 
 def _write_config(tmp_path, **overrides):
@@ -59,6 +61,16 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(path)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.yaml")
+
+
+def test_default_config_hash(tmp_path):
+    # The defaults name every run directory: an empty config keeps the
+    # hashes it had when the defaults were one dict per section.
+    path = tmp_path / "empty.yaml"
+    path.write_text("")
+    cfg = load_config(path)
+    assert config_hash(cfg) == "13ec7b4e5644"
+    assert config_hash(cfg, tag="sgd-only") == "afa9823906eb"
 
 
 def test_seed_override_changes_hash(tmp_path):
@@ -134,6 +146,23 @@ def test_discover_sgd_only_mode(tmp_path):
     assert bandit_out != out
 
 
+@pytest.mark.parametrize("task", ["S_I(4)", "Z_I(5)"])
+def test_sgd_only_m2_rounds_to_no_arm(tmp_path, task):
+    # The README's claim for the ablation, at CLI defaults: the learned M2
+    # never recovers a selection.  Rounding it gives an arm's 0/1 M2 only if
+    # every entry lies within 0.5 of that arm's, so some entry must differ
+    # by 0.5 or more from every arm's M2.
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({"task": {"name": task}, "output": {"dir": str(tmp_path)}}))
+    out, _ = run_discover(load_config(path, seed_override=1), sgd_only=True)
+    m2 = np.loadtxt(out / "m2.csv", delimiter=",")
+    n = round(len(m2) ** 0.5)
+    for arm in enumerate_arms(n):
+        sp = SelectionPair.for_descriptor(arm.descriptor)
+        distance = np.abs(m2 - dense_matrix(sp.m2_entries, m2.shape)).max()
+        assert distance >= 0.5, arm.descriptor
+
+
 def test_bandit_sim_writes_rates(tmp_path):
     cfg = load_config(
         _write_config(tmp_path, sim={"horizons": [20, 40], "trials": 20})
@@ -174,8 +203,7 @@ def test_cli_exit_codes(tmp_path):
 @pytest.mark.parametrize(
     "section, values, key",
     [
-        # key: the dotted key the error line names, or None where a check of
-        # LinearInstance across several keys rejects it.
+        # key: the dotted key the error line names.
         pytest.param("training", {"epochs": 0}, "training.epochs", id="training-values0"),
         pytest.param(
             "training", {"batch_size": 0}, "training.batch_size", id="training-values1"
@@ -192,9 +220,13 @@ def test_cli_exit_codes(tmp_path):
         # or ran it on a meaningless setting (the non-finite scales, and zero
         # screening repeats, which kept every coordinate on NaN importances),
         # while gen-data accepted most of them.
-        pytest.param("sim", {"mu_star": [1.0, 1.0]}, None, id="bandit-sim:sim.mu_star-tie"),
+        pytest.param(
+            "sim", {"mu_star": [1.0, 1.0]}, "sim.mu_star", id="bandit-sim:sim.mu_star-tie"
+        ),
         pytest.param("sim", {"mu_star": "abc"}, "sim.mu_star", id="bandit-sim:sim.mu_star-text"),
-        pytest.param("sim", {"mu_star": [1.0]}, None, id="bandit-sim:sim.mu_star-one-arm"),
+        pytest.param(
+            "sim", {"mu_star": [1.0]}, "sim.mu_star", id="bandit-sim:sim.mu_star-one-arm"
+        ),
         pytest.param("sim", {"horizons": []}, "sim.horizons", id="bandit-sim:sim.horizons-empty"),
         pytest.param(
             "sim", {"horizons": [0, 10]}, "sim.horizons", id="bandit-sim:sim.horizons-zero"
@@ -284,6 +316,32 @@ def test_cli_exit_codes(tmp_path):
         pytest.param(
             "task", {"sizes": [8, 4, 4, 4]}, "task.sizes", id="gen-data:task.sizes-four"
         ),
+        # These keys had no rule of their own, so the library's message for
+        # them did not name the key.  An infinite lr_initial or size_bonus
+        # even passed the load check: gen-data ran, and discover failed only
+        # after it had created its run directory.
+        pytest.param(
+            "training",
+            {"lr_initial": -1},
+            "training.lr_initial",
+            id="discover:training.lr_initial-negative",
+        ),
+        pytest.param(
+            "training",
+            {"lr_initial": float("inf")},
+            "training.lr_initial",
+            id="discover:training.lr_initial-inf",
+        ),
+        pytest.param(
+            "training", {"lr_decay": 2}, "training.lr_decay", id="discover:training.lr_decay"
+        ),
+        pytest.param("training", {"loss": "huber"}, "training.loss", id="discover:training.loss"),
+        pytest.param(
+            "bandit",
+            {"size_bonus": float("inf")},
+            "bandit.size_bonus",
+            id="discover:bandit.size_bonus-inf",
+        ),
     ],
 )
 def test_cli_invalid_config_values_exit_2(tmp_path, section, values, key):
@@ -296,10 +354,19 @@ def test_cli_invalid_config_values_exit_2(tmp_path, section, values, key):
         assert "error:" in result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit), command
-        if key is not None:
-            (line,) = [line for line in result.output.splitlines() if line.startswith("error:")]
-            assert key in line, (command, line)
+        (line,) = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert key in line, (command, line)
     assert not (tmp_path / "runs").exists()
+
+
+def test_cli_refuses_non_finite_mu_star_without_a_warning(tmp_path):
+    # An infinite mean used to reach LinearInstance, whose 0 * inf product
+    # printed a RuntimeWarning before the tie check refused it.
+    path = _write_config(tmp_path, sim={"mu_star": [float("inf"), 1.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="sim.mu_star"):
+            load_config(path)
 
 
 def test_cli_names_the_bad_key_not_the_task(tmp_path):

@@ -24,7 +24,7 @@ from symforge.net import (
     train_reference_mlp,
     train_sgd,
 )
-from symforge.selection import SelectionPair
+from symforge.selection import SelectionPair, apply_pipeline_front, enumerate_arms
 
 
 def _pair(kind=CYCLIC, idx=(0, 2, 3), n=5):
@@ -235,6 +235,26 @@ def test_layout_rows_match_per_batch_path():
             assert returned is out
             assert np.float64(got).tobytes() == np.float64(loss).tobytes()
             assert out.theta.tobytes() == grads.theta.tobytes()
+
+
+def test_pair_layout_matches_pipeline_front():
+    # Criterion 4 checks apply_pipeline_front against the reference lift,
+    # but training reads the pair layout: its s pairs must be the front's
+    # first s rows, the rest of the front's n^2 block zero, and q the first
+    # column of the complement block, whose second column is zero.
+    rng = np.random.default_rng(4)
+    n = 7
+    for arm in enumerate_arms(n):
+        sp = SelectionPair.for_descriptor(arm.descriptor)
+        X = rng.normal(size=(3, n))
+        layout = _pair_layout(sp, X)
+        s = len(sp.m2_entries)
+        for i, x in enumerate(X):
+            front = apply_pipeline_front(sp, x)
+            assert np.array_equal(layout.P[i], front[:s]), (arm.descriptor, i)
+            assert not front[s : n * n].any(), (arm.descriptor, i)
+            assert np.array_equal(layout.q[i], front[n * n :, 0]), (arm.descriptor, i)
+            assert not front[n * n :, 1].any(), (arm.descriptor, i)
 
 
 # sha256 of train_reference_mlp's predictions on its own training set, on the
