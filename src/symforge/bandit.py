@@ -5,7 +5,11 @@ B = I + sum a a^T over played arms, reward-weighted sum f, mean B^-1 f.
 Each update factors B = L L^T once; the mean is solved with L, and a
 sample reuses it, so its covariance is exactly nu^2 B^-1.  The simulator
 checks the log(T)/T misidentification trend for the empirical-play
-recommendation rule.
+recommendation rule.  It runs its trials in lockstep on stacks of these
+posteriors, with one batched factorization per step for all trials.
+Discovery keeps the single-posterior functions: numpy's batched
+factorization and solves differ from scipy's in the last bits, which would
+change discovery's rewards and mu_hat.
 """
 
 from __future__ import annotations
@@ -297,37 +301,85 @@ class LinearInstance:
         self.best_index = int(np.argmax(means))
 
 
-def lints_play_counts(instance: LinearInstance, horizons, nu, rng):
-    """One LinTS run to max(horizons); returns play counts at each horizon."""
-    d = instance.mu_star.shape[0]
-    post = BanditPosterior.fresh(d, nu)
-    counts = np.zeros(instance.arms.shape[0], dtype=int)
-    snapshots = {}
+# Steps of normals each simulator trial draws from its generator at a time.
+# One standard_normal((k, d + 1)) block is the same stream as k steps of
+# standard_normal(d) then standard_normal(), so the block size does not
+# change the draws.  It trades generator calls for memory: at 200 trials
+# and d = 5, a block of 10 steps holds 96 KB, and one of 50 would hold 480 KB.
+_DRAW_BLOCK = 10
+
+
+def lints_play_counts(instance: LinearInstance, horizons, nu, rngs):
+    """LinTS runs to max(horizons), one per generator, in lockstep.
+
+    Returns {T: (len(rngs), n_arms) play counts}.  Each run draws, per
+    step, standard_normal(d) for its sample and standard_normal() for its
+    reward noise from its own generator, so row i equals a run on rngs[i]
+    alone.  The posteriors are held as stacks: each step factors every
+    precision with one batched Cholesky, and the sample and the mean are
+    batched solves."""
+    n_arms, d = instance.arms.shape
+    trials = len(rngs)
+    T_max = max(horizons)
     horizon_set = set(horizons)
     means = instance.arms @ instance.mu_star
-    for t in range(1, max(horizons) + 1):
-        mu = posterior_sample(post, rng)
-        idx = int(np.argmax(instance.arms @ mu))
-        reward = means[idx] + instance.noise_sigma * rng.standard_normal()
-        post = posterior_update(post, instance.arms[idx], reward)
-        counts[idx] += 1
-        if t in horizon_set:
-            snapshots[t] = counts.copy()
+    B = np.tile(np.eye(d), (trials, 1, 1))
+    L = B.copy()
+    f = np.zeros((trials, d))
+    mu_hat = np.zeros((trials, d))
+    counts = np.zeros((trials, n_arms), dtype=int)
+    rows = np.arange(trials)
+    snapshots = {}
+    draws = np.empty((trials, _DRAW_BLOCK, d + 1))
+    for t in range(T_max):
+        if t % _DRAW_BLOCK == 0:
+            steps = min(_DRAW_BLOCK, T_max - t)
+            for rng, block in zip(rngs, draws[:, :steps]):
+                rng.standard_normal(out=block)
+        z = draws[:, t % _DRAW_BLOCK]
+        # mu = mu_hat + nu L^-T z, so its covariance is nu^2 B^-1.
+        mu = mu_hat + nu * np.linalg.solve(L.transpose(0, 2, 1), z[:, :d, None])[..., 0]
+        if not np.isfinite(mu).all():
+            raise NumericError("posterior sample must be finite")
+        idx = np.argmax(mu @ instance.arms.T, axis=1)
+        reward = means[idx] + instance.noise_sigma * z[:, d]
+        if not np.isfinite(reward).all():
+            raise NumericError("reward must be finite")
+        a = instance.arms[idx]
+        B += a[:, :, None] * a[:, None, :]
+        f += reward[:, None] * a
+        try:
+            L = np.linalg.cholesky(B)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"posterior precision not SPD: {exc}")
+        mu_hat = np.linalg.solve(B, f[..., None])[..., 0]
+        counts[rows, idx] += 1
+        if t + 1 in horizon_set:
+            snapshots[t + 1] = counts.copy()
     return snapshots
 
 
 def simulate_linear(instance: LinearInstance, horizons, nu, trials, seed=0):
-    """Empirical P[A_T != a*] per horizon, A_T drawn from the play counts."""
+    """Empirical P[A_T != a*] per horizon, A_T drawn from the play counts.
+
+    The trials run in lockstep (see lints_play_counts), each on its own
+    generator spawned from `seed`."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    horizons = sorted(horizons)
+    horizons = list(horizons)
+    if not horizons or not all(
+        isinstance(T, (int, np.integer)) and not isinstance(T, bool) and T >= 1 for T in horizons
+    ):
+        raise ValueError(f"horizons must be a non-empty list of whole numbers >= 1: {horizons!r}")
+    if not 0 <= nu < np.inf:
+        raise ValueError("nu must be finite and >= 0")
+    horizons = sorted(set(horizons))
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(trials)]
+    snapshots = lints_play_counts(instance, horizons, nu, rngs)
     misid = {T: 0 for T in horizons}
-    root = np.random.SeedSequence(seed)
-    for child in root.spawn(trials):
-        rng = np.random.default_rng(child)
-        snapshots = lints_play_counts(instance, horizons, nu, rng)
+    for i, rng in enumerate(rngs):
         for T in horizons:
-            counts = snapshots[T]
+            counts = snapshots[T][i]
             guess = rng.choice(len(counts), p=counts / counts.sum())
             misid[T] += int(guess != instance.best_index)
     return {T: misid[T] / trials for T in horizons}

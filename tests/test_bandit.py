@@ -363,6 +363,79 @@ def test_simulator_validation():
     inst = LinearInstance(np.array([1.0, 0.4]), np.eye(2), 0.1)
     with pytest.raises(ValueError):
         simulate_linear(inst, [10], nu=0.5, trials=0)
+    for horizons in ([0], [-5, 10], [], [2.5], [True]):
+        with pytest.raises(ValueError, match="horizons"):
+            simulate_linear(inst, horizons, nu=0.5, trials=2)
+    # A NaN sample would make every argmax pick arm 0.
+    for nu in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError, match="nu"):
+            simulate_linear(inst, [5], nu=nu, trials=2)
+    # A repeated horizon is one horizon, not two draws counted into one rate.
+    once = simulate_linear(inst, [10], nu=0.5, trials=20, seed=3)
+    assert simulate_linear(inst, [10, 10], nu=0.5, trials=20, seed=3) == once
+
+
+def test_simulator_refuses_non_finite_values(monkeypatch):
+    # The best arm's mean overflows to inf, so its reward is not finite.
+    with np.errstate(over="ignore"):
+        huge = LinearInstance(np.array([1e308]), np.array([[1.0], [2.0]]), 0.0)
+        with pytest.raises(NumericError, match="reward must be finite"):
+            simulate_linear(huge, [5], nu=0.5, trials=3)
+        # Finite rewards of 1e308 add up to an infinite f, so the next
+        # sample is not finite either.
+        summed = LinearInstance(np.array([1e308]), np.array([[1.0], [0.5]]), 0.0)
+        with pytest.raises(NumericError, match="posterior sample must be finite"):
+            simulate_linear(summed, [5], nu=0.5, trials=3)
+
+    def no_factorization(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_factorization)
+    inst = LinearInstance(np.array([1.0, 0.4]), np.eye(2), 0.1)
+    with pytest.raises(NumericError, match="posterior precision not SPD"):
+        simulate_linear(inst, [5], nu=0.5, trials=3)
+
+
+def _play_counts_one_run(instance, horizons, nu, rng):
+    """One LinTS run step by step on the single-posterior path, drawing
+    from rng in the order the lockstep simulator must keep."""
+    post = BanditPosterior.fresh(instance.mu_star.size, nu)
+    counts = np.zeros(len(instance.arms), dtype=int)
+    snapshots = {}
+    for t in range(1, max(horizons) + 1):
+        idx = int(np.argmax(instance.arms @ posterior_sample(post, rng)))
+        reward = instance.arms[idx] @ instance.mu_star
+        reward += instance.noise_sigma * rng.standard_normal()
+        post = posterior_update(post, instance.arms[idx], reward)
+        counts[idx] += 1
+        if t in horizons:
+            snapshots[t] = counts.copy()
+    return snapshots
+
+
+def test_lockstep_trials_match_single_runs():
+    arms = np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]]
+    )
+    inst = LinearInstance(np.array([0.5, 0.3, 0.2, 0.1]), arms, 0.3)
+    d = inst.mu_star.size
+    # T_max = 133 is not a multiple of the draw block, so the last block is cut.
+    horizons = (7, 133)
+    assert max(horizons) % bandit._DRAW_BLOCK
+    seeds = np.random.SeedSequence(7).spawn(5)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    stacked = lints_play_counts(inst, horizons, 0.5, rngs)
+    for i, (seed, rng) in enumerate(zip(seeds, rngs)):
+        alone = lints_play_counts(inst, horizons, 0.5, [np.random.default_rng(seed)])
+        reference = _play_counts_one_run(inst, horizons, 0.5, np.random.default_rng(seed))
+        for T in horizons:
+            assert np.array_equal(stacked[T][i], alone[T][0]), (i, T)
+            assert np.array_equal(stacked[T][i], reference[T]), (i, T)
+            assert stacked[T][i].sum() == T
+        # The run drew exactly T_max steps of d + 1 normals, no more.
+        fresh = np.random.default_rng(seed)
+        fresh.standard_normal(max(horizons) * (d + 1))
+        assert rng.standard_normal() == fresh.standard_normal()
 
 
 def test_regret_rate_improves_with_horizon():
@@ -375,11 +448,11 @@ def test_regret_rate_improves_with_horizon():
     per_step = {T: 0.0 for T in horizons}
     root = np.random.SeedSequence(42)
     trials = 60
-    for child in root.spawn(trials):
-        rng = np.random.default_rng(child)
-        snaps = lints_play_counts(inst, horizons, nu=0.5, rng=rng)
+    rngs = [np.random.default_rng(child) for child in root.spawn(trials)]
+    snaps = lints_play_counts(inst, horizons, nu=0.5, rngs=rngs)
+    for i in range(trials):
         for T in horizons:
-            per_step[T] += float(snaps[T] @ gaps) / T / trials
+            per_step[T] += float(snaps[T][i] @ gaps) / T / trials
     assert per_step[1000] <= 0.5 * per_step[100]
 
 
