@@ -53,7 +53,10 @@ class BanditPosterior:
 def posterior_sample(post: BanditPosterior, rng: np.random.Generator) -> np.ndarray:
     """Draw mu ~ N(mu_hat, nu^2 B^-1) as mu_hat + nu L^-T z."""
     z = rng.standard_normal(post.d)
-    return post.mu_hat + post.nu * solve_triangular(post.L, z, lower=True, trans="T")
+    mu = post.mu_hat + post.nu * solve_triangular(post.L, z, lower=True, trans="T")
+    if not np.isfinite(mu).all():
+        raise NumericError("posterior sample must be finite")
+    return mu
 
 
 def posterior_update(post: BanditPosterior, a, gamma: float) -> BanditPosterior:
@@ -191,10 +194,11 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
     reward is centered on the held-out loss of a symmetry-free reference
     MLP trained once with the same budget: arms whose inductive bias helps
     get positive rewards, harmful constraints get negative ones, so the
-    fitted mu_hat turns positive exactly on the useful coordinates and the
-    final argmax recovers the maximal consistent arm.  With
-    reward_holdout = 0 the literal rule is used instead: reward
-    -min(L_train, loss_cap)/loss_cap.
+    fitted mu_hat turns positive on the useful coordinates.  A bonus
+    size_bonus * |I| / n favours arms on larger supports; it is the same for
+    every kind on one support, so only the held-out loss tells the kinds on
+    a support apart.  With reward_holdout = 0 the literal rule is used
+    instead: reward -min(L_train, loss_cap)/loss_cap.
 
     Training failures never abort the loop: an arm whose training diverges
     or whose loss is non-finite gets the floor reward -1 and loss inf.  The
@@ -239,9 +243,8 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
                         fit_data, held_data, cfg.train_cfg, cfg.train_cfg.loss_kind
                     )
                 gamma = float(np.clip((ref_loss - loss) / ref_loss, -1.0, 1.0))
-                # Occam bonus for larger index sets: among arms the target is
-                # consistent with, prefer the maximal symmetry (the smaller
-                # function class), so the fitted model ranks a group above
+                # Bonus for larger index sets.  It depends on |I| alone, so
+                # it favours larger supports but does not rank a group above
                 # its subgroups on the same support.
                 gamma += cfg.size_bonus * len(arm.descriptor.index_set) / n_coords
         records.append(PullRecord(t, arm, gamma, loss))
@@ -288,9 +291,12 @@ class LinearInstance:
     def __post_init__(self):
         self.mu_star = np.asarray(self.mu_star, dtype=float)
         self.arms = np.asarray(self.arms, dtype=float)
-        means = self.arms @ self.mu_star
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = self.arms @ self.mu_star
         if means.ndim != 1 or means.size < 2:
             raise ValueError("instance needs a mu_star vector and at least two arms")
+        if not np.isfinite(means).all():
+            raise ValueError("arm means must be finite")
         order = np.sort(means)[::-1]
         gap = float(order[0] - order[1])
         if not gap > 0:

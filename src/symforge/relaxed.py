@@ -36,6 +36,7 @@ from .net import (
     _sgd,
     init_params,
 )
+from .rho import rho_unified
 
 
 @dataclass
@@ -70,10 +71,8 @@ def init_relaxed(n: int, p: int = 16, h: int = 32, seed: int = 0) -> RelaxedPara
 def _dense_front(params: RelaxedParams, X):
     """The all-pairs rows P (m, n^2, 2) of Y = M1 x, Z = M2 P and
     Q = (I - M1) x for a batch."""
-    n = X.shape[1]
     Y = X @ params.m1.T  # (m, n)
-    # All-pairs rows in row-major order: row i*n+j holds (y_i, y_j).
-    P = np.stack([np.repeat(Y, n, axis=1), np.tile(Y, (1, n))], axis=2)
+    P = rho_unified(Y)  # row i*n+j holds (y_i, y_j)
     Z = np.einsum("rs,msk->mrk", params.m2, P)
     return P, Z, X - Y
 

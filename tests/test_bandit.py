@@ -376,11 +376,15 @@ def test_simulator_validation():
 
 
 def test_simulator_refuses_non_finite_values(monkeypatch):
-    # The best arm's mean overflows to inf, so its reward is not finite.
+    # An arm mean that overflows to inf is refused when the instance is built.
+    with pytest.raises(ValueError, match="arm means must be finite"):
+        LinearInstance(np.array([1e308]), np.array([[1.0], [2.0]]), 0.0)
     with np.errstate(over="ignore"):
-        huge = LinearInstance(np.array([1e308]), np.array([[1.0], [2.0]]), 0.0)
+        # The means are finite, but the best arm's mean plus any positive
+        # noise overflows, so its reward is not finite.
+        noisy = LinearInstance(np.array([np.finfo(float).max, 0.0]), np.eye(2), 1e308)
         with pytest.raises(NumericError, match="reward must be finite"):
-            simulate_linear(huge, [5], nu=0.5, trials=3)
+            simulate_linear(noisy, [5], nu=0.5, trials=50)
         # Finite rewards of 1e308 add up to an infinite f, so the next
         # sample is not finite either.
         summed = LinearInstance(np.array([1e308]), np.array([[1.0], [0.5]]), 0.0)

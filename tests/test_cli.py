@@ -401,6 +401,61 @@ def test_discover_with_no_rows_to_hold_out(tmp_path):
     assert report["screened_coordinates"] == [0, 1, 2, 3, 4]
 
 
+def _tiny_config(tmp_path, section, values):
+    """A discover and bandit-sim config that runs in well under a second,
+    with `values` set in `section`."""
+    tiny = {
+        "task": {"sizes": [64, 16]},
+        "arms": {"screen_repeats": 2},
+        "bandit": {"T": 3},
+        "training": {"epochs": 30},
+        "sim": {"horizons": [5], "trials": 5},
+    }
+    tiny[section] = {**tiny[section], **values}
+    return _write_config(tmp_path, **tiny)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_discover_refuses_an_infinite_posterior_sample(tmp_path):
+    # nu = 1e308 passes the load check, as it is finite, but the scaled
+    # sample overflows; it used to reach the argmax and exit 1 with a
+    # ValueError traceback.
+    path = _tiny_config(tmp_path, "bandit", {"nu": 1e308})
+    result = CliRunner().invoke(main, ["discover", "--config", str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    (line,) = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert "posterior sample must be finite" in line
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "section, values",
+    [
+        pytest.param("bandit", {"nu": 1e308}, id="bandit.nu-1e308"),
+        pytest.param("bandit", {"size_bonus": 1e308}, id="bandit.size_bonus-1e308"),
+        pytest.param("bandit", {"loss_cap": 1e-308}, id="bandit.loss_cap-1e-308"),
+        pytest.param("bandit", {"loss_cap": 1e308}, id="bandit.loss_cap-1e308"),
+        pytest.param("training", {"lr_initial": 1e308}, id="training.lr_initial-1e308"),
+        pytest.param("training", {"lr_decay": 1e-308}, id="training.lr_decay-1e-308"),
+        pytest.param("sim", {"nu": 1e308}, id="sim.nu-1e308"),
+        pytest.param("sim", {"noise_sigma": 1e308}, id="sim.noise_sigma-1e308"),
+        pytest.param("sim", {"mu_star": [1e308, 0.0]}, id="sim.mu_star-1e308"),
+    ],
+)
+def test_cli_extreme_accepted_values_never_trace_back(tmp_path, section, values):
+    # The loader accepts each of these values, so every command must either
+    # run or exit 2 with an error line, never with another exception.
+    path = _tiny_config(tmp_path, section, values)
+    load_config(path)
+    for command in ("discover", "bandit-sim"):
+        result = CliRunner().invoke(main, [command, "--config", str(path)])
+        assert result.exit_code in (0, 2), (command, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), command
+        if result.exit_code == 2:
+            assert any(line.startswith("error:") for line in result.output.splitlines())
+
+
 def test_cli_gen_data_and_bandit_sim_commands(tmp_path):
     runner = CliRunner()
     path = _write_config(tmp_path, sim={"horizons": [20], "trials": 10})

@@ -7,27 +7,19 @@ from hypothesis import strategies as st
 
 from symforge.errors import DimensionError, NotInImageError
 from symforge.groups import CYCLIC, DIHEDRAL, SYMMETRIC, Permutation, act
-from symforge.rho import (
-    in_image,
-    rho_cyclic,
-    rho_dihedral,
-    rho_inverse,
-    rho_symmetric,
-    rho_unified,
-    rho_variant,
-)
+from symforge.rho import in_image, rho_inverse, rho_unified, rho_variant
 
 
 def test_rho_cyclic_example():
-    out = rho_cyclic([1.0, 2.0, 3.0])
+    out = rho_variant([1.0, 2.0, 3.0], CYCLIC)
     assert np.array_equal(out, [[1.0, 2.0], [2.0, 3.0], [3.0, 1.0]])
 
 
 def test_rho_dihedral_examples():
-    out2 = rho_dihedral([1.0, 2.0])
+    out2 = rho_variant([1.0, 2.0], DIHEDRAL)
     assert out2.shape == (4, 2)
     assert np.array_equal(out2, [[1, 2], [2, 1], [2, 1], [1, 2]])
-    out3 = rho_dihedral([1.0, 2.0, 3.0])
+    out3 = rho_variant([1.0, 2.0, 3.0], DIHEDRAL)
     assert out3.shape == (6, 2)
     assert np.array_equal(
         out3, [[1, 2], [2, 1], [2, 3], [3, 2], [3, 1], [1, 3]]
@@ -35,7 +27,7 @@ def test_rho_dihedral_examples():
 
 
 def test_rho_symmetric_example():
-    out = rho_symmetric([1.0, 2.0, 3.0])
+    out = rho_variant([1.0, 2.0, 3.0], SYMMETRIC)
     assert np.array_equal(out, [[1, 1], [2, 2], [3, 3]])
 
 
@@ -48,31 +40,44 @@ def test_rho_unified_row_major():
     for i in range(3):
         for j in range(3):
             assert tuple(out[3 * i + j]) == (x[i], x[j])
+    # A batch (m, n) lifts each row: (m, n^2, 2), the stacked per-row lifts.
+    batch = np.arange(12.0).reshape(4, 3)
+    assert np.array_equal(rho_unified(batch), np.stack([rho_unified(row) for row in batch]))
 
 
 def test_dimension_guards():
     with pytest.raises(DimensionError):
-        rho_cyclic([1.0])
+        rho_variant([1.0], CYCLIC)
     with pytest.raises(DimensionError):
         rho_variant(np.ones((2, 2)), CYCLIC)
     with pytest.raises(DimensionError):
         in_image(np.ones((3, 3)), CYCLIC)
+    with pytest.raises(DimensionError):
+        rho_inverse(np.ones(4), SYMMETRIC)
+    for bad in ([1.0], np.float64(1.0)):
+        with pytest.raises(DimensionError):
+            rho_unified(bad)
 
 
 def test_rho_variant_dispatch():
     x = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(rho_variant(x, CYCLIC), rho_cyclic(x))
-    assert np.array_equal(rho_variant(x, DIHEDRAL), rho_dihedral(x))
-    assert np.array_equal(rho_variant(x, SYMMETRIC), rho_symmetric(x))
     with pytest.raises(ValueError):
         rho_variant(x, "affine")
+    # An unknown kind is refused before the shape is read.
+    with pytest.raises(ValueError):
+        rho_variant([1.0], "affine")
+    for m in (np.ones((3, 2)), np.ones((1, 2)), np.empty((0, 2))):
+        with pytest.raises(ValueError):
+            in_image(m, "affine")
+        with pytest.raises(ValueError):
+            rho_inverse(m, "affine")
 
 
 def test_in_image_cyclic_shuffle_counts():
     # For distinct entries, exactly the k cyclic row rotations of rho(x)
     # stay in the image; a k = 3 lift has 3! row orders, 3 of which pass.
     x = np.array([0.3, 0.7, 0.1])
-    rows = [tuple(r) for r in rho_cyclic(x)]
+    rows = [tuple(r) for r in rho_variant(x, CYCLIC)]
     passing = sum(
         in_image(np.array(perm), CYCLIC) for perm in itertools.permutations(rows)
     )
@@ -80,14 +85,14 @@ def test_in_image_cyclic_shuffle_counts():
 
 
 def test_in_image_rejects_near_misses():
-    good = rho_cyclic([1.0, 2.0, 3.0])
+    good = rho_variant([1.0, 2.0, 3.0], CYCLIC)
     bad = good.copy()
     bad[0, 1] += 1e-12
     assert in_image(good, CYCLIC)
     assert not in_image(bad, CYCLIC)
     assert not in_image(good, SYMMETRIC)
     assert not in_image(good[:1], CYCLIC)
-    assert not in_image(rho_dihedral([1.0, 2.0, 3.0])[:3], DIHEDRAL)
+    assert not in_image(rho_variant([1.0, 2.0, 3.0], DIHEDRAL)[:3], DIHEDRAL)
 
 
 @pytest.mark.parametrize("variant", [CYCLIC, DIHEDRAL, SYMMETRIC])
@@ -105,6 +110,13 @@ def test_inverse_rejects_outside_image():
         rho_inverse(np.array([[1.0, 2.0], [3.0, 4.0]]), CYCLIC)
     with pytest.raises(NotInImageError):
         rho_inverse(np.array([[1.0, 2.0]]), SYMMETRIC)
+    # rho_variant lifts only vectors of length >= 2, so an empty or one-row
+    # pair matrix is no kind's lift, not even a diagonal one.
+    for m in (np.empty((0, 2)), np.array([[1.0, 1.0]])):
+        for variant in (CYCLIC, DIHEDRAL, SYMMETRIC):
+            assert not in_image(m, variant)
+            with pytest.raises(NotInImageError):
+                rho_inverse(m, variant)
 
 
 @pytest.mark.parametrize(
