@@ -15,6 +15,7 @@ change discovery's rewards and mu_hat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -23,6 +24,7 @@ from .errors import NumericError, TrainingDivergedError
 from .net import (
     SQUARED,
     Dataset,
+    PhiParams,
     TrainConfig,
     _residual_loss,
     evaluate,
@@ -51,11 +53,13 @@ class BanditPosterior:
 
 
 def posterior_sample(post: BanditPosterior, rng: np.random.Generator) -> np.ndarray:
-    """Draw mu ~ N(mu_hat, nu^2 B^-1) as mu_hat + nu L^-T z."""
+    """Draw mu ~ N(mu_hat, nu^2 B^-1) as mu_hat + nu L^-T z, refused unless
+    its absolute sum, which bounds every 0/1 arm's score a . mu, is finite."""
     z = rng.standard_normal(post.d)
-    mu = post.mu_hat + post.nu * solve_triangular(post.L, z, lower=True, trans="T")
-    if not np.isfinite(mu).all():
-        raise NumericError("posterior sample must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = post.mu_hat + post.nu * solve_triangular(post.L, z, lower=True, trans="T")
+        if not np.isfinite(np.abs(mu).sum()):
+            raise NumericError("posterior sample must be finite, and so must its absolute sum")
     return mu
 
 
@@ -149,10 +153,31 @@ def filter_arms(arms, coordinates) -> list:
 
 @dataclass(frozen=True)
 class PullRecord:
+    """train_loss is the arm's reward loss: held out when a holdout exists,
+    else on the rows it was fit on; inf when the fit failed."""
+
     t: int
     arm: ArmFeature
     reward: float
     train_loss: float
+
+
+class ArmFit(NamedTuple):
+    params: PhiParams
+    loss: float  # the reward loss, as PullRecord.train_loss
+
+
+def _fit_arm(arm, fit_data: Dataset, held_data, train_cfg: TrainConfig) -> ArmFit | None:
+    """phi trained for the arm on fit_data, and its loss on held_data (on
+    fit_data when held_data is None); None when the fit fails."""
+    sp = SelectionPair.for_descriptor(arm.descriptor)
+    try:
+        params, loss = train_sgd(fit_data, sp, train_cfg)
+        if held_data is not None:
+            loss = mean_loss(params, sp, held_data, train_cfg.loss_kind)
+    except (NumericError, TrainingDivergedError):
+        return None
+    return ArmFit(params, loss)
 
 
 @dataclass
@@ -179,8 +204,9 @@ class DiscoveryResult:
     ranking: list[ArmFeature]  # all arms, by a^T mu_hat descending
     records: list[PullRecord]
     posterior: BanditPosterior
-    arm_losses: dict  # bits -> the arm's reward loss (the same on every pull)
-    arm_params: dict  # bits -> trained PhiParams
+    fits: dict  # bits -> ArmFit of each pulled arm whose fit succeeded
+    fit_data: Dataset  # the rows every arm is fit on
+    train_cfg: TrainConfig
 
 
 def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResult:
@@ -205,7 +231,8 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
     reference is fit when the first reward needs it, and its failure, like
     a non-finite dataset, ends the run with a SymforgeError.  Every pull
     trains from scratch with the same seed, so a re-pulled arm gets the
-    same weights and reward.
+    same weights and reward.  The result keeps the fits, and the rows and
+    settings they used, so evaluate_top_arms fits other arms the same way.
     """
     if cfg.T < 1:
         raise ValueError("need T >= 1")
@@ -217,24 +244,19 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
     A = arm_matrix(arms)
     post = BanditPosterior.fresh(A.shape[1], cfg.nu)
     records = []
-    arm_losses: dict = {}
-    arm_params: dict = {}
+    fits: dict = {}
     n_coords = dataset.inputs.shape[1]
     fit_data, held_data = _holdout_split(dataset, cfg.reward_holdout)
     ref_loss = None
     for t in range(1, cfg.T + 1):
         mu = posterior_sample(post, rng)
         arm = arms[argmax_arm(mu, A)]
-        sp = SelectionPair.for_descriptor(arm.descriptor)
-        try:
-            params, loss = train_sgd(fit_data, sp, cfg.train_cfg)
-            if held_data is not None:
-                loss = mean_loss(params, sp, held_data, cfg.train_cfg.loss_kind)
-        except (NumericError, TrainingDivergedError):
+        fit = _fit_arm(arm, fit_data, held_data, cfg.train_cfg)
+        if fit is None:
             loss, gamma = float("inf"), -1.0
         else:
-            arm_params[arm.bits] = params
-            arm_losses[arm.bits] = loss
+            fits[arm.bits] = fit
+            loss = fit.loss
             if held_data is None:
                 gamma = -min(loss, cfg.loss_cap) / cfg.loss_cap
             else:
@@ -250,30 +272,22 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
         records.append(PullRecord(t, arm, gamma, loss))
         post = posterior_update(post, arm.bits, gamma)
     ranking = [arms[i] for i in rank_arms(post.mu_hat, A)]
-    return DiscoveryResult(ranking, records, post, arm_losses, arm_params)
+    return DiscoveryResult(ranking, records, post, fits, fit_data, cfg.train_cfg)
 
 
-def evaluate_top_arms(
-    result: DiscoveryResult,
-    dataset: Dataset,
-    top: int = 3,
-    train_data: Dataset | None = None,
-    train_cfg: TrainConfig | None = None,
-):
-    """Validation MAE for the leading ranked arms.
-
-    Arms the bandit never trained are evaluated as None, unless train_data
-    and train_cfg are given, in which case they are trained on demand."""
+def evaluate_top_arms(result: DiscoveryResult, dataset: Dataset, top: int = 3):
+    """[(arm, MAE on dataset)] for the leading ranked arms, in one fit regime:
+    a pulled arm's fit from the run, else a fit on the same rows and
+    settings.  None when the fit fails or the evaluation raises NumericError."""
     out = []
     for arm in result.ranking[:top]:
-        params = result.arm_params.get(arm.bits)
-        sp = SelectionPair.for_descriptor(arm.descriptor)
-        if params is None and train_data is not None and train_cfg is not None:
+        fit = result.fits.get(arm.bits) or _fit_arm(arm, result.fit_data, None, result.train_cfg)
+        mae = None
+        if fit is not None:
             try:
-                params, _ = train_sgd(train_data, sp, train_cfg)
-            except TrainingDivergedError:
-                params = None
-        mae = None if params is None else evaluate(params, sp, dataset)
+                mae = evaluate(fit.params, SelectionPair.for_descriptor(arm.descriptor), dataset)
+            except NumericError:
+                pass
         out.append((arm, mae))
     return out
 
@@ -343,17 +357,18 @@ def lints_play_counts(instance: LinearInstance, horizons, nu, rngs):
             for rng, block in zip(rngs, draws[:, :steps]):
                 rng.standard_normal(out=block)
         z = draws[:, t % _DRAW_BLOCK]
-        # mu = mu_hat + nu L^-T z, so its covariance is nu^2 B^-1.
-        mu = mu_hat + nu * np.linalg.solve(L.transpose(0, 2, 1), z[:, :d, None])[..., 0]
-        if not np.isfinite(mu).all():
-            raise NumericError("posterior sample must be finite")
-        idx = np.argmax(mu @ instance.arms.T, axis=1)
-        reward = means[idx] + instance.noise_sigma * z[:, d]
-        if not np.isfinite(reward).all():
-            raise NumericError("reward must be finite")
-        a = instance.arms[idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # mu = mu_hat + nu L^-T z, so its covariance is nu^2 B^-1.
+            mu = mu_hat + nu * np.linalg.solve(L.transpose(0, 2, 1), z[:, :d, None])[..., 0]
+            if not np.isfinite(mu).all():
+                raise NumericError("posterior sample must be finite")
+            idx = np.argmax(mu @ instance.arms.T, axis=1)
+            reward = means[idx] + instance.noise_sigma * z[:, d]
+            if not np.isfinite(reward).all():
+                raise NumericError("reward must be finite")
+            a = instance.arms[idx]
+            f += reward[:, None] * a
         B += a[:, :, None] * a[:, None, :]
-        f += reward[:, None] * a
         try:
             L = np.linalg.cholesky(B)
         except np.linalg.LinAlgError as exc:

@@ -49,11 +49,12 @@ class ConfigError(SymforgeError):
 
 
 def _whole(value) -> int:
-    """int(value), refusing a bool, which int() takes as 0 or 1, and a float
-    with a fraction, which int() truncates."""
+    """int(value), refusing a bool, which int() takes as 0 or 1, a float
+    with a fraction, which int() truncates, and a float above 2**53, which
+    names no one whole number (1e308 epochs would run without end)."""
     number = int(value)
-    if isinstance(value, bool) or isinstance(value, float) and number != value:
-        raise ValueError(f"{value!r} is not a whole number")
+    if isinstance(value, bool) or isinstance(value, float) and not (number == value < 2**53):
+        raise ValueError(f"{value!r} is not a whole number below 2**53")
     return number
 
 
@@ -191,7 +192,7 @@ def output_dir(cfg: dict, tag: str = "") -> Path:
     out = _value(cfg, "output.dir") / config_hash(cfg, tag)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot create output directory {out}: {exc}")
     return out
 
@@ -284,10 +285,7 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
         arms = filter_arms(arms, kept)
     result = run_discovery(arms, train, dcfg)
 
-    top = evaluate_top_arms(
-        result, val if val is not None else train, top=3,
-        train_data=train, train_cfg=train_cfg,
-    )
+    top = evaluate_top_arms(result, val if val is not None else train, top=3)
     mu_hat = result.posterior.mu_hat
     report["mode"] = "bandit"
     report["screened_coordinates"] = list(kept)

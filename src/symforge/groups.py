@@ -143,6 +143,14 @@ class GroupDescriptor:
         }
 
 
+def _relabeling(idx, images, n: int) -> Permutation:
+    """The permutation of [n] mapping idx[j] to images[j] and fixing the rest."""
+    mapping = list(range(n))
+    for i, image in zip(idx, images):
+        mapping[i] = image
+    return Permutation(tuple(mapping))
+
+
 def cyclic_generator(index_set, n: int) -> Permutation:
     """The permutation cycling `index_set` one step and fixing everything else."""
     idx = tuple(sorted(index_set))
@@ -150,21 +158,13 @@ def cyclic_generator(index_set, n: int) -> Permutation:
         raise InvalidDescriptorError("cyclic generator needs |I| >= 2")
     if idx[0] < 0 or idx[-1] >= n:
         raise InvalidDescriptorError(f"index set {idx} not within [0, {n})")
-    k = len(idx)
-    mapping = list(range(n))
-    for j in range(k):
-        mapping[idx[j]] = idx[(j + 1) % k]
-    return Permutation(tuple(mapping))
+    return _relabeling(idx, idx[1:] + idx[:1], n)
 
 
 def reflection(index_set, n: int) -> Permutation:
     """Reflection about the center of the ordered index set."""
     idx = tuple(sorted(index_set))
-    k = len(idx)
-    mapping = list(range(n))
-    for j in range(k):
-        mapping[idx[j]] = idx[k - 1 - j]
-    return Permutation(tuple(mapping))
+    return _relabeling(idx, idx[::-1], n)
 
 
 def elements(descriptor: GroupDescriptor) -> list[Permutation]:
@@ -192,29 +192,16 @@ def elements(descriptor: GroupDescriptor) -> list[Permutation]:
     if descriptor.kind == SYMMETRIC:
         if k > SYMMETRIC_K_GUARD:
             raise EnumerationTooLargeError(f"symmetric enumeration for k={k} refused")
-        out = []
-        for images in itertools.permutations(idx):
-            mapping = list(range(n))
-            for j in range(k):
-                mapping[idx[j]] = images[j]
-            out.append(Permutation(tuple(mapping)))
-        return out
+        return [_relabeling(idx, images, n) for images in itertools.permutations(idx)]
 
     pi = cyclic_generator(idx, n)
-    powers = []
-    g = pi
-    for _ in range(k):
-        powers.append(g)
-        g = g.compose(pi)
+    powers = [pi]
+    while len(powers) < k:
+        powers.append(powers[-1].compose(pi))
     if descriptor.kind == CYCLIC:
         return powers
     sigma = reflection(idx, n)
-    reflections = [sigma.compose(p) for p in powers]
-    out = list(powers)
-    for r in reflections:
-        if r not in out:
-            out.append(r)
-    return out
+    return list(dict.fromkeys(powers + [sigma.compose(p) for p in powers]))
 
 
 def act(g: Permutation, x) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EnumerationTooLargeError, InvalidDescriptorError
+from .errors import DimensionError, EnumerationTooLargeError, InvalidDescriptorError, NumericError
 from .groups import CYCLIC, DIHEDRAL, SYMMETRIC, GroupDescriptor
 from .rho import rho_unified
 
@@ -70,13 +70,8 @@ class SelectionPair:
 
     def selected_pairs(self) -> tuple[tuple[int, int], ...]:
         """Original-coordinate index pairs picked by M2, in output-row order."""
-        idx = self.descriptor.index_set
-        n = self.n
-        out = []
-        for _, src in self.m2_entries:
-            u, v = divmod(src, n)
-            out.append((idx[u], idx[v]))
-        return tuple(out)
+        idx, n = self.descriptor.index_set, self.n
+        return tuple((idx[src // n], idx[src % n]) for _, src in self.m2_entries)
 
     def complement_mask(self) -> np.ndarray:
         """Boolean mask of coordinates outside the index set."""
@@ -163,8 +158,11 @@ def _scores(mu, A) -> np.ndarray:
     if not np.all(np.isfinite(mu)):
         raise ValueError("mu must be finite")
     score = np.zeros(len(A))
-    for column, weight in zip(A.T, mu):
-        score += column * weight
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column, weight in zip(A.T, mu):
+            score += column * weight
+    if not np.all(np.isfinite(score)):
+        raise NumericError("arm scores must be finite")
     return score
 
 

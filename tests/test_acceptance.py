@@ -101,7 +101,7 @@ def test_criterion_02_mae_ordering():
     true_maes = []
     for seed in SEEDS:
         spec, train, val, result = _discovery("Z_I(5)", seed)
-        top = evaluate_top_arms(result, val, top=3, train_data=train, train_cfg=TRAIN_CFG)
+        top = evaluate_top_arms(result, val, top=3)
         maes = {arm.bits: mae for arm, mae in top}
         true_mae = maes.get(_true_bits(spec))
         if true_mae is not None:
@@ -155,9 +155,7 @@ def test_criterion_05_trained_pipeline_invariance():
     spec, train, _, result = _discovery("Z_I(5)", 1)
     bits = _true_bits(spec)
     sp = SelectionPair.for_descriptor(spec.descriptor)
-    params = result.arm_params.get(bits)
-    if params is None:
-        params, _ = train_sgd(train, sp, TRAIN_CFG)
+    params, _ = result.fits.get(bits) or train_sgd(train, sp, TRAIN_CFG)
     trained = check_invariance(
         lambda x: forward(params, sp, x), spec.descriptor, samples=100, tol=1e-9
     )

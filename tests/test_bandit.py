@@ -8,6 +8,7 @@ from symforge.bandit import (
     BanditPosterior,
     DiscoveryConfig,
     LinearInstance,
+    _holdout_split,
     evaluate_top_arms,
     filter_arms,
     lints_play_counts,
@@ -19,8 +20,8 @@ from symforge.bandit import (
 )
 from symforge.errors import NumericError, SymforgeError, TrainingDivergedError
 from symforge.groups import CYCLIC, SYMMETRIC, GroupDescriptor
-from symforge.net import Dataset, TrainConfig, train_sgd
-from symforge.selection import encode_arm, enumerate_arms
+from symforge.net import Dataset, TrainConfig, evaluate, train_sgd
+from symforge.selection import SelectionPair, encode_arm, enumerate_arms
 
 FAST = TrainConfig(epochs=20, batch_size=16, seed=0)
 
@@ -255,7 +256,7 @@ def test_discovery_floors_mid_training_divergence(monkeypatch):
     assert len(errors) == cfg.T
     assert errors[0].last_loss == losses[k - 2]
     assert all(rec.reward == -1.0 and np.isinf(rec.train_loss) for rec in result.records)
-    assert result.arm_params == {} and result.arm_losses == {}
+    assert result.fits == {}
 
 
 @pytest.mark.parametrize("row", [3, 35])  # in the fit part, in the held-out part
@@ -315,15 +316,37 @@ def test_screen_coordinates_falls_back_to_all():
     assert kept == (0, 1, 2, 3)
 
 
-def test_evaluate_top_arms_trains_missing():
-    arms = enumerate_arms(3)
+def test_evaluate_top_arms_trains_missing(monkeypatch):
+    # Every top arm is scored from a fit on the rows the pulls were fit on:
+    # a pulled arm from its fit in the run, an unpulled one from a new fit.
     ds = _toy_dataset(3)
     cfg = DiscoveryConfig(T=1, train_cfg=FAST, seed=0)
-    result = run_discovery(arms, ds, cfg)
-    lazy = evaluate_top_arms(result, ds, top=3)
-    assert sum(mae is None for _, mae in lazy) >= 1
-    eager = evaluate_top_arms(result, ds, top=3, train_data=ds, train_cfg=FAST)
-    assert all(mae is not None for _, mae in eager)
+    result = run_discovery(enumerate_arms(3), ds, cfg)
+    top = evaluate_top_arms(result, ds, top=3)
+    pulled = [arm.bits in result.fits for arm, _ in top]
+    assert any(pulled) and not all(pulled)
+    fit_rows = _holdout_split(ds, cfg.reward_holdout)[0]
+    for arm, mae in top:
+        sp = SelectionPair.for_descriptor(arm.descriptor)
+        if arm.bits in result.fits:
+            params = result.fits[arm.bits].params
+        else:
+            params, _ = train_sgd(fit_rows, sp, FAST)
+        assert mae is not None and mae == evaluate(params, sp, ds)
+
+    # A failed fit of an unpulled arm gives None, as does a failed evaluation.
+    def diverging_train_sgd(*args):
+        raise TrainingDivergedError("loss became non-finite", None)
+
+    monkeypatch.setattr(bandit, "train_sgd", diverging_train_sgd)
+    maes = [mae for _, mae in evaluate_top_arms(result, ds, top=3)]
+    assert [mae is not None for mae in maes] == pulled
+
+    def failing_evaluate(*args):
+        raise NumericError("non-finite network output")
+
+    monkeypatch.setattr(bandit, "evaluate", failing_evaluate)
+    assert [mae for _, mae in evaluate_top_arms(result, ds, top=3)] == [None] * 3
 
 
 def test_linear_instance_requires_unique_best():

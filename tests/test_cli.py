@@ -1,10 +1,13 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symforge import cli
 from symforge.cli import (
@@ -302,6 +305,10 @@ def test_cli_exit_codes(tmp_path):
             id="gen-data:training.epochs-inf",
         ),
         pytest.param("bandit", {"T": 2.7}, "bandit.T", id="discover:bandit.T"),
+        # A float count of 1e308 is a whole number to int(): discover ran
+        # without end, and bandit-sim died with an OverflowError traceback.
+        pytest.param("bandit", {"T": 1e308}, "bandit.T", id="discover:bandit.T-1e308"),
+        pytest.param("sim", {"trials": 1e308}, "sim.trials", id="bandit-sim:sim.trials-1e308"),
         pytest.param("arms", {"screen": "no"}, "arms.screen", id="discover:arms.screen"),
         # int(True) is 1, so a bool epoch count trained one epoch; a string
         # of digits was read digit by digit (train 4, val 8; horizons 1 and
@@ -386,6 +393,12 @@ def test_cli_unusable_output_dir_exits_2(tmp_path):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "cannot create output directory" in result.output
+    # A NUL byte in the path used to raise ValueError, a traceback.
+    path = _write_config(tmp_path, output={"dir": "a\0b"})
+    result = CliRunner().invoke(main, ["gen-data", "--config", str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "cannot create output directory" in result.output
 
 
 def test_discover_with_no_rows_to_hold_out(tmp_path):
@@ -428,6 +441,26 @@ def test_discover_refuses_an_infinite_posterior_sample(tmp_path):
     assert "posterior sample must be finite" in line
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, section, values",
+    [
+        pytest.param("discover", "bandit", {"nu": 1e308}, id="discover-bandit.nu-1e308"),
+        pytest.param(
+            "bandit-sim", "sim", {"noise_sigma": 1e308}, id="bandit-sim-sim.noise_sigma-1e308"
+        ),
+    ],
+)
+def test_cli_overflow_is_one_error_line_not_a_warning(tmp_path, command, section, values):
+    # numpy's overflow warnings used to print before the error line; as
+    # errors, they turned the run into a traceback.
+    path = _tiny_config(tmp_path, section, values)
+    result = CliRunner().invoke(main, [command, "--config", str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert len([line for line in result.output.splitlines() if line.startswith("error:")]) == 1
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "section, values",
@@ -454,6 +487,60 @@ def test_cli_extreme_accepted_values_never_trace_back(tmp_path, section, values)
         assert result.exception is None or isinstance(result.exception, SystemExit), command
         if result.exit_code == 2:
             assert any(line.startswith("error:") for line in result.output.splitlines())
+
+
+# Wrong-typed and edge values for any config key.  Strings stay relative
+# paths, as output.dir takes them, and lists stay short.
+_SCALARS = [
+    math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-308, -1e-308, -1, -0.5, 0, 1, 2,
+    True, False, None, "", "x", "1e308", "nan", "a\0b",
+]
+_EDGE_SCALARS = st.sampled_from(_SCALARS)
+_EDGE_VALUES = st.one_of(
+    _EDGE_SCALARS,
+    st.lists(_EDGE_SCALARS, max_size=3),
+    st.lists(st.lists(_EDGE_SCALARS, max_size=2), min_size=1, max_size=2),
+    st.dictionaries(st.sampled_from(["a", "T"]), _EDGE_SCALARS, min_size=1, max_size=2),
+)
+_COMMANDS = (["gen-data"], ["discover"], ["discover", "--sgd-only"], ["bandit-sim"])
+
+
+def _every_scalar(test):
+    """The test with each edge scalar as an explicit example, so every key
+    meets every one of them, besides the drawn values."""
+    for scalar in _SCALARS:
+        test = example(value=scalar)(test)
+    return test
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("key", sorted(cli._KEYS))
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@_every_scalar
+@given(value=_EDGE_VALUES)
+def test_cli_any_config_value_exits_0_or_2(key, value):
+    # Whatever one key holds, every command runs or exits 2 with an error
+    # line; no other exception escapes.  The commands run in a fresh
+    # directory, where a relative output.dir lands.
+    section, name = key.split(".")
+    tiny = {
+        "task": {"name": "S_I(4)", "sizes": [64, 16]},
+        "arms": {"screen_repeats": 2},
+        "bandit": {"T": 3},
+        "training": {"epochs": 5},
+        "sim": {"horizons": [5], "trials": 5},
+        "output": {"dir": "runs"},
+    }
+    tiny[section][name] = value
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("config.yaml").write_text(yaml.safe_dump(tiny))
+        for command in _COMMANDS:
+            result = runner.invoke(main, [*command, "--config", "config.yaml"])
+            assert result.exit_code in (0, 2), (command, result.output, result.exception)
+            assert result.exception is None or isinstance(result.exception, SystemExit), command
+            if result.exit_code == 2:
+                assert any(line.startswith("error:") for line in result.output.splitlines())
 
 
 def test_cli_gen_data_and_bandit_sim_commands(tmp_path):

@@ -160,7 +160,7 @@ def test_end_to_end_symmetrized_probe_prefers_true_kind():
         )
         result = run_discovery(arms, Dataset(X, y), cfg)
         losses = {
-            a.descriptor.kind: result.arm_losses.get(a.bits, float("inf"))
+            a.descriptor.kind: result.fits[a.bits].loss if a.bits in result.fits else float("inf")
             for a in arms
         }
         assert losses[CYCLIC] <= min(losses[DIHEDRAL], losses[SYMMETRIC])

@@ -7,9 +7,11 @@ from symforge.errors import (
     DimensionError,
     EnumerationTooLargeError,
     InvalidDescriptorError,
+    NumericError,
 )
 from symforge.groups import CYCLIC, DIHEDRAL, PRODUCT, SYMMETRIC, GroupDescriptor
 from symforge.selection import (
+    ArmFeature,
     SelectionPair,
     apply_pipeline_front,
     argmax_arm,
@@ -137,6 +139,15 @@ def test_argmax_arm_ties_break_lexicographically():
         argmax_arm(mu, arm_matrix([]))
     with pytest.raises(DimensionError):
         argmax_arm(np.zeros(5), A)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_argmax_arm_refuses_an_overflowing_score():
+    # mu is finite, but the row [1, 1] scores 2e308: it used to be picked
+    # among infinite scores, with an overflow warning.
+    row = ArmFeature((1, 1), GroupDescriptor(SYMMETRIC, (0, 1), 2))
+    with pytest.raises(NumericError, match="arm scores must be finite"):
+        argmax_arm(np.array([1e308, 1e308]), arm_matrix([row]))
 
 
 @settings(max_examples=60, deadline=None)
