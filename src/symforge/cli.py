@@ -442,7 +442,12 @@ def discover_cmd(config_path, seed, sgd_only):
     """Run the full discovery pipeline and write a run report."""
     out, report = _run(run_discover, config_path, seed, sgd_only=sgd_only)
     click.echo(f"report written to {out / 'report.yaml'}")
-    if not sgd_only:
+    if sgd_only:
+        click.echo(
+            f"  sgd-only train_loss={report['train_loss']:.4f}"
+            + (f" val_mae={report['val_mae']:.4f}" if "val_mae" in report else "")
+        )
+    else:
         for row in report["top3"]:
             click.echo(
                 f"  {row['kind']} {row['index_set']} score={row['score']:.4f}"

@@ -73,7 +73,7 @@ def _dense_front(params: RelaxedParams, X):
     Q = (I - M1) x for a batch."""
     Y = X @ params.m1.T  # (m, n)
     P = rho_unified(Y)  # row i*n+j holds (y_i, y_j)
-    Z = np.einsum("rs,msk->mrk", params.m2, P)
+    Z = params.m2 @ P
     return P, Z, X - Y
 
 
@@ -82,18 +82,28 @@ def forward_relaxed(params: RelaxedParams, X) -> np.ndarray:
     return _phi_forward(params.phi, Z, None, Q)
 
 
-def loss_and_grad_relaxed(params: RelaxedParams, X, y, loss_kind=SQUARED):
-    """Mean loss over the batch and its gradients for all relaxed parameters."""
+def _pair_major(A):
+    """A (m, n^2, 2) laid out as (n^2, 2m): row r holds every sample's pair r."""
+    return A.transpose(1, 0, 2).reshape(A.shape[1], -1)
+
+
+def loss_and_grad_relaxed(params: RelaxedParams, X, y, loss_kind=SQUARED, *, out=None):
+    """Mean loss over the batch and its gradients for all relaxed parameters.
+
+    The gradients are written into `out`, a RelaxedParams shaped like
+    params, when one is given."""
     X = np.asarray(X, dtype=float)
     m, n = X.shape
     P, Z, Q = _dense_front(params, X)
-    grads = RelaxedParams(np.empty_like(params.theta), n, params.p, params.h)
+    grads = out
+    if grads is None:
+        grads = RelaxedParams(np.empty_like(params.theta), n, params.p, params.h)
     loss, dZ, dQ = _phi_loss_and_grad(
         params.phi, Z, None, Q, np.asarray(y, dtype=float), loss_kind, grads.phi, input_grad=True
     )
     dZ = dZ.reshape(m, n * n, 2)
-    np.einsum("mrk,msk->rs", dZ, P, out=grads.m2)
-    dP = np.einsum("rs,mrk->msk", params.m2, dZ)
+    np.matmul(_pair_major(dZ), _pair_major(P).T, out=grads.m2)
+    dP = params.m2.T @ dZ
     # P row i*n+j is (y_i, y_j): scatter the two slots back onto y.
     dY = dP[:, :, 0].reshape(m, n, n).sum(axis=2) + dP[:, :, 1].reshape(
         m, n, n
@@ -107,10 +117,11 @@ def train_relaxed(dataset: Dataset, cfg: TrainConfig, p: int = 16, h: int = 32):
     """Joint minibatch SGD over M1, M2 and phi.  Returns (params, final loss)."""
     rng = np.random.default_rng(cfg.seed)
     params = init_relaxed(dataset.inputs.shape[1], p=p, h=h, seed=cfg.seed)
+    grads = RelaxedParams(np.empty_like(params.theta), params.n, p, h)
     X, y = dataset.inputs, dataset.targets
 
     def grad_fn(rows):
-        loss, grads = loss_and_grad_relaxed(params, X[rows], y[rows], cfg.loss_kind)
+        loss, _ = loss_and_grad_relaxed(params, X[rows], y[rows], cfg.loss_kind, out=grads)
         return loss, grads.theta
 
     _sgd(params.theta, grad_fn, cfg, len(dataset), rng)

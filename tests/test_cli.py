@@ -149,6 +149,18 @@ def test_discover_sgd_only_mode(tmp_path):
     assert bandit_out != out
 
 
+def test_discover_sgd_only_echoes_its_result(tmp_path):
+    path = _write_config(tmp_path, training={"epochs": 15, "lr_initial": 0.05})
+    result = CliRunner().invoke(main, ["discover", "--config", str(path), "--sgd-only"])
+    assert result.exit_code == 0, result.output
+    written, line = result.output.splitlines()
+    assert written.startswith("report written to ")
+    report = yaml.safe_load(Path(written.removeprefix("report written to ")).read_text())
+    assert line == (
+        f"  sgd-only train_loss={report['train_loss']:.4f} val_mae={report['val_mae']:.4f}"
+    )
+
+
 @pytest.mark.parametrize("task", ["S_I(4)", "Z_I(5)"])
 def test_sgd_only_m2_rounds_to_no_arm(tmp_path, task):
     # The README's claim for the ablation, at CLI defaults: the learned M2

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from symforge.errors import TrainingDivergedError
-from symforge.net import ABSOLUTE, SQUARED, Dataset, TrainConfig
+from symforge.net import ABSOLUTE, SQUARED, Dataset, PhiParams, TrainConfig, _phi_loss_and_grad
 from symforge.relaxed import (
+    _dense_front,
     evaluate_relaxed,
     forward_relaxed,
     init_relaxed,
     loss_and_grad_relaxed,
     train_relaxed,
 )
+from symforge.rho import rho_unified
 
 
 def test_relaxed_gradients_match_finite_differences():
@@ -35,6 +37,46 @@ def test_relaxed_gradients_match_finite_differences():
         fd = (lp - lm) / (2 * step)
         worst = max(worst, abs(fd - gflat[idx]) / max(abs(fd) + abs(gflat[idx]), 1e-6))
     assert worst <= 1e-4
+
+
+def _einsum_reference(params, X, y, loss_kind):
+    """Z and the (m1, m2, phi) gradients with the M2 contractions written as
+    einsums, the reference for the matmul forms in `relaxed`."""
+    m, n = X.shape
+    Y = X @ params.m1.T
+    P = rho_unified(Y)
+    Z = np.einsum("rs,msk->mrk", params.m2, P)
+    phi = PhiParams(np.empty_like(params.phi.theta), params.p, params.h, n)
+    _, dZ, dQ = _phi_loss_and_grad(params.phi, Z, None, X - Y, y, loss_kind, phi, input_grad=True)
+    dZ = dZ.reshape(m, n * n, 2)
+    m2 = np.einsum("mrk,msk->rs", dZ, P)
+    dP = np.einsum("rs,mrk->msk", params.m2, dZ)
+    dY = dP[:, :, 0].reshape(m, n, n).sum(axis=2) + dP[:, :, 1].reshape(m, n, n).sum(axis=1)
+    m1 = (dY - dQ).T @ X
+    return Z, m1, m2, phi.theta
+
+
+def _assert_close(actual, desired):
+    # rtol 1e-12 of the array's largest entry: a few gradient entries are
+    # sums that nearly cancel, and any change of summation order moves them
+    # by more than 1e-12 of their own size (seen: 3e-11 of it, 1e-18 absolute).
+    np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=1e-12 * np.abs(desired).max())
+
+
+@pytest.mark.parametrize("loss_kind", [SQUARED, ABSOLUTE])
+@pytest.mark.parametrize("batch", [1, 3, 16])
+@pytest.mark.parametrize("n", [4, 10])
+def test_relaxed_contractions_match_einsum_reference(n, batch, loss_kind):
+    rng = np.random.default_rng(n * 100 + batch)
+    params = init_relaxed(n, seed=batch)
+    X = rng.uniform(-1, 1, size=(batch, n))
+    y = rng.uniform(size=batch)
+    Z, m1, m2, phi = _einsum_reference(params, X, y, loss_kind)
+    _assert_close(_dense_front(params, X)[1], Z)
+    _, grads = loss_and_grad_relaxed(params, X, y, loss_kind)
+    _assert_close(grads.m1, m1)
+    _assert_close(grads.m2, m2)
+    _assert_close(grads.phi.theta, phi)
 
 
 def test_relaxed_training_reduces_loss_deterministically():
@@ -106,8 +148,8 @@ def test_relaxed_evaluate_metrics():
 # Float64 results can depend on the BLAS build; these come from numpy 2.4
 # with OpenBLAS 0.3 on x86-64.
 TRAIN_RELAXED_DIGESTS = {
-    SQUARED: "2f2b26f8db47e42b4fe894911ea0918b058baf72e125f984fb922ea8d0f65db3",
-    ABSOLUTE: "d2f56d28b19302c11063dae1dfc1d40a77afc8592d0bb6d87ce47e5b82450edb",
+    SQUARED: "c4186bc13a57e6f2ad612ec96b505257194eb89860389950eef33788e1d7a541",
+    ABSOLUTE: "44fb576606c1f126f3310da5116455efe5d83445ae3cfefe067fd09a8c0049fa",
 }
 
 
