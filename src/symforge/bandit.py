@@ -204,7 +204,7 @@ class DiscoveryResult:
     ranking: list[ArmFeature]  # all arms, by a^T mu_hat descending
     records: list[PullRecord]
     posterior: BanditPosterior
-    fits: dict  # bits -> ArmFit of each pulled arm whose fit succeeded
+    fits: dict  # bits -> ArmFit of each pulled arm whose fit succeeded, fit once per run
     fit_data: Dataset  # the rows every arm is fit on
     train_cfg: TrainConfig
 
@@ -229,10 +229,12 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
     Training failures never abort the loop: an arm whose training diverges
     or whose loss is non-finite gets the floor reward -1 and loss inf.  The
     reference is fit when the first reward needs it, and its failure, like
-    a non-finite dataset, ends the run with a SymforgeError.  Every pull
-    trains from scratch with the same seed, so a re-pulled arm gets the
-    same weights and reward.  The result keeps the fits, and the rows and
-    settings they used, so evaluate_top_arms fits other arms the same way.
+    a non-finite dataset, ends the run with a SymforgeError.  A fit is
+    deterministic (the same seed on the same rows), so an arm is trained on
+    its first pull and a re-pull reuses that fit, with the same weights,
+    loss and reward.  A failed fit is not kept, so a re-pull of that arm
+    trains again.  The result keeps the fits, and the rows and settings
+    they used, so evaluate_top_arms fits other arms the same way.
     """
     if cfg.T < 1:
         raise ValueError("need T >= 1")
@@ -251,7 +253,7 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
     for t in range(1, cfg.T + 1):
         mu = posterior_sample(post, rng)
         arm = arms[argmax_arm(mu, A)]
-        fit = _fit_arm(arm, fit_data, held_data, cfg.train_cfg)
+        fit = fits.get(arm.bits) or _fit_arm(arm, fit_data, held_data, cfg.train_cfg)
         if fit is None:
             loss, gamma = float("inf"), -1.0
         else:

@@ -207,7 +207,8 @@ def test_discovery_survives_divergence():
 
 def test_discovery_survives_nonfinite_held_out_loss(monkeypatch):
     # A NumericError on one pull's held-out loss floors that pull, and the
-    # run goes on.
+    # run goes on.  Only a pull that trains measures a held-out loss, so the
+    # 2nd mean_loss call is the first pull of the 2nd distinct arm.
     calls = []
     real_mean_loss = bandit.mean_loss
 
@@ -221,9 +222,39 @@ def test_discovery_survives_nonfinite_held_out_loss(monkeypatch):
     cfg = DiscoveryConfig(T=4, train_cfg=FAST, seed=0)
     result = run_discovery(enumerate_arms(3), _toy_dataset(3), cfg)
     assert len(result.records) == 4
-    bad = result.records[1]
+    first = result.records[0].arm.bits
+    i_bad = next(i for i, rec in enumerate(result.records) if rec.arm.bits != first)
+    bad = result.records[i_bad]
     assert bad.reward == -1.0 and np.isinf(bad.train_loss)
-    assert all(np.isfinite(rec.train_loss) for i, rec in enumerate(result.records) if i != 1)
+    assert all(np.isfinite(rec.train_loss) for i, rec in enumerate(result.records) if i != i_bad)
+
+
+def test_discovery_trains_each_arm_once(monkeypatch):
+    # A fit is deterministic, so a re-pulled arm reuses its first fit: one
+    # train_sgd call per distinct arm, and every record equals what a fresh
+    # fit of its arm gives.
+    ds = _toy_dataset(3)
+    cfg = DiscoveryConfig(T=8, train_cfg=FAST, seed=0)
+    calls = []
+
+    def counting_train_sgd(*args, **kwargs):
+        calls.append(None)
+        return train_sgd(*args, **kwargs)
+
+    monkeypatch.setattr(bandit, "train_sgd", counting_train_sgd)
+    result = run_discovery(enumerate_arms(3), ds, cfg)
+    monkeypatch.undo()
+    distinct = {rec.arm.bits for rec in result.records}
+    assert len(distinct) < cfg.T  # the run has re-pulls
+    assert len(calls) == len(distinct)
+    fit_rows, held_rows = _holdout_split(ds, cfg.reward_holdout)
+    _, ref_loss = bandit._reference_fit(fit_rows, held_rows, FAST, FAST.loss_kind)
+    for rec in result.records:
+        fresh = bandit._fit_arm(rec.arm, fit_rows, held_rows, FAST)
+        reward = float(np.clip((ref_loss - fresh.loss) / ref_loss, -1.0, 1.0))
+        reward += cfg.size_bonus * len(rec.arm.descriptor.index_set) / ds.inputs.shape[1]
+        assert rec.train_loss == fresh.loss and rec.reward == reward
+        assert np.array_equal(result.fits[rec.arm.bits].params.theta, fresh.params.theta)
 
 
 def test_discovery_floors_mid_training_divergence(monkeypatch):
