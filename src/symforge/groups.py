@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +18,10 @@ from .errors import DimensionError, EnumerationTooLargeError, InvalidDescriptorE
 SYMMETRIC = "symmetric"
 CYCLIC = "cyclic"
 DIHEDRAL = "dihedral"
-PRODUCT = "product"
 
 KINDS = (SYMMETRIC, CYCLIC, DIHEDRAL)
 
 SYMMETRIC_K_GUARD = 8
-PRODUCT_ORDER_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -63,47 +61,17 @@ class Permutation:
 
 @dataclass(frozen=True)
 class GroupDescriptor:
-    """Names a subgroup of S_n: a (kind, index set) pair or a product of them.
+    """Names a subgroup of S_n: one kind acting on one index set.
 
-    For kind == PRODUCT, `components` holds the single-kind factors; their
-    index sets must be pairwise disjoint, the factor orders pairwise distinct,
-    and at most one factor may be symmetric.
+    Products of such groups exist only in the lift verifier
+    (`oracle.verify_product_group`), which takes their factors directly.
     """
 
     kind: str
     index_set: tuple[int, ...]
     n: int
-    components: tuple["GroupDescriptor", ...] = field(default=())
 
     def __post_init__(self):
-        if self.kind == PRODUCT:
-            if len(self.components) < 1:
-                raise InvalidDescriptorError("product descriptor needs components")
-            seen: set[int] = set()
-            orders = []
-            n_symmetric = 0
-            for comp in self.components:
-                if comp.kind not in KINDS:
-                    raise InvalidDescriptorError("nested products are not supported")
-                if comp.n != self.n:
-                    raise InvalidDescriptorError("component ambient dimension mismatch")
-                if seen & set(comp.index_set):
-                    raise InvalidDescriptorError("component index sets must be disjoint")
-                seen |= set(comp.index_set)
-                orders.append(comp.order())
-                n_symmetric += comp.kind == SYMMETRIC
-            if len(set(orders)) != len(orders):
-                raise InvalidDescriptorError(
-                    "product components must have pairwise distinct orders"
-                )
-            if n_symmetric > 1:
-                raise InvalidDescriptorError(
-                    "at most one product component may be symmetric"
-                )
-            object.__setattr__(
-                self, "index_set", tuple(sorted(seen))
-            )
-            return
         if self.kind not in KINDS:
             raise InvalidDescriptorError(f"unknown kind {self.kind!r}")
         idx = tuple(sorted(self.index_set))
@@ -122,20 +90,12 @@ class GroupDescriptor:
             return math.factorial(self.k)
         if self.kind == CYCLIC:
             return self.k
-        if self.kind == DIHEDRAL:
-            # As an action on R^n the k = 2 dihedral group collapses to a
-            # single transposition.
-            return self.k if self.k == 2 else 2 * self.k
-        return math.prod(c.order() for c in self.components)
+        # As an action on R^n the k = 2 dihedral group collapses to a
+        # single transposition.
+        return self.k if self.k == 2 else 2 * self.k
 
     def to_record(self) -> dict:
         """Serializable record; index sets are written 1-based."""
-        if self.kind == PRODUCT:
-            return {
-                "kind": self.kind,
-                "n": self.n,
-                "components": [c.to_record() for c in self.components],
-            }
         return {
             "kind": self.kind,
             "index_set": [i + 1 for i in self.index_set],
@@ -151,57 +111,24 @@ def _relabeling(idx, images, n: int) -> Permutation:
     return Permutation(tuple(mapping))
 
 
-def cyclic_generator(index_set, n: int) -> Permutation:
-    """The permutation cycling `index_set` one step and fixing everything else."""
-    idx = tuple(sorted(index_set))
-    if len(idx) < 2:
-        raise InvalidDescriptorError("cyclic generator needs |I| >= 2")
-    if idx[0] < 0 or idx[-1] >= n:
-        raise InvalidDescriptorError(f"index set {idx} not within [0, {n})")
-    return _relabeling(idx, idx[1:] + idx[:1], n)
-
-
-def reflection(index_set, n: int) -> Permutation:
-    """Reflection about the center of the ordered index set."""
-    idx = tuple(sorted(index_set))
-    return _relabeling(idx, idx[::-1], n)
-
-
 def elements(descriptor: GroupDescriptor) -> list[Permutation]:
-    """Enumerate the group in a fixed, reproducible order.
+    """Enumerate the group in a fixed, reproducible order, each element a
+    relabeling of the sorted index set idx.
 
-    Cyclic: pi^1 .. pi^k.  Dihedral: the cyclic powers followed by
-    sigma * pi^1 .. sigma * pi^k (duplicates collapse for k = 2).
+    Cyclic: the rotations idx[r:] + idx[:r], r = 1 .. k (the powers pi^1 ..
+    pi^k of the one-step cycle).  Dihedral: those rotations, then each one
+    reversed (sigma * pi^1 .. sigma * pi^k; duplicates collapse for k = 2).
     Symmetric: lexicographic over the images of the index set.
     """
-    if descriptor.kind == PRODUCT:
-        if descriptor.order() > PRODUCT_ORDER_GUARD:
-            raise EnumerationTooLargeError(
-                f"product order {descriptor.order()} exceeds guard"
-            )
-        factor_elems = [elements(c) for c in descriptor.components]
-        out = []
-        for combo in itertools.product(*factor_elems):
-            g = Permutation.identity(descriptor.n)
-            for p in combo:
-                g = g.compose(p)
-            out.append(g)
-        return out
-
     idx, n, k = descriptor.index_set, descriptor.n, descriptor.k
     if descriptor.kind == SYMMETRIC:
         if k > SYMMETRIC_K_GUARD:
             raise EnumerationTooLargeError(f"symmetric enumeration for k={k} refused")
         return [_relabeling(idx, images, n) for images in itertools.permutations(idx)]
-
-    pi = cyclic_generator(idx, n)
-    powers = [pi]
-    while len(powers) < k:
-        powers.append(powers[-1].compose(pi))
-    if descriptor.kind == CYCLIC:
-        return powers
-    sigma = reflection(idx, n)
-    return list(dict.fromkeys(powers + [sigma.compose(p) for p in powers]))
+    rotations = [idx[r:] + idx[:r] for r in range(1, k + 1)]
+    if descriptor.kind == DIHEDRAL:
+        rotations = list(dict.fromkeys(rotations + [rot[::-1] for rot in rotations]))
+    return [_relabeling(idx, images, n) for images in rotations]
 
 
 def act(g: Permutation, x) -> np.ndarray:

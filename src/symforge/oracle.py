@@ -1,11 +1,11 @@
 """Brute-force ground truth: invariance checks, symmetrization, lift
 verification and orbit-counting arguments.
 
-One lift verifier serves single-kind and product groups: a single-kind
-group is the one-component case of `rho_product`, so the same per-trial
-checks (injectivity, equivariance, image characterization) and the same
-relabeling search run for both, and `verify_orbit_mapping` adds the
-orbit-to-canonical-form check on top.
+One lift verifier serves single-kind and product groups, which exist only
+here: it takes a group's single-kind factors, one kind being the
+one-component case, so the same per-trial checks (injectivity, equivariance,
+image characterization) and relabeling search run for both, and
+`verify_orbit_mapping` adds the orbit-to-canonical-form check on top.
 
 The orbit of a pair matrix under row permutations is never enumerated;
 sorting the rows lexicographically gives a canonical representative, and
@@ -18,16 +18,17 @@ the search space at k! instead of (rows)!.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EnumerationTooLargeError, NotInImageError
+from .errors import EnumerationTooLargeError, InvalidDescriptorError, NotInImageError
 from .groups import (
     CYCLIC,
     DIHEDRAL,
-    PRODUCT,
     SYMMETRIC,
     GroupDescriptor,
     Permutation,
@@ -125,9 +126,16 @@ class VerificationReport:
         return not self.failures
 
 
-def _verify_lift(descriptor: GroupDescriptor, trials, seed, orbits=False):
-    """Steps 1-3 of the lift verification on distinct-entry samples, and
-    step 4 when `orbits` is set.
+def _product_elements(components) -> list[Permutation]:
+    """One element of each factor, composed, in `itertools.product` order."""
+    identity = Permutation.identity(components[0].n)
+    factors = itertools.product(*map(elements, components))
+    return [functools.reduce(Permutation.compose, combo, identity) for combo in factors]
+
+
+def _verify_lift(components, trials, seed, orbits=False):
+    """Steps 1-3 of the lift verification of the group with factors
+    `components` on distinct-entry samples, and step 4 when `orbits` is set.
 
     1. The lift is injective: each component's block of the lift
        round-trips exactly through rho_inverse, which must not refuse it.
@@ -138,14 +146,14 @@ def _verify_lift(descriptor: GroupDescriptor, trials, seed, orbits=False):
        random in-orbit representative lifts to the same one.
     """
     rng = np.random.default_rng(seed)
-    components = descriptor.components or (descriptor,)
-    group = elements(descriptor)
+    support = sorted(i for c in components for i in c.index_set)
+    group = _product_elements(components)
     group_set = {g.mapping for g in group}
     report = VerificationReport(len(group), trials)
 
     canon_by_orbit = []
     for trial in range(trials):
-        x = _distinct_sample(rng, descriptor.n)
+        x = _distinct_sample(rng, components[0].n)
         for c in components:
             xc = x[list(c.index_set)]
             try:
@@ -160,7 +168,7 @@ def _verify_lift(descriptor: GroupDescriptor, trials, seed, orbits=False):
             if _row_multiset(rho_product(components, act(h, x))) != canon:
                 report.failures.append(("step2", trial, h))
 
-        passing = _preserving_relabelings(components, x, descriptor.index_set)
+        passing = _preserving_relabelings(components, x, support)
         report.counts.append(len(passing))
         if len(passing) != len(group):
             report.failures.append(("step3-count", trial, len(passing)))
@@ -170,7 +178,7 @@ def _verify_lift(descriptor: GroupDescriptor, trials, seed, orbits=False):
 
         if not orbits:
             continue
-        this_orbit = orbit(descriptor, x)
+        this_orbit = frozenset(tuple(act(g, x)) for g in group)
         for other_orbit, other_canon in canon_by_orbit:
             same_orbit = this_orbit == other_orbit
             if same_orbit != (canon == other_canon):
@@ -185,8 +193,7 @@ def _verify_lift(descriptor: GroupDescriptor, trials, seed, orbits=False):
 
 def verify_orbit_mapping(kind: str, k: int, trials=100, seed=0) -> VerificationReport:
     """All four steps of the lift verification for one kind on k coordinates."""
-    descriptor = GroupDescriptor(kind, tuple(range(k)), k)
-    return _verify_lift(descriptor, trials, seed, orbits=True)
+    return _verify_lift((GroupDescriptor(kind, tuple(range(k)), k),), trials, seed, orbits=True)
 
 
 def find_set_e_counterexample(k=4, seed=0, max_tries=200):
@@ -233,11 +240,22 @@ def nonrealizability_counts(k: int, trials=50, seed=0, cond_cap=1e3):
 
 
 def verify_product_group(components, trials=20, seed=0) -> VerificationReport:
-    """Steps 1-3 of the lift verification for the concatenated lift of a
-    product group on disjoint index sets."""
+    """Steps 1-3 of the lift verification for the concatenated lift of the
+    product of `components`: at least one single-kind factor, all in one n,
+    on disjoint index sets, with distinct orders and at most one symmetric."""
     components = tuple(components)
-    n = components[0].n
-    descriptor = GroupDescriptor(PRODUCT, (), n, components)
-    if descriptor.order() > 10**4:
+    if not components:
+        raise InvalidDescriptorError("product descriptor needs components")
+    if len({c.n for c in components}) > 1:
+        raise InvalidDescriptorError("component ambient dimension mismatch")
+    support = [i for c in components for i in c.index_set]
+    if len(set(support)) != len(support):
+        raise InvalidDescriptorError("component index sets must be disjoint")
+    orders = [c.order() for c in components]
+    if len(set(orders)) != len(orders):
+        raise InvalidDescriptorError("product components must have pairwise distinct orders")
+    if [c.kind for c in components].count(SYMMETRIC) > 1:
+        raise InvalidDescriptorError("at most one product component may be symmetric")
+    if math.prod(orders) > 10**4:
         raise EnumerationTooLargeError("product order exceeds verification guard")
-    return _verify_lift(descriptor, trials, seed)
+    return _verify_lift(components, trials, seed)

@@ -30,13 +30,11 @@ KIND_BIT_ORDER = (SYMMETRIC, DIHEDRAL, CYCLIC)
 
 def build_m1(descriptor: GroupDescriptor) -> tuple[tuple[int, int], ...]:
     """Sparse entries of M1: one 1 per row u < k, at column i_u."""
-    _require_single(descriptor)
     return tuple((u, i) for u, i in enumerate(descriptor.index_set))
 
 
 def build_m2(descriptor: GroupDescriptor) -> tuple[tuple[int, int], ...]:
     """Sparse entries of M2 as (output row, unified source row) pairs."""
-    _require_single(descriptor)
     n, k = descriptor.n, descriptor.k
     if descriptor.kind == SYMMETRIC:
         return tuple((u, u * n + u) for u in range(k))
@@ -45,11 +43,6 @@ def build_m2(descriptor: GroupDescriptor) -> tuple[tuple[int, int], ...]:
     fwd = [(u, u * n + (u + 1) % k) for u in range(k)]
     bwd = [(k + u, ((u + 1) % k) * n + u) for u in range(k)]
     return tuple(fwd + bwd)
-
-
-def _require_single(descriptor: GroupDescriptor):
-    if descriptor.kind not in (SYMMETRIC, CYCLIC, DIHEDRAL):
-        raise InvalidDescriptorError("selection matrices need a single-kind descriptor")
 
 
 @dataclass(frozen=True)
@@ -111,7 +104,6 @@ class ArmFeature:
 
 
 def encode_arm(descriptor: GroupDescriptor) -> ArmFeature:
-    _require_single(descriptor)
     n = descriptor.n
     bits = [0] * (n + 3)
     for i in descriptor.index_set:

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,20 +10,19 @@ from symforge.errors import InvalidDescriptorError
 from symforge.groups import (
     CYCLIC,
     DIHEDRAL,
-    PRODUCT,
     SYMMETRIC,
     GroupDescriptor,
     Permutation,
     act,
-    cyclic_generator,
     elements,
     orbit,
-    reflection,
 )
+from symforge.oracle import _product_elements
 
 
 def test_cyclic_generator_example():
-    g = cyclic_generator((0, 1, 3), 4)
+    # The first cyclic element is the one-step cycle of the index set.
+    g = elements(GroupDescriptor(CYCLIC, (0, 1, 3), 4))[0]
     assert g(0) == 1
     assert g(1) == 3
     assert g(3) == 0
@@ -28,8 +30,47 @@ def test_cyclic_generator_example():
 
 
 def test_reflection_example():
-    s = reflection((0, 1, 3), 4)
+    # The last dihedral element is the reflection of the index set.
+    s = elements(GroupDescriptor(DIHEDRAL, (0, 1, 3), 4))[-1]
     assert s(0) == 3 and s(3) == 0 and s(1) == 1 and s(2) == 2
+
+
+def _generator_reference(kind, idx, n):
+    """The element list built from generators: the powers
+    pi^1 .. pi^k of the one-step cycle pi, then, for dihedral, sigma * pi^r
+    for the reflection sigma, deduplicated."""
+    k = len(idx)
+    pi = list(range(n))
+    sigma = list(range(n))
+    for j, i in enumerate(idx):
+        pi[i] = idx[(j + 1) % k]
+        sigma[i] = idx[k - 1 - j]
+    pi, sigma = Permutation(tuple(pi)), Permutation(tuple(sigma))
+    powers = [pi]
+    while len(powers) < k:
+        powers.append(powers[-1].compose(pi))
+    if kind == CYCLIC:
+        return [g.mapping for g in powers]
+    return list(dict.fromkeys(g.mapping for g in powers + [sigma.compose(p) for p in powers]))
+
+
+@pytest.mark.parametrize("kind", [CYCLIC, DIHEDRAL])
+def test_element_order_matches_generator_reference(kind):
+    # symmetrize, check_invariance and the lift verifier read this order.
+    for n in range(2, 7):
+        for size in range(2, n + 1):
+            for idx in itertools.combinations(range(n), size):
+                got = [g.mapping for g in elements(GroupDescriptor(kind, idx, n))]
+                assert got == _generator_reference(kind, idx, n), (idx, n)
+
+
+def test_symmetric_element_order_is_lexicographic():
+    for n in range(2, 7):
+        for size in range(2, n + 1):
+            for idx in itertools.combinations(range(n), size):
+                got = [g.mapping for g in elements(GroupDescriptor(SYMMETRIC, idx, n))]
+                assert len(set(got)) == math.factorial(size)
+                assert got == sorted(got, key=lambda m: [m[i] for i in idx]), (idx, n)
 
 
 def test_act_shift_example():
@@ -102,39 +143,6 @@ def test_invalid_descriptors():
         Permutation((0, 0, 1))
 
 
-def test_product_validation():
-    c3 = GroupDescriptor(CYCLIC, (0, 1, 2), 8)
-    s2 = GroupDescriptor(SYMMETRIC, (3, 4), 8)
-    prod = GroupDescriptor(PRODUCT, (), 8, (c3, s2))
-    assert prod.order() == 6
-    assert prod.index_set == (0, 1, 2, 3, 4)
-    assert len(elements(prod)) == 6
-    # Overlapping supports are rejected.
-    with pytest.raises(InvalidDescriptorError):
-        GroupDescriptor(
-            PRODUCT, (), 8, (c3, GroupDescriptor(SYMMETRIC, (2, 3), 8))
-        )
-    # Equal component orders are rejected.
-    with pytest.raises(InvalidDescriptorError):
-        GroupDescriptor(
-            PRODUCT,
-            (),
-            8,
-            (c3, GroupDescriptor(CYCLIC, (3, 4, 5), 8)),
-        )
-    # Two symmetric factors are rejected even with distinct orders.
-    with pytest.raises(InvalidDescriptorError):
-        GroupDescriptor(
-            PRODUCT,
-            (),
-            8,
-            (
-                GroupDescriptor(SYMMETRIC, (0, 1), 8),
-                GroupDescriptor(SYMMETRIC, (2, 3, 4), 8),
-            ),
-        )
-
-
 def test_orbit_sizes():
     x = np.array([0.1, 0.2, 0.3, 0.9, 0.8])
     assert len(orbit(GroupDescriptor(CYCLIC, (0, 1, 2), 5), x)) == 3
@@ -147,38 +155,19 @@ def test_orbit_sizes():
 def test_generated_group_matches_descriptor():
     # <g> for g = (0 1 2)(3 4) is the product of its two cycles' groups.
     g = Permutation((1, 2, 0, 4, 3, 5))
-    d = GroupDescriptor(
-        PRODUCT,
-        (),
-        6,
-        (GroupDescriptor(CYCLIC, (0, 1, 2), 6), GroupDescriptor(CYCLIC, (3, 4), 6)),
-    )
+    components = (GroupDescriptor(CYCLIC, (0, 1, 2), 6), GroupDescriptor(CYCLIC, (3, 4), 6))
     generated = {Permutation.identity(6).mapping}
     cur = g
     while cur.mapping not in generated:
         generated.add(cur.mapping)
         cur = cur.compose(g)
-    assert {e.mapping for e in elements(d)} == generated
+    assert {e.mapping for e in _product_elements(components)} == generated
 
 
 def test_record_round_trip_is_one_based():
     d = GroupDescriptor(CYCLIC, (2, 4, 5), 10)
     rec = d.to_record()
     assert rec == {"kind": CYCLIC, "index_set": [3, 5, 6], "n": 10}
-    prod = GroupDescriptor(
-        PRODUCT,
-        (),
-        8,
-        (GroupDescriptor(CYCLIC, (0, 1, 2), 8), GroupDescriptor(SYMMETRIC, (3, 4), 8)),
-    )
-    assert prod.to_record() == {
-        "kind": PRODUCT,
-        "n": 8,
-        "components": [
-            {"kind": CYCLIC, "index_set": [1, 2, 3], "n": 8},
-            {"kind": SYMMETRIC, "index_set": [4, 5], "n": 8},
-        ],
-    }
 
 
 @settings(max_examples=30, deadline=None)
@@ -195,8 +184,7 @@ def test_action_is_a_left_action(mapping, values):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(3, 7))
 def test_cyclic_generator_has_order_k(k):
-    d = GroupDescriptor(CYCLIC, tuple(range(k)), k + 1)
-    g = cyclic_generator(d.index_set, d.n)
+    g = elements(GroupDescriptor(CYCLIC, tuple(range(k)), k + 1))[0]
     cur = g
     for _ in range(k - 1):
         cur = cur.compose(g)

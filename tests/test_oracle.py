@@ -5,7 +5,7 @@ import pytest
 
 from symforge import oracle
 from symforge.bandit import DiscoveryConfig, run_discovery
-from symforge.errors import EnumerationTooLargeError
+from symforge.errors import EnumerationTooLargeError, InvalidDescriptorError
 from symforge.groups import (
     CYCLIC,
     DIHEDRAL,
@@ -134,6 +134,26 @@ def test_product_group_verification():
         report = verify_product_group(components, trials=3, seed=0)
         assert report.passed, report.failures
         assert report.order == math.prod(c.order() for c in components)
+
+
+def test_product_validation():
+    c3 = GroupDescriptor(CYCLIC, (0, 1, 2), 8)
+    s2 = GroupDescriptor(SYMMETRIC, (3, 4), 8)
+    assert verify_product_group((c3, s2), trials=1).order == 6
+    rejected = {
+        "empty": (),
+        "overlapping supports": (c3, GroupDescriptor(SYMMETRIC, (2, 3), 8)),
+        "mixed n": (c3, GroupDescriptor(SYMMETRIC, (3, 4), 9)),
+        "equal orders": (c3, GroupDescriptor(CYCLIC, (3, 4, 5), 8)),
+        # Two symmetric factors are rejected even with distinct orders.
+        "two symmetric": (
+            GroupDescriptor(SYMMETRIC, (0, 1), 8),
+            GroupDescriptor(SYMMETRIC, (2, 3, 4), 8),
+        ),
+    }
+    for components in rejected.values():
+        with pytest.raises(InvalidDescriptorError):
+            verify_product_group(components, trials=1)
 
 
 def test_end_to_end_symmetrized_probe_prefers_true_kind():

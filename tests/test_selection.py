@@ -9,7 +9,7 @@ from symforge.errors import (
     InvalidDescriptorError,
     NumericError,
 )
-from symforge.groups import CYCLIC, DIHEDRAL, PRODUCT, SYMMETRIC, GroupDescriptor
+from symforge.groups import CYCLIC, DIHEDRAL, SYMMETRIC, GroupDescriptor
 from symforge.selection import (
     ArmFeature,
     SelectionPair,
@@ -53,19 +53,6 @@ def test_m2_is_constant_in_the_index_set():
         a = GroupDescriptor(kind, (0, 1, 2), 6)
         b = GroupDescriptor(kind, (2, 4, 5), 6)
         assert build_m2(a) == build_m2(b)
-
-
-def test_selection_rejects_products():
-    prod = GroupDescriptor(
-        PRODUCT,
-        (),
-        6,
-        (GroupDescriptor(CYCLIC, (0, 1, 2), 6), GroupDescriptor(SYMMETRIC, (3, 4), 6)),
-    )
-    with pytest.raises(InvalidDescriptorError):
-        build_m1(prod)
-    with pytest.raises(InvalidDescriptorError):
-        encode_arm(prod)
 
 
 def test_selected_pairs_use_original_coordinates():
