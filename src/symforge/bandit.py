@@ -2,14 +2,13 @@
 
 The posterior is the standard Gaussian linear-model one: precision
 B = I + sum a a^T over played arms, reward-weighted sum f, mean B^-1 f.
-Each update factors B = L L^T once; the mean is solved with L, and a
-sample reuses it, so its covariance is exactly nu^2 B^-1.  The simulator
-checks the log(T)/T misidentification trend for the empirical-play
-recommendation rule.  It runs its trials in lockstep on stacks of these
-posteriors, with one batched factorization per step for all trials.
-Discovery keeps the single-posterior functions: numpy's batched
-factorization and solves differ from scipy's in the last bits, which would
-change discovery's rewards and mu_hat.
+Each update factors B = L L^T once and solves for the mean; a sample
+reuses L, so its covariance is exactly nu^2 B^-1.  The factorization and
+the draw are written once, on stacks of posteriors: discovery runs them on
+one `BanditPosterior`, and the simulator on its stack of one posterior per
+trial, so every trial of a step shares one batched factorization.  The
+simulator checks the log(T)/T misidentification trend for the
+empirical-play recommendation rule.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .errors import NumericError, TrainingDivergedError
 from .net import (
@@ -52,12 +50,28 @@ class BanditPosterior:
         return self.B.shape[0]
 
 
+def _factor(B, f):
+    """(L, mu_hat) for each precision B and sum f on the last axes: the lower
+    Cholesky factor of B and the solution of B mu_hat = f."""
+    try:
+        L = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"posterior precision not SPD: {exc}")
+    return L, np.linalg.solve(B, f[..., None])[..., 0]
+
+
+def _draw(mu_hat, L, nu, z):
+    """mu_hat + nu L^-T z for each posterior on the last axes, a draw from
+    N(mu_hat, nu^2 B^-1) when z is standard normal."""
+    return mu_hat + nu * np.linalg.solve(np.swapaxes(L, -1, -2), z[..., None])[..., 0]
+
+
 def posterior_sample(post: BanditPosterior, rng: np.random.Generator) -> np.ndarray:
-    """Draw mu ~ N(mu_hat, nu^2 B^-1) as mu_hat + nu L^-T z, refused unless
-    its absolute sum, which bounds every 0/1 arm's score a . mu, is finite."""
+    """Draw mu ~ N(mu_hat, nu^2 B^-1), refused unless its absolute sum,
+    which bounds every 0/1 arm's score a . mu, is finite."""
     z = rng.standard_normal(post.d)
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = post.mu_hat + post.nu * solve_triangular(post.L, z, lower=True, trans="T")
+        mu = _draw(post.mu_hat, post.L, post.nu, z)
         if not np.isfinite(np.abs(mu).sum()):
             raise NumericError("posterior sample must be finite, and so must its absolute sum")
     return mu
@@ -70,11 +84,8 @@ def posterior_update(post: BanditPosterior, a, gamma: float) -> BanditPosterior:
         raise NumericError("reward must be finite")
     B = post.B + np.outer(a, a)
     f = post.f + gamma * a
-    try:
-        L = cholesky(B, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"posterior precision not SPD: {exc}")
-    return BanditPosterior(B, L, f, cho_solve((L, True), f), post.nu)
+    L, mu_hat = _factor(B, f)
+    return BanditPosterior(B, L, f, mu_hat, post.nu)
 
 
 def _holdout_split(dataset: Dataset, frac: float):
@@ -337,9 +348,8 @@ def lints_play_counts(instance: LinearInstance, horizons, nu, rngs):
     Returns {T: (len(rngs), n_arms) play counts}.  Each run draws, per
     step, standard_normal(d) for its sample and standard_normal() for its
     reward noise from its own generator, so row i equals a run on rngs[i]
-    alone.  The posteriors are held as stacks: each step factors every
-    precision with one batched Cholesky, and the sample and the mean are
-    batched solves."""
+    alone.  The posteriors are held as stacks, so each step runs the
+    posterior's draw and factorization once for all trials."""
     n_arms, d = instance.arms.shape
     trials = len(rngs)
     T_max = max(horizons)
@@ -360,8 +370,7 @@ def lints_play_counts(instance: LinearInstance, horizons, nu, rngs):
                 rng.standard_normal(out=block)
         z = draws[:, t % _DRAW_BLOCK]
         with np.errstate(over="ignore", invalid="ignore"):
-            # mu = mu_hat + nu L^-T z, so its covariance is nu^2 B^-1.
-            mu = mu_hat + nu * np.linalg.solve(L.transpose(0, 2, 1), z[:, :d, None])[..., 0]
+            mu = _draw(mu_hat, L, nu, z[:, :d])
             if not np.isfinite(mu).all():
                 raise NumericError("posterior sample must be finite")
             idx = np.argmax(mu @ instance.arms.T, axis=1)
@@ -371,11 +380,7 @@ def lints_play_counts(instance: LinearInstance, horizons, nu, rngs):
             a = instance.arms[idx]
             f += reward[:, None] * a
         B += a[:, :, None] * a[:, None, :]
-        try:
-            L = np.linalg.cholesky(B)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"posterior precision not SPD: {exc}")
-        mu_hat = np.linalg.solve(B, f[..., None])[..., 0]
+        L, mu_hat = _factor(B, f)
         counts[rows, idx] += 1
         if t + 1 in horizon_set:
             snapshots[t + 1] = counts.copy()

@@ -417,12 +417,18 @@ def main():
 
 def _run(command, config_path, seed, **kwargs):
     """Load the config and run the command on it.  A SymforgeError from
-    either is printed as `error: ...` and exits 2."""
+    either, or a MemoryError from a workload too large for this machine, is
+    printed as `error: ...` and exits 2.  The message is printed after the
+    except clause, which releases the failed command's frames and so the
+    memory that they hold."""
     try:
         return command(load_config(config_path, seed_override=seed), **kwargs)
     except SymforgeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        message = str(exc)
+    except MemoryError:
+        message = "out of memory: the configured workload is too large for this machine"
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
 
 
 @main.command("gen-data")

@@ -48,12 +48,6 @@ class Permutation:
             raise DimensionError("cannot compose permutations of different sizes")
         return Permutation(tuple(other.mapping[j] for j in self.mapping))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(n)))

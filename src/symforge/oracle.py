@@ -1,5 +1,5 @@
-"""Brute-force ground truth: invariance checks, symmetrization, lift
-verification and orbit-counting arguments.
+"""Brute-force ground truth: invariance checks, lift verification and
+orbit-counting arguments.
 
 One lift verifier serves single-kind and product groups, which exist only
 here: it takes a group's single-kind factors, one kind being the
@@ -30,6 +30,7 @@ from .groups import (
     CYCLIC,
     DIHEDRAL,
     SYMMETRIC,
+    SYMMETRIC_K_GUARD,
     GroupDescriptor,
     Permutation,
     act,
@@ -64,17 +65,6 @@ def check_invariance(fn, descriptor: GroupDescriptor, samples=100, tol=1e-9, see
             if violation > worst.max_violation:
                 worst = InvarianceReport(violation, x, g, tol)
     return worst
-
-
-def symmetrize(fn, descriptor: GroupDescriptor):
-    """Group average of fn: the canonical invariant reference function."""
-    group = elements(descriptor)
-    scale = 1.0 / len(group)
-
-    def averaged(x):
-        return scale * sum(fn(act(g, x)) for g in group)
-
-    return averaged
 
 
 def _distinct_sample(rng, k):
@@ -242,7 +232,8 @@ def nonrealizability_counts(k: int, trials=50, seed=0, cond_cap=1e3):
 def verify_product_group(components, trials=20, seed=0) -> VerificationReport:
     """Steps 1-3 of the lift verification for the concatenated lift of the
     product of `components`: at least one single-kind factor, all in one n,
-    on disjoint index sets, with distinct orders and at most one symmetric."""
+    on disjoint index sets of at most SYMMETRIC_K_GUARD coordinates in all,
+    with distinct orders and at most one symmetric."""
     components = tuple(components)
     if not components:
         raise InvalidDescriptorError("product descriptor needs components")
@@ -258,4 +249,10 @@ def verify_product_group(components, trials=20, seed=0) -> VerificationReport:
         raise InvalidDescriptorError("at most one product component may be symmetric")
     if math.prod(orders) > 10**4:
         raise EnumerationTooLargeError("product order exceeds verification guard")
+    if len(support) > SYMMETRIC_K_GUARD:
+        # Step 3 searches every relabeling of the support, the symmetric group on it.
+        raise EnumerationTooLargeError(
+            f"product support of {len(support)} coordinates exceeds the relabeling-search "
+            f"guard of {SYMMETRIC_K_GUARD}"
+        )
     return _verify_lift(components, trials, seed)

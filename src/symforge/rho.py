@@ -59,13 +59,3 @@ def rho_inverse(m, variant: str) -> np.ndarray:
     if lift is None or not np.array_equal(lift, m):
         raise NotInImageError(f"pair matrix is not in Im(rho_{variant})")
     return x
-
-
-def in_image(m, variant: str) -> bool:
-    """Exact test for membership in Im(rho_variant): m is the lift of its
-    own preimage."""
-    try:
-        rho_inverse(m, variant)
-    except NotInImageError:
-        return False
-    return True

@@ -89,7 +89,7 @@ def test_posterior_sample_reuses_the_update_factor(monkeypatch):
 
     # A sample does no factorization of its own; an update converts a
     # failed one into a NumericError.
-    monkeypatch.setattr(bandit, "cholesky", no_factorization)
+    monkeypatch.setattr(np.linalg, "cholesky", no_factorization)
     z = np.random.default_rng(9).standard_normal(5)
     mu = posterior_sample(post, np.random.default_rng(9))
     assert np.allclose(post.L.T @ (mu - post.mu_hat), post.nu * z)
@@ -159,9 +159,9 @@ def test_discovery_is_deterministic():
 
 
 DISCOVERY_DIGESTS = {
-    1: "6d5a7fac950115e069d1895e0d1693b20f1e62c72085df56e4c3b3cfc9ff4e6e",
-    2: "1af4d5b776bf37ab35d43384c327dc4c36e0b8dc2e775642d1db9e7b2459fda2",
-    3: "8ebfe7d02269c9ce9543461c3b8c0a5c6f5f32cba4b3ff8f29c8cee79386e06c",
+    1: "8623932c0778a5f58fb18ae7250ed877e2f3ddfa1f7d7f6a162a351eb5dd2aae",
+    2: "3e1a684a3f51c6f00b679c97862e922c0810272e165f0c5da75c8cb50af94327",
+    3: "a2ba7dfd5aae800f8f90c5fa9a5b9b045af06a99692ebe5fabb9982d58e04ba9",
 }
 
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -647,3 +650,51 @@ def test_cli_verify_failing_report_exits_1(monkeypatch, suite, name, fake, line)
     assert line in result.stdout.splitlines()
     assert f"suite {suite}: FAIL" in result.stderr
     assert f"suite {suite}: pass" not in result.output
+
+
+def _child(code, *args):
+    """Run `code` with args in a fresh interpreter that imports this
+    symforge, on one BLAS thread."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, symforge.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = _child(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# The child caps its address space at 128 MB above what its imports take,
+# so the workload fails on allocation before it can press on the machine.
+_CAPPED_MAIN = """
+import resource, sys
+from symforge.cli import main
+with open("/proc/self/status") as fh:
+    used = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:")) * 1024
+cap = used + 128 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+main(sys.argv[1:])
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc and caps RLIMIT_AS")
+@pytest.mark.parametrize(
+    "command, section, values",
+    [
+        ("gen-data", "task", {"sizes": [100_000_000]}),
+        ("bandit-sim", "sim", {"trials": 100_000_000}),
+    ],
+)
+def test_cli_out_of_memory_exits_2(tmp_path, command, section, values):
+    path = _write_config(tmp_path, **{section: values})
+    proc = _child(_CAPPED_MAIN, command, "--config", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: out of memory: the configured workload is too large for this machine"
+    ]

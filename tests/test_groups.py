@@ -20,6 +20,13 @@ from symforge.groups import (
 from symforge.oracle import _product_elements
 
 
+def inverse(g: Permutation) -> Permutation:
+    inv = [0] * g.n
+    for i, j in enumerate(g.mapping):
+        inv[j] = i
+    return Permutation(tuple(inv))
+
+
 def test_cyclic_generator_example():
     # The first cyclic element is the one-step cycle of the index set.
     g = elements(GroupDescriptor(CYCLIC, (0, 1, 3), 4))[0]
@@ -110,7 +117,7 @@ def test_closure_and_inverses(kind):
     d = GroupDescriptor(kind, (0, 2, 3, 5), 6)
     elems = {g.mapping for g in elements(d)}
     for g in elements(d):
-        assert g.inverse().mapping in elems
+        assert inverse(g).mapping in elems
         for h in elements(d):
             assert g.compose(h).mapping in elems
 
@@ -178,7 +185,7 @@ def test_record_round_trip_is_one_based():
 def test_action_is_a_left_action(mapping, values):
     g = Permutation(tuple(mapping))
     x = np.asarray(values)
-    assert np.array_equal(act(g.inverse(), act(g, x)), x)
+    assert np.array_equal(act(inverse(g), act(g, x)), x)
 
 
 @settings(max_examples=20, deadline=None)

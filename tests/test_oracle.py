@@ -21,7 +21,6 @@ from symforge.oracle import (
     nonrealizability_counts,
     rho_product,
     step3_passing_perms,
-    symmetrize,
     verify_orbit_mapping,
     verify_product_group,
 )
@@ -35,6 +34,17 @@ def test_check_invariance_accepts_and_rejects():
     bad = check_invariance(lambda x: float(x[0]), d, samples=20)
     assert not bad.passed
     assert bad.worst_x is not None and bad.worst_g is not None
+
+
+def symmetrize(fn, descriptor: GroupDescriptor):
+    """Group average of fn: the canonical invariant reference function."""
+    group = elements(descriptor)
+    scale = 1.0 / len(group)
+
+    def averaged(x):
+        return scale * sum(fn(act(g, x)) for g in group)
+
+    return averaged
 
 
 def test_symmetrize_projection():
@@ -154,6 +164,17 @@ def test_product_validation():
     for components in rejected.values():
         with pytest.raises(InvalidDescriptorError):
             verify_product_group(components, trials=1)
+
+
+def test_product_support_guard():
+    # C3 x C6 has 18 elements, but step 3 would search all 9! relabelings of
+    # its 9 coordinates.
+    components = (
+        GroupDescriptor(CYCLIC, (0, 1, 2), 9),
+        GroupDescriptor(CYCLIC, tuple(range(3, 9)), 9),
+    )
+    with pytest.raises(EnumerationTooLargeError, match="product support of 9 coordinates"):
+        verify_product_group(components, trials=1)
 
 
 def test_end_to_end_symmetrized_probe_prefers_true_kind():
