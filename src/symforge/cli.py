@@ -175,11 +175,13 @@ def load_config(path, seed_override=None) -> dict:
             cfg[section][name] = value
     if seed_override is not None:
         cfg["task"]["seed"] = int(seed_override)
-    try:
-        for key in _KEYS:
+    for key in _KEYS:
+        try:
             _value(cfg, key)
-    except ConfigError as exc:
-        raise ConfigError(f"invalid value in {path}: {exc}") from None
+        except ConfigError as exc:
+            overridden = key == "task.seed" and seed_override is not None
+            source = "from --seed" if overridden else f"in {path}"
+            raise ConfigError(f"invalid value {source}: {exc}") from None
     return cfg
 
 
@@ -240,11 +242,42 @@ def run_gen_data(cfg: dict) -> Path:
     return out
 
 
-def _write_matrix(path, matrix):
-    with open(path, "w") as fh:
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+def _csv(rows, header=None) -> bytes:
+    """CSV bytes, one line per row and the header first: floats as .17g, so
+    a re-read float equals the written one, and every other value by str()."""
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in r) for r in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def _arm_fields(descriptor) -> dict:
+    return {"kind": descriptor.kind, "index_set": list(descriptor.index_set)}
+
+
+def discovery_artifacts(result, top) -> tuple[dict, dict]:
+    """(files, fields) of a discovery run: the bytes of pulls.csv,
+    ranking.csv and the winner's dense m1.csv and m2.csv, and the report's
+    top3 and winner fields.  top is evaluate_top_arms' [(arm, MAE)], whose
+    arms lead result.ranking."""
+    scores = [float(np.dot(result.posterior.mu_hat, arm.bits)) for arm in result.ranking]
+    winner = result.ranking[0].descriptor
+    sp, n = SelectionPair.for_descriptor(winner), winner.n
+    pulls = [(r.t, "".join(map(str, r.arm.bits)), r.reward, r.train_loss) for r in result.records]
+    ranking = [
+        (i, arm.descriptor.kind, " ".join(map(str, arm.descriptor.index_set)), score)
+        for i, (arm, score) in enumerate(zip(result.ranking, scores))
+    ]
+    files = {
+        "pulls.csv": _csv(pulls, ("t", "bits", "reward", "loss")),
+        "ranking.csv": _csv(ranking, ("rank", "kind", "index_set", "score")),
+        "m1.csv": _csv(dense_matrix(sp.m1_entries, (n, n))),
+        "m2.csv": _csv(dense_matrix(sp.m2_entries, (n * n, n * n))),
+    }
+    top3 = [
+        dict(_arm_fields(arm.descriptor), score=score, val_mae=mae)
+        for (arm, mae), score in zip(top, scores)
+    ]
+    return files, {"top3": top3, "winner": _arm_fields(winner)}
 
 
 def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
@@ -254,75 +287,44 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
     val = splits.get("val")
     n = train.inputs.shape[1]
     dcfg = _discovery_config(cfg, n)
-    train_cfg = dcfg.train_cfg
     out = output_dir(cfg, tag="sgd-only" if sgd_only else "")
     report: dict = {"config": cfg, "seed": dcfg.seed, "task": manifest}
+    paths = {"m1_path": str(out / "m1.csv"), "m2_path": str(out / "m2.csv")}
 
     if sgd_only:
-        params, loss = train_relaxed(train, train_cfg)
-        report["mode"] = "sgd-only"
-        report["train_loss"] = loss
+        params, loss = train_relaxed(train, dcfg.train_cfg)
+        report.update(paths, mode="sgd-only", train_loss=loss)
         if val is not None:
             report["val_mae"] = evaluate_relaxed(params, val)
-        _write_matrix(out / "m1.csv", params.m1)
-        _write_matrix(out / "m2.csv", params.m2)
-        report["m1_path"] = str(out / "m1.csv")
-        report["m2_path"] = str(out / "m2.csv")
-        report["timing_seconds"] = round(time.perf_counter() - t_start, 3)
-        (out / "report.yaml").write_text(yaml.safe_dump(report, sort_keys=True))
-        return out, report
-
-    arms = enumerate_arms(n)
-    kept = tuple(range(n))
-    if _value(cfg, "arms.screen"):
-        kept = screen_coordinates(
-            train,
-            train_cfg,
-            threshold=_value(cfg, "arms.screen_threshold"),
-            repeats=_value(cfg, "arms.screen_repeats"),
-            seed=dcfg.seed,
+        files = {"m1.csv": _csv(params.m1), "m2.csv": _csv(params.m2)}
+    else:
+        arms = enumerate_arms(n)
+        kept = tuple(range(n))
+        if _value(cfg, "arms.screen"):
+            kept = screen_coordinates(
+                train,
+                dcfg.train_cfg,
+                threshold=_value(cfg, "arms.screen_threshold"),
+                repeats=_value(cfg, "arms.screen_repeats"),
+                seed=dcfg.seed,
+            )
+            arms = filter_arms(arms, kept)
+        result = run_discovery(arms, train, dcfg)
+        top = evaluate_top_arms(result, val if val is not None else train, top=3)
+        files, fields = discovery_artifacts(result, top)
+        fields["winner"].update(paths)
+        report.update(
+            fields,
+            mode="bandit",
+            screened_coordinates=list(kept),
+            arm_count=len(arms),
+            T=dcfg.T,
+            pull_log=str(out / "pulls.csv"),
+            ranking_path=str(out / "ranking.csv"),
         )
-        arms = filter_arms(arms, kept)
-    result = run_discovery(arms, train, dcfg)
 
-    top = evaluate_top_arms(result, val if val is not None else train, top=3)
-    mu_hat = result.posterior.mu_hat
-    report["mode"] = "bandit"
-    report["screened_coordinates"] = list(kept)
-    report["arm_count"] = len(arms)
-    report["T"] = dcfg.T
-    report["top3"] = [
-        {
-            "kind": arm.descriptor.kind,
-            "index_set": list(arm.descriptor.index_set),
-            "score": float(np.dot(mu_hat, arm.bits)),
-            "val_mae": mae,
-        }
-        for arm, mae in top
-    ]
-
-    with open(out / "pulls.csv", "w") as fh:
-        fh.write("t,bits,reward,loss\n")
-        for rec in result.records:
-            bits = "".join(str(b) for b in rec.arm.bits)
-            fh.write(f"{rec.t},{bits},{rec.reward:.17g},{rec.train_loss:.17g}\n")
-    with open(out / "ranking.csv", "w") as fh:
-        fh.write("rank,kind,index_set,score\n")
-        for i, arm in enumerate(result.ranking):
-            idx = " ".join(str(j) for j in arm.descriptor.index_set)
-            fh.write(f"{i},{arm.descriptor.kind},{idx},{np.dot(mu_hat, arm.bits):.17g}\n")
-    winner = result.ranking[0]
-    sp = SelectionPair.for_descriptor(winner.descriptor)
-    _write_matrix(out / "m1.csv", dense_matrix(sp.m1_entries, (n, n)))
-    _write_matrix(out / "m2.csv", dense_matrix(sp.m2_entries, (n * n, n * n)))
-    report["winner"] = {
-        "kind": winner.descriptor.kind,
-        "index_set": list(winner.descriptor.index_set),
-        "m1_path": str(out / "m1.csv"),
-        "m2_path": str(out / "m2.csv"),
-    }
-    report["pull_log"] = str(out / "pulls.csv")
-    report["ranking_path"] = str(out / "ranking.csv")
+    for name, data in files.items():
+        (out / name).write_bytes(data)
     report["timing_seconds"] = round(time.perf_counter() - t_start, 3)
     (out / "report.yaml").write_text(yaml.safe_dump(report, sort_keys=True))
     return out, report
@@ -402,12 +404,10 @@ def run_bandit_sim(cfg: dict) -> tuple[Path, dict]:
         trials=_value(cfg, "sim.trials"),
         seed=_value(cfg, "task.seed"),
     )
+    rates = dict(sorted(rates.items()))
     out = output_dir(cfg)
-    with open(out / "misid.csv", "w") as fh:
-        fh.write("T,misid_rate\n")
-        for T in sorted(rates):
-            fh.write(f"{T},{rates[T]:.17g}\n")
-    return out, {T: rates[T] for T in sorted(rates)}
+    (out / "misid.csv").write_bytes(_csv(rates.items(), ("T", "misid_rate")))
+    return out, rates
 
 
 @click.group()

@@ -89,18 +89,17 @@ def builtin_polynomial(name: str) -> PolynomialSpec:
 def gen_poly_dataset(spec: PolynomialSpec, m: int, rng) -> Dataset:
     """Uniform inputs on [0,1]^n with exact targets.
 
-    For dihedral specs, rows with a repeated coordinate are resampled: the
-    orbit-mapping argument for dihedral groups fails on such inputs.
+    For dihedral specs, rows with a repeated coordinate are redrawn, in stream
+    order: the orbit-mapping argument for dihedral groups fails on such inputs.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    rows = []
-    while len(rows) < m:
-        x = rng.uniform(size=spec.n)
-        if spec.descriptor.kind == DIHEDRAL and len(set(x.tolist())) < spec.n:
-            continue
-        rows.append(x)
-    X = np.asarray(rows)
+    X = np.empty((0, spec.n))
+    while len(X) < m:
+        rows = rng.uniform(size=(m - len(X), spec.n))
+        if spec.descriptor.kind == DIHEDRAL:
+            rows = rows[(np.diff(np.sort(rows, axis=1), axis=1) != 0).all(axis=1)]
+        X = np.concatenate([X, rows])
     return Dataset(X, spec.evaluate(X))
 
 

@@ -18,6 +18,7 @@ from symforge.bandit import (
     screen_coordinates,
     simulate_linear,
 )
+from symforge.cli import discovery_artifacts
 from symforge.errors import NumericError, SymforgeError, TrainingDivergedError
 from symforge.groups import CYCLIC, SYMMETRIC, GroupDescriptor
 from symforge.net import Dataset, TrainConfig, evaluate, train_sgd
@@ -182,6 +183,25 @@ def test_discovery_golden_bits():
         )
         got = hashlib.sha256(pulls.encode() + ranking.encode()).hexdigest()
         assert got == digest, seed
+
+
+def test_discovery_artifacts_match_the_golden_format():
+    # The CLI's renderer writes the bytes that test_discovery_golden_bits
+    # hashes, and its top3 scores are ranking.csv's leading scores.
+    for seed, digest in DISCOVERY_DIGESTS.items():
+        cfg = DiscoveryConfig(T=10, train_cfg=FAST, seed=seed)
+        data = _toy_dataset(5)
+        result = run_discovery(enumerate_arms(5), data, cfg)
+        top = evaluate_top_arms(result, data, top=3)
+        files, fields = discovery_artifacts(result, top)
+        got = hashlib.sha256(files["pulls.csv"] + files["ranking.csv"]).hexdigest()
+        assert got == digest, seed
+        leading = files["ranking.csv"].decode().splitlines()[1:4]
+        assert [float(row.split(",")[3]) for row in leading] == [r["score"] for r in fields["top3"]]
+        assert [r["val_mae"] for r in fields["top3"]] == [mae for _, mae in top]
+        winner = result.ranking[0].descriptor
+        assert fields["winner"] == {"kind": winner.kind, "index_set": list(winner.index_set)}
+        assert files["m1.csv"].count(b"\n") == 5 and files["m2.csv"].count(b"\n") == 25
 
 
 def test_discovery_literal_reward_mode():

@@ -152,6 +152,18 @@ def test_discover_sgd_only_mode(tmp_path):
     assert bandit_out != out
 
 
+def test_discover_sgd_only_artifacts_are_byte_stable(tmp_path):
+    cfg = load_config(
+        _write_config(tmp_path, training={"epochs": 15, "lr_initial": 0.05})
+    )
+    out, _ = run_discover(cfg, sgd_only=True)
+    first = {name: (out / name).read_bytes() for name in ("m1.csv", "m2.csv")}
+    again, _ = run_discover(cfg, sgd_only=True)
+    assert again == out
+    assert {name: (out / name).read_bytes() for name in first} == first
+    assert len(first["m2.csv"].splitlines()) == 25
+
+
 def test_discover_sgd_only_echoes_its_result(tmp_path):
     path = _write_config(tmp_path, training={"epochs": 15, "lr_initial": 0.05})
     result = CliRunner().invoke(main, ["discover", "--config", str(path), "--sgd-only"])
@@ -216,6 +228,25 @@ def test_cli_exit_codes(tmp_path):
     result = runner.invoke(main, ["verify", "--suite", "everything"])
     assert result.exit_code == 2
     assert "everything" not in VERIFY_SUITES
+
+
+def test_cli_bad_seed_names_the_option(tmp_path):
+    # --seed overrides task.seed, so a bad seed is the option's fault, not
+    # the config file's.
+    path = _write_config(tmp_path)
+    for command in ("gen-data", "discover", "bandit-sim"):
+        result = CliRunner().invoke(main, [command, "--config", str(path), "--seed", "-1"])
+        assert result.exit_code == 2, (command, result.output)
+        assert isinstance(result.exception, SystemExit), command
+        assert result.output == (
+            "error: invalid value from --seed: task.seed must be >= 0, not -1\n"
+        ), command
+    # The same value in the file still blames the file.
+    path = _write_config(tmp_path, task={"seed": -1})
+    result = CliRunner().invoke(main, ["gen-data", "--config", str(path)])
+    assert result.exit_code == 2
+    assert f"invalid value in {path}: task.seed must be >= 0" in result.output
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize(

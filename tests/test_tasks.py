@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from symforge.groups import DIHEDRAL
 from symforge.oracle import check_invariance
 from symforge.tasks import (
     BUILTIN_NAMES,
@@ -98,3 +99,47 @@ def test_persist_load_round_trip(tmp_path):
     loaded = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(loaded[:, :-1], ds.inputs)
     assert np.array_equal(loaded[:, -1], ds.targets)
+
+
+class _ScriptedRng:
+    """Hands out a fixed stream of values in order, whatever shape is asked."""
+
+    def __init__(self, stream):
+        self.stream = np.asarray(stream, dtype=float)
+        self.used = 0
+
+    def uniform(self, size):
+        count = int(np.prod(size))
+        values = self.stream[self.used : self.used + count]
+        self.used += count
+        return values.reshape(size)
+
+
+def _row_by_row(spec, m, rng):
+    # One row per draw, a row with a repeated coordinate skipped.
+    rows = []
+    while len(rows) < m:
+        x = rng.uniform(size=spec.n)
+        if spec.descriptor.kind != DIHEDRAL or len(set(x.tolist())) == spec.n:
+            rows.append(x)
+    return np.asarray(rows)
+
+
+@pytest.mark.parametrize("name", ["D_I(5)", "Z_I(5)"])
+def test_gen_poly_dataset_keeps_the_row_by_row_stream(name):
+    # Rows 2, 3 and 11 repeat a coordinate, and so does the first redrawn
+    # row (stream row 20), so a dihedral draw needs three rounds.
+    spec = builtin_polynomial(name)
+    stream = np.random.default_rng(5).uniform(size=(30, spec.n))
+    for row, (i, j) in {2: (0, 1), 3: (4, 9), 11: (2, 7), 20: (3, 5)}.items():
+        stream[row, j] = stream[row, i]
+    m = 20
+    ds_rng, ref_rng = _ScriptedRng(stream.ravel()), _ScriptedRng(stream.ravel())
+    ds = gen_poly_dataset(spec, m, ds_rng)
+    expected = _row_by_row(spec, m, ref_rng)
+    assert np.array_equal(ds.inputs, expected)
+    assert ds_rng.used == ref_rng.used
+    assert np.array_equal(ds.targets, spec.evaluate(expected))
+    if spec.descriptor.kind == DIHEDRAL:
+        assert ds_rng.used == (m + 4) * spec.n
+        assert not any(np.array_equal(row, stream[20]) for row in ds.inputs)
