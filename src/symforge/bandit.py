@@ -13,7 +13,7 @@ empirical-play recommendation rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -98,13 +98,23 @@ def _holdout_split(dataset: Dataset, frac: float):
     return fit, Dataset(dataset.inputs[-n_held:], dataset.targets[-n_held:])
 
 
-def _reference_fit(fit: Dataset, held: Dataset, train_cfg: TrainConfig, loss_kind):
+def _reference_fit(
+    fit: Dataset, held: Dataset, train_cfg: TrainConfig, loss_kind, references: dict | None = None
+):
     """The symmetry-free reference MLP fit on `fit`, and its held-out loss
-    (floored at 1e-12).  A diverged fit raises TrainingDivergedError.  A fit
-    whose loss on its own rows is not below that of their mean, or whose
-    held-out loss is non-finite, raises NumericError: a reference that
-    diverged to a huge finite loss would otherwise centre every reward."""
-    _, predict = train_reference_mlp(fit, train_cfg)
+    (floored at 1e-12), in loss_kind.  `references`, when given, maps the
+    rows and settings of earlier fits to their predictors: a fit is
+    deterministic, so one on the same rows with the same settings is
+    reused, and a new one is added.  A diverged fit raises
+    TrainingDivergedError.  A fit whose loss on its own rows is not below
+    that of their mean, or whose held-out loss is non-finite, raises
+    NumericError: a reference that diverged to a huge finite loss would
+    otherwise centre every reward."""
+    references = {} if references is None else references
+    key = (fit.inputs.shape, fit.inputs.tobytes(), fit.targets.tobytes(), astuple(train_cfg))
+    if key not in references:
+        _, references[key] = train_reference_mlp(fit, train_cfg)
+    predict = references[key]
     fit_loss = _residual_loss(predict(fit.inputs) - fit.targets, loss_kind)
     constant = _residual_loss(fit.targets.mean() - fit.targets, loss_kind)
     if not fit_loss < constant:
@@ -126,6 +136,7 @@ def screen_coordinates(
     threshold: float = 0.08,
     repeats: int = 30,
     seed: int = 0,
+    references: dict | None = None,
 ) -> tuple:
     """Coordinates the target measurably depends on, by permutation importance.
 
@@ -135,13 +146,15 @@ def screen_coordinates(
     coordinates removes the vacuous arms over coordinates the target
     ignores (any subgroup acting only on those is trivially respected and
     would crowd the ranking).  Falls back to all coordinates if fewer than
-    two pass, or if the dataset is too small to hold any rows out.
+    two pass, or if the dataset is too small to hold any rows out.  The
+    reference fit is added to `references`, when a dict is given, for
+    run_discovery to reuse.
     """
     n = dataset.inputs.shape[1]
     fit, held = _holdout_split(dataset, _SCREEN_HOLDOUT)
     if held is None:
         return tuple(range(n))
-    predict, base = _reference_fit(fit, held, train_cfg, SQUARED)
+    predict, base = _reference_fit(fit, held, train_cfg, SQUARED, references)
     rng = np.random.default_rng(seed)
     importance = np.zeros(n)
     for j in range(n):
@@ -220,7 +233,9 @@ class DiscoveryResult:
     train_cfg: TrainConfig
 
 
-def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResult:
+def run_discovery(
+    arms, dataset: Dataset, cfg: DiscoveryConfig, references: dict | None = None
+) -> DiscoveryResult:
     """Algorithm loop: sample mu, play the argmax arm, train phi for it,
     reward with the capped negative loss, update the posterior.
 
@@ -239,13 +254,15 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
 
     Training failures never abort the loop: an arm whose training diverges
     or whose loss is non-finite gets the floor reward -1 and loss inf.  The
-    reference is fit when the first reward needs it, and its failure, like
-    a non-finite dataset, ends the run with a SymforgeError.  A fit is
-    deterministic (the same seed on the same rows), so an arm is trained on
-    its first pull and a re-pull reuses that fit, with the same weights,
-    loss and reward.  A failed fit is not kept, so a re-pull of that arm
-    trains again.  The result keeps the fits, and the rows and settings
-    they used, so evaluate_top_arms fits other arms the same way.
+    reference is fit when the first reward needs it, unless `references`
+    (as screen_coordinates fills it) holds one fit on the same rows with
+    the same train_cfg; its failure, like a non-finite dataset, ends the
+    run with a SymforgeError.  A fit is deterministic (the same seed on the
+    same rows), so an arm is trained on its first pull and a re-pull reuses
+    that fit, with the same weights, loss and reward.  A failed fit is not
+    kept, so a re-pull of that arm trains again.  The result keeps the
+    fits, and the rows and settings they used, so evaluate_top_arms fits
+    other arms the same way.
     """
     if cfg.T < 1:
         raise ValueError("need T >= 1")
@@ -275,7 +292,7 @@ def run_discovery(arms, dataset: Dataset, cfg: DiscoveryConfig) -> DiscoveryResu
             else:
                 if ref_loss is None:
                     _, ref_loss = _reference_fit(
-                        fit_data, held_data, cfg.train_cfg, cfg.train_cfg.loss_kind
+                        fit_data, held_data, cfg.train_cfg, cfg.train_cfg.loss_kind, references
                     )
                 gamma = float(np.clip((ref_loss - loss) / ref_loss, -1.0, 1.0))
                 # Bonus for larger index sets.  It depends on |I| alone, so

@@ -300,6 +300,7 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
     else:
         arms = enumerate_arms(n)
         kept = tuple(range(n))
+        references: dict = {}  # screening's reference fit, for discovery to reuse
         if _value(cfg, "arms.screen"):
             kept = screen_coordinates(
                 train,
@@ -307,9 +308,10 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
                 threshold=_value(cfg, "arms.screen_threshold"),
                 repeats=_value(cfg, "arms.screen_repeats"),
                 seed=dcfg.seed,
+                references=references,
             )
             arms = filter_arms(arms, kept)
-        result = run_discovery(arms, train, dcfg)
+        result = run_discovery(arms, train, dcfg, references)
         top = evaluate_top_arms(result, val if val is not None else train, top=3)
         files, fields = discovery_artifacts(result, top)
         fields["winner"].update(paths)

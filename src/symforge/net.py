@@ -10,13 +10,28 @@ selected embeddings are summed in lexicographic order of their pair values,
 which makes the output bitwise identical under any permutation of the
 selected rows.
 
-The pair values, their per-row summation order and the complement block
-depend only on the arm and on each input row, so `train_sgd` builds this
-pair layout once per (arm, dataset) and every step takes its batch's rows.
+Each row's selected pairs, sorted into that summation order, and its
+complement block depend only on the arm and on the row, so `train_sgd`
+builds this pair layout once per (arm, dataset) and every step takes its
+batch's rows.
 
 This module runs phi for the package: `_phi_forward` and
 `_phi_loss_and_grad` serve the arm network and the SGD-only ablation
 (`relaxed`), and one MLP loss step serves phi's head and the reference MLP.
+Each layer's weights are one (d_in + 1, d_out) block, W over the bias row,
+and every layer input carries a trailing ones column, so a layer is one
+matmul and one more gives both its weight and bias gradients.  Inputs get
+their ones column once, in the pair layout, the reference MLP's inputs and
+the ablation's front; hidden layers copy their activations into buffers
+that keep it.  The last layer's output and the hidden layers' gradients
+have buffers too, so a training step allocates nothing the size of its pair
+rows: when each step allocated and freed those arrays, glibc handed the
+memory back and faulted it in again at every step until the process first
+freed a larger block, and the first SGD-only discovery in a process ran
+1.4-1.9x as long as the next (Z_I(5), CLI defaults, 2-vCPU Xeon: about
+700,000 page faults against 2,000).  Each training loop allocates the
+buffers for its batch sizes and drops them when it returns; a forward-only
+pass allocates its own.
 
 Everything is float64 numpy; gradients are hand-derived reverse mode and
 checked against central finite differences in the test suite.
@@ -25,6 +40,7 @@ checked against central finite differences in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -79,8 +95,11 @@ class PhiParams:
     mu_head: (p + n) -> h -> h -> 1, tanh hidden, linear output.
 
     All weights live in the one float64 vector `theta`; `eta` and `mu_head`
-    are lists of (W, b) views into it, so an in-place update of `theta`
-    moves every layer.
+    are lists of `_Layer` views into it, so an in-place update of `theta`
+    moves every layer.  Each layer is stored as one contiguous (d_in + 1,
+    d_out) block, W over the bias row b, which the forward and backward
+    passes multiply whole.  The activation buffers are not part of the
+    parameters: the training loop that owns a fit allocates them.
     """
 
     theta: np.ndarray
@@ -101,20 +120,29 @@ def _mlp_size(dims) -> int:
     return sum((d_in + 1) * d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
 
 
+class _Layer(NamedTuple):
+    """One layer's views into a weight vector: W (d_in, d_out), b (d_out,)
+    and Wb, the contiguous (d_in + 1, d_out) block of W with b as its last
+    row, which multiplies an input carrying a trailing ones column."""
+
+    W: np.ndarray
+    b: np.ndarray
+    Wb: np.ndarray
+
+
 def _mlp_views(vec, dims):
-    """(W, b) views into the head of vec for an MLP with the given widths,
+    """`_Layer` views into the head of vec for an MLP with the given widths,
     and the rest of vec."""
     layers, pos = [], 0
     for d_in, d_out in zip(dims[:-1], dims[1:]):
-        W = vec[pos : pos + d_in * d_out].reshape(d_in, d_out)
-        pos += d_in * d_out
-        layers.append((W, vec[pos : pos + d_out]))
-        pos += d_out
+        Wb = vec[pos : pos + (d_in + 1) * d_out].reshape(d_in + 1, d_out)
+        layers.append(_Layer(Wb[:-1], Wb[-1], Wb))
+        pos += (d_in + 1) * d_out
     return layers, vec[pos:]
 
 
 def _init_mlp(layers, rng):
-    for W, b in layers:
+    for W, b, _ in layers:
         bound = 1.0 / np.sqrt(W.shape[0])
         W[...] = rng.uniform(-bound, bound, size=W.shape)
         b[...] = rng.uniform(-bound, bound, size=b.shape)
@@ -129,50 +157,85 @@ def init_params(n: int, p: int = 16, h: int = 32, seed: int = 0) -> PhiParams:
     return params
 
 
-def _mlp_forward(layers, X):
-    """Tanh hidden layers, linear last layer.  Returns (output, caches)."""
+def _with_ones(A) -> np.ndarray:
+    """A with a trailing ones column on its last axis: the input a layer
+    block multiplies, its bias row included."""
+    out = np.ones(A.shape[:-1] + (A.shape[-1] + 1,))
+    out[..., :-1] = A
+    return out
+
+
+class _Buffers(NamedTuple):
+    """The arrays an MLP pass over `rows` rows writes into (see
+    `_mlp_buffers`), so that a training loop's steps allocate none the
+    size of the batch's rows."""
+
+    hidden: list  # (rows, d + 1) per hidden layer of width d, last column 1
+    out: np.ndarray  # (rows, d_out), the last layer's output
+    grad: list  # (rows, d) per hidden layer, the gradient wrt its output
+
+
+def _mlp_buffers(layers, rows) -> _Buffers:
+    """`_Buffers` for an MLP pass over `rows` rows.  The hidden buffers'
+    last column is 1 for the next layer's bias row.  They are column-major,
+    so the d activation columns are one contiguous block: numpy's tanh runs
+    its vectorized loop only on contiguous memory, and on a row-major
+    buffer's strided view it took 1.4-2x as long (16-160 rows of 32)."""
+    return _Buffers(
+        [np.ones((rows, layer.b.size + 1), order="F") for layer in layers[:-1]],
+        np.empty((rows, layers[-1].b.size)),
+        [np.empty((rows, layer.b.size)) for layer in layers[:-1]],
+    )
+
+
+def _mlp_forward(layers, A, buffers: _Buffers):
+    """Tanh hidden layers, linear last layer, written into `buffers`.  A
+    carries a trailing ones column, and so does each hidden buffer, so each
+    layer is one matmul with its block.  Returns (output, caches): each
+    layer's input and its tanh output, None for the linear last layer."""
     caches = []
-    a = X
-    last = len(layers) - 1
-    for i, (W, b) in enumerate(layers):
-        z = a @ W + b
-        out = z if i == last else np.tanh(z)
-        caches.append((a, out, i == last))
-        a = out
-    return a, caches
+    a = A
+    for layer, H in zip(layers, buffers.hidden):
+        z = H[:, :-1]
+        np.matmul(a, layer.Wb, out=z)
+        np.tanh(z, out=z)
+        caches.append((a, z))
+        a = H
+    caches.append((a, None))
+    return np.matmul(a, layers[-1].Wb, out=buffers.out), caches
 
 
-def _mlp_backward(layers, caches, grad_out, grads, input_grad):
-    """Writes the param grads into `grads`, (W, b) views shaped like
-    `layers`; returns the grad wrt the MLP input, or None if not
-    input_grad."""
+def _mlp_backward(layers, caches, grad_out, grads, input_grad, buffers: _Buffers):
+    """Writes the param grads into `grads`, `_Layer`s shaped like `layers`;
+    returns the grad wrt the MLP input (without its ones column), or None
+    if not input_grad.  The hidden layers' gradients go into `buffers`,
+    and each tanh output in the caches is spent: it is overwritten with
+    tanh's derivative."""
     g = grad_out
     for i in range(len(layers) - 1, -1, -1):
-        a, out, is_last = caches[i]
-        if not is_last:
-            g = g * (1.0 - out * out)
-        gW, gb = grads[i]
-        np.matmul(a.T, g, out=gW)
-        g.sum(axis=0, out=gb)
-        if i == 0 and not input_grad:
-            return None
-        g = g @ layers[i][0].T
-    return g
+        a, out = caches[i]
+        if out is not None:  # g is buffers.grad[i]: g *= 1 - out**2
+            np.multiply(out, out, out=out)
+            np.subtract(1.0, out, out=out)
+            np.multiply(g, out, out=g)
+        np.matmul(a.T, g, out=grads[i].Wb)  # gW, then gb as the last row
+        if i == 0:
+            return g @ layers[0].W.T if input_grad else None
+        g = np.matmul(g, layers[i].W.T, out=buffers.grad[i - 1])
 
 
 class _PairLayout(NamedTuple):
-    """The arm-constant front of a batch: the selected pair values P
-    (m, s, 2), each row's lexicographic summation order over its s pairs,
-    and the complement block q (m, n)."""
+    """The arm-constant front of a batch: each row's s selected pairs P
+    (m, s, 3), sorted lexicographically by pair value, and the complement
+    block q (m, n + 1); both carry a trailing ones column."""
 
     P: np.ndarray
-    order: np.ndarray
     q: np.ndarray
 
     def take(self, rows) -> "_PairLayout":
         """The layout of the given rows: each row's entries depend on that
         row alone."""
-        return _PairLayout(self.P[rows], self.order[rows], self.q[rows])
+        return _PairLayout(self.P[rows], self.q[rows])
 
 
 def _pair_layout(sp: SelectionPair, X) -> _PairLayout:
@@ -181,40 +244,58 @@ def _pair_layout(sp: SelectionPair, X) -> _PairLayout:
     idx_r = [b for _, b in pairs]
     P = np.stack([X[:, idx_l], X[:, idx_r]], axis=2)  # (m, s, 2)
     order = np.lexsort((P[:, :, 1], P[:, :, 0]), axis=1)
-    return _PairLayout(P, order, X * sp.complement_mask())
+    P = np.take_along_axis(P, order[:, :, None], axis=1)
+    return _PairLayout(_with_ones(P), _with_ones(X * sp.complement_mask()))
 
 
-def _phi_pool(params: PhiParams, P, order, q):
-    """The head input [mean of eta over the pair rows P (m, s, 2) ; q] and
-    eta's caches.  Each sample's rows are summed in its `order`, when one is
-    given, for the bitwise invariance the module docstring describes."""
+def _phi_buffers(params: PhiParams, rows: int, s_count: int):
+    """phi's `_Buffers` for a batch of `rows` samples of s_count pair rows
+    each: eta's, then the head's."""
+    return _mlp_buffers(params.eta, rows * s_count), _mlp_buffers(params.mu_head, rows)
+
+
+def _phi_pool(params: PhiParams, P, q, eta_buffers):
+    """The head input [mean of eta over the pair rows P (m, s, 3) ; q] and
+    eta's caches.  P and q carry ones columns, and so does the head
+    input.  Each sample's rows are summed in the order P holds them: sorted
+    by pair value in a `_PairLayout`, for the bitwise invariance the module
+    docstring describes."""
     m, s_count, _ = P.shape
-    E, eta_caches = _mlp_forward(params.eta, P.reshape(m * s_count, 2))
-    if order is not None:
-        E = E[(order + np.arange(m)[:, None] * s_count).ravel()]
+    E, eta_caches = _mlp_forward(params.eta, P.reshape(m * s_count, 3), eta_buffers)
     pooled = E.reshape(m, s_count, params.p).sum(axis=1) / s_count
     return np.concatenate([pooled, q], axis=1), eta_caches
 
 
-def _phi_forward(params: PhiParams, P, order, q) -> np.ndarray:
-    """phi's output (m,) for pair rows P, summation order and complement q."""
-    out, _ = _mlp_forward(params.mu_head, _phi_pool(params, P, order, q)[0])
+def _phi_forward(params: PhiParams, P, q) -> np.ndarray:
+    """phi's output (m,) for pair rows P and complement q."""
+    eta_buffers, head_buffers = _phi_buffers(params, *P.shape[:2])
+    z, _ = _phi_pool(params, P, q, eta_buffers)
+    out, _ = _mlp_forward(params.mu_head, z, head_buffers)
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite network output")
     return out[:, 0]
 
 
-def _phi_loss_and_grad(params: PhiParams, P, order, q, y, loss_kind, grads, input_grad):
+def _phi_loss_and_grad(params: PhiParams, P, q, y, loss_kind, grads, input_grad, buffers=None):
     """Mean loss of phi on the batch; writes the weight gradient into grads,
-    a PhiParams.  Returns (loss, dP, dq): the gradients wrt the pair rows,
-    flattened to (m * s, 2), and wrt q, or None for dP if not input_grad."""
-    z, eta_caches = _phi_pool(params, P, order, q)
-    loss, dz = _mlp_loss_and_grad(params.mu_head, z, y, loss_kind, grads.mu_head, input_grad=True)
-    s_count = P.shape[1]
+    a PhiParams.  `buffers` are `_phi_buffers` for the batch's shape,
+    allocated here when None.  Returns (loss, dP, dq): the gradients wrt the
+    pair rows, flattened to (m * s, 2), and wrt q (m, n), or None for dP if
+    not input_grad."""
+    m, s_count, _ = P.shape
+    if buffers is None:
+        buffers = _phi_buffers(params, m, s_count)
+    eta_buffers, head_buffers = buffers
+    z, eta_caches = _phi_pool(params, P, q, eta_buffers)
+    loss, dz = _mlp_loss_and_grad(
+        params.mu_head, z, y, loss_kind, grads.mu_head, True, head_buffers
+    )
     # Each pair row of a sample shares that sample's pooled gradient, at the
-    # mean-pooling scale.
-    up = np.repeat(dz[:, : params.p] / s_count, s_count, axis=0)  # (m * s, p)
-    dP = _mlp_backward(params.eta, eta_caches, up, grads.eta, input_grad)
+    # mean-pooling scale.  eta's output is spent once pooled, so its buffer
+    # takes these rows.
+    up = eta_buffers.out
+    up.reshape(m, s_count, params.p)[...] = (dz[:, : params.p] / s_count)[:, None, :]
+    dP = _mlp_backward(params.eta, eta_caches, up, grads.eta, input_grad, eta_buffers)
     return loss, dP, dz[:, params.p :]
 
 
@@ -232,9 +313,9 @@ def forward(params: PhiParams, sp: SelectionPair, x) -> float:
 def _residual_loss(resid, kind) -> float:
     """Mean squared (SQUARED) or absolute (ABSOLUTE) residual."""
     if kind == SQUARED:
-        return float(np.mean(resid**2))
+        return float(np.square(resid).sum()) / len(resid)
     if kind == ABSOLUTE:
-        return float(np.mean(np.abs(resid)))
+        return float(np.abs(resid).sum()) / len(resid)
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
@@ -245,26 +326,29 @@ def _residual_grad(resid, kind) -> np.ndarray:
     return np.sign(resid) / len(resid)
 
 
-def _mlp_loss_and_grad(layers, X, y, loss_kind, grads, input_grad):
-    """Mean loss of the MLP on (X, y); writes its weight gradient into
-    grads, (W, b) views shaped like layers.  Returns (loss, gradient wrt X
-    or None if not input_grad); a non-finite loss raises NumericError."""
-    out, caches = _mlp_forward(layers, X)
+def _mlp_loss_and_grad(layers, A, y, loss_kind, grads, input_grad, buffers):
+    """Mean loss of the MLP on (A, y), A with its ones column, into
+    `buffers` (see `_mlp_buffers`); writes its weight gradient into grads, `_Layer`s
+    shaped like layers.  Returns (loss, gradient wrt A's data columns or
+    None if not input_grad); a non-finite loss raises NumericError."""
+    out, caches = _mlp_forward(layers, A, buffers)
     resid = out[:, 0] - y
     loss = _residual_loss(resid, loss_kind)
     if not np.isfinite(loss):
         raise NumericError("non-finite loss")
     dpred = _residual_grad(resid, loss_kind)
-    return loss, _mlp_backward(layers, caches, dpred[:, None], grads, input_grad)
+    return loss, _mlp_backward(layers, caches, dpred[:, None], grads, input_grad, buffers)
 
 
 def loss_and_grad(
-    params: PhiParams, sp: SelectionPair, X, y, loss_kind=SQUARED, *, out=None
+    params: PhiParams, sp: SelectionPair, X, y, loss_kind=SQUARED, *, out=None, buffers=None
 ):
     """Mean loss over the batch and its gradient wrt all weights.
 
     X is the (m, n) batch or its `_PairLayout` for sp.  The gradient is
     written into `out`, a PhiParams shaped like params, when one is given.
+    `buffers` are `_phi_buffers` for the batch's shape, which a training
+    loop keeps across its steps; without them the pass allocates its own.
     """
     if not isinstance(X, _PairLayout):
         X = _pair_layout(sp, np.asarray(X, dtype=float))
@@ -272,7 +356,7 @@ def loss_and_grad(
     if grads is None:
         grads = PhiParams(np.empty_like(params.theta), params.p, params.h, params.n)
     loss, _, _ = _phi_loss_and_grad(
-        params, *X, np.asarray(y, dtype=float), loss_kind, grads, input_grad=False
+        params, *X, np.asarray(y, dtype=float), loss_kind, grads, False, buffers
     )
     return loss, grads
 
@@ -314,18 +398,21 @@ def train_sgd(
     """Minibatch SGD with per-epoch decayed learning rate.
 
     Deterministic given the seed: the parameter init and the shuffles come
-    from two streams seeded with it.  Returns (params, final mean training
-    loss).
+    from two streams seeded with it.  The activation buffers live for this
+    fit alone, one set per batch size.  Returns (params, final mean
+    training loss).
     """
     rng = np.random.default_rng(cfg.seed)
     params = init_params(dataset.inputs.shape[1], p=p, h=h, seed=cfg.seed)
     grads = PhiParams(np.empty_like(params.theta), p, h, params.n)
     layout = _pair_layout(sp, dataset.inputs)
     y = dataset.targets
+    buffers = cache(lambda rows: _phi_buffers(params, rows, layout.P.shape[1]))
 
     def grad_fn(rows):
         loss, _ = loss_and_grad(
-            params, sp, layout.take(rows), y[rows], cfg.loss_kind, out=grads
+            params, sp, layout.take(rows), y[rows], cfg.loss_kind, out=grads,
+            buffers=buffers(len(rows)),
         )
         return loss, grads.theta
 
@@ -377,18 +464,20 @@ def train_reference_mlp(dataset: Dataset, cfg: TrainConfig, h: int = 32):
     layers, _ = _mlp_views(theta, dims)
     grad_layers, _ = _mlp_views(grad, dims)
     _init_mlp(layers, rng)
-    X, y = dataset.inputs, dataset.targets
+    X, y = _with_ones(dataset.inputs), dataset.targets
+    buffers = cache(lambda rows: _mlp_buffers(layers, rows))
 
     def grad_fn(rows):
         loss, _ = _mlp_loss_and_grad(
-            layers, X[rows], y[rows], cfg.loss_kind, grad_layers, input_grad=False
+            layers, X[rows], y[rows], cfg.loss_kind, grad_layers, False, buffers(len(rows))
         )
         return loss, grad
 
     _sgd(theta, grad_fn, cfg, len(dataset), rng)
 
     def predict(X):
-        out, _ = _mlp_forward(layers, np.asarray(X, dtype=float))
+        X = _with_ones(np.asarray(X, dtype=float))
+        out, _ = _mlp_forward(layers, X, _mlp_buffers(layers, len(X)))
         return out[:, 0]
 
     return layers, predict

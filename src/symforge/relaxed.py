@@ -8,7 +8,10 @@ and head networks.  The pipeline is
     out = phi(Z, Q).
 
 This module holds the dense front (Z, Q) and its backward into M1 and M2;
-phi's pass is `net`'s, with the rows of Z pooled in their own order.
+phi's pass is `net`'s, with the rows of Z pooled in their own order.  The
+front is written into buffers that end in the ones column phi's bias rows
+multiply; `train_relaxed` keeps one set per batch size for the fit, and
+the forward pass allocates its own.
 
 Neither learned matrix reads as an arm.  At the CLI defaults (seed 1) on
 the five builtin tasks, M1 ends dense: 92-100% of its off-diagonal entries
@@ -21,6 +24,7 @@ arm's M2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from .net import (
     Dataset,
     PhiParams,
     TrainConfig,
+    _phi_buffers,
     _phi_forward,
     _phi_loss_and_grad,
     _residual_loss,
@@ -68,18 +73,28 @@ def init_relaxed(n: int, p: int = 16, h: int = 32, seed: int = 0) -> RelaxedPara
     return RelaxedParams(np.concatenate([m1.ravel(), m2.ravel(), phi.theta]), n, p, h)
 
 
-def _dense_front(params: RelaxedParams, X):
-    """The all-pairs rows P (m, n^2, 2) of Y = M1 x, Z = M2 P and
-    Q = (I - M1) x for a batch."""
+def _front_buffers(n: int, rows: int):
+    """(Z, Q) buffers for a batch of `rows` samples: (rows, n^2, 3) and
+    (rows, n + 1), each with phi's trailing ones column."""
+    return np.ones((rows, n * n, 3)), np.ones((rows, n + 1))
+
+
+def _dense_front(params: RelaxedParams, X, front):
+    """The all-pairs rows P (m, n^2, 2) of Y = M1 x, and Z = M2 P and
+    Q = (I - M1) x for a batch, written into the `front` buffers (see
+    `_front_buffers`) ahead of their ones columns.  Returns (P, Z, Q)."""
+    Z, Q = front
     Y = X @ params.m1.T  # (m, n)
     P = rho_unified(Y)  # row i*n+j holds (y_i, y_j)
-    Z = params.m2 @ P
-    return P, Z, X - Y
+    np.matmul(params.m2, P, out=Z[..., :-1])
+    np.subtract(X, Y, out=Q[:, :-1])
+    return P, Z, Q
 
 
 def forward_relaxed(params: RelaxedParams, X) -> np.ndarray:
-    _, Z, Q = _dense_front(params, np.asarray(X, dtype=float))
-    return _phi_forward(params.phi, Z, None, Q)
+    X = np.asarray(X, dtype=float)
+    _, Z, Q = _dense_front(params, X, _front_buffers(params.n, len(X)))
+    return _phi_forward(params.phi, Z, Q)
 
 
 def _pair_major(A):
@@ -87,19 +102,31 @@ def _pair_major(A):
     return A.transpose(1, 0, 2).reshape(A.shape[1], -1)
 
 
-def loss_and_grad_relaxed(params: RelaxedParams, X, y, loss_kind=SQUARED, *, out=None):
+def _buffers(params: RelaxedParams, rows: int):
+    """The front's buffers and phi's for a batch of `rows` samples."""
+    return _front_buffers(params.n, rows), _phi_buffers(params.phi, rows, params.n**2)
+
+
+def loss_and_grad_relaxed(
+    params: RelaxedParams, X, y, loss_kind=SQUARED, *, out=None, buffers=None
+):
     """Mean loss over the batch and its gradients for all relaxed parameters.
 
     The gradients are written into `out`, a RelaxedParams shaped like
-    params, when one is given."""
+    params, when one is given.  `buffers` are `_buffers` for the batch's
+    shape, which a training loop keeps across its steps; without them the
+    pass allocates its own."""
     X = np.asarray(X, dtype=float)
     m, n = X.shape
-    P, Z, Q = _dense_front(params, X)
+    if buffers is None:
+        buffers = _buffers(params, m)
+    front, phi_buffers = buffers
+    P, Z, Q = _dense_front(params, X, front)
     grads = out
     if grads is None:
         grads = RelaxedParams(np.empty_like(params.theta), n, params.p, params.h)
     loss, dZ, dQ = _phi_loss_and_grad(
-        params.phi, Z, None, Q, np.asarray(y, dtype=float), loss_kind, grads.phi, input_grad=True
+        params.phi, Z, Q, np.asarray(y, dtype=float), loss_kind, grads.phi, True, phi_buffers
     )
     dZ = dZ.reshape(m, n * n, 2)
     np.matmul(_pair_major(dZ), _pair_major(P).T, out=grads.m2)
@@ -114,14 +141,18 @@ def loss_and_grad_relaxed(params: RelaxedParams, X, y, loss_kind=SQUARED, *, out
 
 
 def train_relaxed(dataset: Dataset, cfg: TrainConfig, p: int = 16, h: int = 32):
-    """Joint minibatch SGD over M1, M2 and phi.  Returns (params, final loss)."""
+    """Joint minibatch SGD over M1, M2 and phi.  The buffers live for this
+    fit alone, one set per batch size.  Returns (params, final loss)."""
     rng = np.random.default_rng(cfg.seed)
     params = init_relaxed(dataset.inputs.shape[1], p=p, h=h, seed=cfg.seed)
     grads = RelaxedParams(np.empty_like(params.theta), params.n, p, h)
     X, y = dataset.inputs, dataset.targets
+    buffers = cache(lambda rows: _buffers(params, rows))
 
     def grad_fn(rows):
-        loss, _ = loss_and_grad_relaxed(params, X[rows], y[rows], cfg.loss_kind, out=grads)
+        loss, _ = loss_and_grad_relaxed(
+            params, X[rows], y[rows], cfg.loss_kind, out=grads, buffers=buffers(len(rows))
+        )
         return loss, grads.theta
 
     _sgd(params.theta, grad_fn, cfg, len(dataset), rng)

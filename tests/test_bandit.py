@@ -160,9 +160,9 @@ def test_discovery_is_deterministic():
 
 
 DISCOVERY_DIGESTS = {
-    1: "8623932c0778a5f58fb18ae7250ed877e2f3ddfa1f7d7f6a162a351eb5dd2aae",
-    2: "3e1a684a3f51c6f00b679c97862e922c0810272e165f0c5da75c8cb50af94327",
-    3: "a2ba7dfd5aae800f8f90c5fa9a5b9b045af06a99692ebe5fabb9982d58e04ba9",
+    1: "355dfacb930419e46ef8bf109ed5bffe7fbe77ddbbb022bae290337ac10d22dd",
+    2: "e635e2d7c609f0d0bacf4bbaf4b54d71ca55bcc6e98a19fb01e895334da3ba51",
+    3: "f8db7af7da4a83edae089e926fe369e08c4e8eb999dc05e186963651df1db3ac",
 }
 
 

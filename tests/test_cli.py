@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symforge import cli
+from symforge import bandit, cli
 from symforge.cli import (
     ConfigError,
     VERIFY_SUITES,
@@ -135,6 +135,26 @@ def test_discover_report_and_determinism(tmp_path):
     assert (out2 / "pulls.csv").read_bytes() == pulls1
     assert (out2 / "ranking.csv").read_bytes() == ranking1
     assert report2["top3"] == report1["top3"]
+
+
+@pytest.mark.parametrize("holdout, fits", [(0.25, 1), (0.3, 2)])
+def test_discover_fits_the_reference_once_per_split(tmp_path, monkeypatch, holdout, fits):
+    # Screening holds out 25% of train.  At the same reward holdout and
+    # settings discovery would fit the reference on the same rows, so it
+    # takes screening's fit; pulls.csv is the one its own fit gives.
+    cfg = load_config(_write_config(tmp_path, bandit={"reward_holdout": holdout}))
+    calls = []
+    real = bandit.train_reference_mlp
+    monkeypatch.setattr(bandit, "train_reference_mlp", lambda *a: calls.append(a) or real(*a))
+    out, _ = run_discover(cfg)
+    assert len(calls) == fits
+    pulls = (out / "pulls.csv").read_bytes()
+    calls.clear()
+    own_fit = lambda arms, data, dcfg, references: bandit.run_discovery(arms, data, dcfg)
+    monkeypatch.setattr(cli, "run_discovery", own_fit)
+    out, _ = run_discover(cfg)
+    assert len(calls) == 2
+    assert (out / "pulls.csv").read_bytes() == pulls
 
 
 def test_discover_sgd_only_mode(tmp_path):

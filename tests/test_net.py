@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,13 @@ from symforge.net import (
     forward_batch,
     gradient_check,
     init_params,
+    _init_mlp,
+    _mlp_buffers,
+    _mlp_loss_and_grad,
+    _mlp_size,
+    _mlp_views,
     _pair_layout,
+    _with_ones,
     loss_and_grad,
     mean_loss,
     train_reference_mlp,
@@ -194,11 +202,11 @@ def test_batched_forward_matches_single(seed):
 # build; these come from numpy 2.4 with OpenBLAS 0.3 on x86-64.
 TRAIN_SGD_DIGESTS = {
     (CYCLIC, (0, 1, 3), SQUARED):
-        "48d68f91fbf9f270e08249334ee2612cb87fdb4f43f738c38f985b71b5fc508e",
+        "7ad4659fe869f44eeb8d098ca800a958365cb5093be407f85be61a607db30828",
     (DIHEDRAL, (1, 2, 4), SQUARED):
-        "4bec96b9fac2bb4e3da61a7798818cc8a8863195f11fb0dc9d622d290bfc931f",
+        "e9b948ce9999e2b95dfc2f6b0c38a5894e983f6015c54fae8daf26c21147ba94",
     (SYMMETRIC, (0, 2, 3, 4), ABSOLUTE):
-        "505aba0681f66286b954643c20c456b1115e5b70fbb4341b282ba25e2f4cf0d0",
+        "709637ab6e4f010c65a205da2f5ca2765edd13b8fcee24d55f69eb155aacabc1",
 }
 
 
@@ -239,9 +247,10 @@ def test_layout_rows_match_per_batch_path():
 
 def test_pair_layout_matches_pipeline_front():
     # Criterion 4 checks apply_pipeline_front against the reference lift,
-    # but training reads the pair layout: its s pairs must be the front's
-    # first s rows, the rest of the front's n^2 block zero, and q the first
-    # column of the complement block, whose second column is zero.
+    # but training reads the pair layout: each row's s pairs must be the
+    # front's first s rows in lexicographic order, the rest of the front's
+    # n^2 block zero, and q the first column of the complement block, whose
+    # second column is zero; P and q end in a ones column.
     rng = np.random.default_rng(4)
     n = 7
     for arm in enumerate_arms(n):
@@ -249,19 +258,22 @@ def test_pair_layout_matches_pipeline_front():
         X = rng.normal(size=(3, n))
         layout = _pair_layout(sp, X)
         s = len(sp.m2_entries)
+        assert layout.P.shape == (3, s, 3) and layout.q.shape == (3, n + 1)
+        assert (layout.P[:, :, 2] == 1).all() and (layout.q[:, n] == 1).all()
         for i, x in enumerate(X):
             front = apply_pipeline_front(sp, x)
-            assert np.array_equal(layout.P[i], front[:s]), (arm.descriptor, i)
+            pairs = front[:s][np.lexsort((front[:s, 1], front[:s, 0]))]
+            assert np.array_equal(layout.P[i, :, :2], pairs), (arm.descriptor, i)
             assert not front[s : n * n].any(), (arm.descriptor, i)
-            assert np.array_equal(layout.q[i], front[n * n :, 0]), (arm.descriptor, i)
+            assert np.array_equal(layout.q[i, :n], front[n * n :, 0]), (arm.descriptor, i)
             assert not front[n * n :, 1].any(), (arm.descriptor, i)
 
 
 # sha256 of train_reference_mlp's predictions on its own training set, on the
 # train_sgd golden set.  Same BLAS caveat as TRAIN_SGD_DIGESTS.
 REFERENCE_MLP_DIGESTS = {
-    SQUARED: "319ffccbedaa357987a972e0e693f14d23f05253e30408f15b03fe572db1f50d",
-    ABSOLUTE: "27b8b0f23b383ec75269bfaacb3d9bc9fc1db7a47ef6cd98b93d5ce7edd81dc9",
+    SQUARED: "65b991330274d49bc92bb069ab52a4e19ea4742ca0f44e79020f49e8985a2018",
+    ABSOLUTE: "06ed0d5b4afeeb463ffe8a71b79cd2f3d2b9b90bbc4ad1ec44b7aeca6fa5b747",
 }
 
 
@@ -288,3 +300,94 @@ def test_reference_mlp_divergence_raises():
     ) as info:
         train_reference_mlp(ds, cfg)
     assert np.isfinite(info.value.last_loss)
+
+
+def test_fits_share_no_buffers():
+    # Each training loop allocates its activation buffers for its own batch
+    # shapes and drops them when it returns: a fit of another arm, with
+    # another pair count, and a forward pass on more rows in between leave a
+    # repeated fit bit-identical, and nothing of a finished fit stays
+    # allocated (a cache of buffers shared across fits holds about 1.5 MB).
+    rng = np.random.default_rng(12)
+    ds = Dataset(rng.uniform(size=(37, 5)), rng.uniform(size=37))  # short last batch
+    wide = Dataset(rng.uniform(size=(480, 5)), rng.uniform(size=480))
+    cfg = TrainConfig(epochs=4, batch_size=8, seed=3)
+    a, b = _pair(CYCLIC, (0, 1, 3), 5), _pair(SYMMETRIC, (0, 1, 2, 3, 4), 5)
+    assert len(a.m2_entries) != len(b.m2_entries)
+    first, first_loss = train_sgd(ds, a, cfg)
+    mean_loss(first, a, wide, SQUARED)
+    train_sgd(ds, b, cfg)
+    again, again_loss = train_sgd(ds, a, cfg)
+    assert again.theta.tobytes() == first.theta.tobytes()
+    assert np.float64(again_loss).tobytes() == np.float64(first_loss).tobytes()
+
+    layers, predict = train_reference_mlp(ds, cfg)
+    first = predict(ds.inputs).tobytes(), [layer.Wb.tobytes() for layer in layers]
+    predict(wide.inputs)
+    train_reference_mlp(Dataset(wide.inputs[:50], wide.targets[:50]), cfg)
+    layers, predict = train_reference_mlp(ds, cfg)
+    assert (predict(ds.inputs).tobytes(), [layer.Wb.tobytes() for layer in layers]) == first
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        params, _ = train_sgd(ds, b, cfg)
+        mean_loss(params, b, wide, SQUARED)
+        del params
+        train_reference_mlp(ds, cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 8192, held
+
+
+def _worst_fd_error(loss_at, theta, grad, coords, step=1e-5):
+    """gradient_check's relative error, over the given coordinates."""
+    worst = 0.0
+    for idx in coords:
+        bumped = theta.copy()
+        bumped[idx] += step
+        lp = loss_at(bumped)
+        bumped[idx] -= 2 * step
+        fd = (lp - loss_at(bumped)) / (2 * step)
+        worst = max(worst, abs(fd - grad[idx]) / max(abs(fd) + abs(grad[idx]), 1e-6))
+    return worst
+
+
+def _bias_coords(layers):
+    """The bias coordinates of layers viewed into np.arange(size)."""
+    return [int(i) for layer in layers for i in layer.b]
+
+
+def test_every_bias_row_matches_finite_differences():
+    # The bias gradient is the ones row of each layer's block product, so
+    # every bias row of eta, the head and the reference MLP is checked, at
+    # criterion 6's tolerance; gradient_check samples only 20 coordinates.
+    rng = np.random.default_rng(6)
+    X, y = rng.uniform(size=(10, 5)), rng.uniform(size=10)
+    sp = _pair(DIHEDRAL, (1, 2, 4), 5)
+    params = init_params(5, p=8, h=12, seed=3)
+    index = PhiParams(np.arange(params.theta.size, dtype=float), params.p, params.h, params.n)
+    coords = _bias_coords(index.eta + index.mu_head)
+    assert len(coords) == 2 * 12 + 8 + 2 * 12 + 1
+    _, grads = loss_and_grad(params, sp, X, y)
+    assert np.abs(grads.theta[coords]).max() > 1e-3
+    phi_loss = lambda theta: loss_and_grad(replace(params, theta=theta), sp, X, y)[0]
+    assert _worst_fd_error(phi_loss, params.theta, grads.theta, coords) <= 1e-4
+
+    dims = (5, 12, 12, 1)
+    theta, grad = np.empty(_mlp_size(dims)), np.empty(_mlp_size(dims))
+    layers, _ = _mlp_views(theta, dims)
+    _init_mlp(layers, rng)
+    A = _with_ones(X)
+
+    def mlp_loss(theta, grad):
+        layers, grads = _mlp_views(theta, dims)[0], _mlp_views(grad, dims)[0]
+        return _mlp_loss_and_grad(layers, A, y, SQUARED, grads, False, _mlp_buffers(layers, 10))[0]
+
+    mlp_loss(theta, grad)
+    coords = _bias_coords(_mlp_views(np.arange(theta.size, dtype=float), dims)[0])
+    assert len(coords) == 12 + 12 + 1
+    assert np.abs(grad[coords]).max() > 1e-3
+    loss_at = lambda theta: mlp_loss(theta, np.empty_like(theta))
+    assert _worst_fd_error(loss_at, theta, grad, coords) <= 1e-4

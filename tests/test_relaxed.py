@@ -5,9 +5,18 @@ import numpy as np
 import pytest
 
 from symforge.errors import TrainingDivergedError
-from symforge.net import ABSOLUTE, SQUARED, Dataset, PhiParams, TrainConfig, _phi_loss_and_grad
+from symforge.net import (
+    ABSOLUTE,
+    SQUARED,
+    Dataset,
+    PhiParams,
+    TrainConfig,
+    _phi_loss_and_grad,
+    _with_ones,
+)
 from symforge.relaxed import (
     _dense_front,
+    _front_buffers,
     evaluate_relaxed,
     forward_relaxed,
     init_relaxed,
@@ -47,7 +56,9 @@ def _einsum_reference(params, X, y, loss_kind):
     P = rho_unified(Y)
     Z = np.einsum("rs,msk->mrk", params.m2, P)
     phi = PhiParams(np.empty_like(params.phi.theta), params.p, params.h, n)
-    _, dZ, dQ = _phi_loss_and_grad(params.phi, Z, None, X - Y, y, loss_kind, phi, input_grad=True)
+    _, dZ, dQ = _phi_loss_and_grad(
+        params.phi, _with_ones(Z), _with_ones(X - Y), y, loss_kind, phi, input_grad=True
+    )
     dZ = dZ.reshape(m, n * n, 2)
     m2 = np.einsum("mrk,msk->rs", dZ, P)
     dP = np.einsum("rs,mrk->msk", params.m2, dZ)
@@ -72,7 +83,9 @@ def test_relaxed_contractions_match_einsum_reference(n, batch, loss_kind):
     X = rng.uniform(-1, 1, size=(batch, n))
     y = rng.uniform(size=batch)
     Z, m1, m2, phi = _einsum_reference(params, X, y, loss_kind)
-    _assert_close(_dense_front(params, X)[1], Z)
+    _, Z_front, Q_front = _dense_front(params, X, _front_buffers(n, batch))
+    _assert_close(Z_front[..., :-1], Z)
+    assert (Z_front[..., -1] == 1).all() and (Q_front[:, -1] == 1).all()
     _, grads = loss_and_grad_relaxed(params, X, y, loss_kind)
     _assert_close(grads.m1, m1)
     _assert_close(grads.m2, m2)
@@ -148,8 +161,8 @@ def test_relaxed_evaluate_metrics():
 # Float64 results can depend on the BLAS build; these come from numpy 2.4
 # with OpenBLAS 0.3 on x86-64.
 TRAIN_RELAXED_DIGESTS = {
-    SQUARED: "c4186bc13a57e6f2ad612ec96b505257194eb89860389950eef33788e1d7a541",
-    ABSOLUTE: "44fb576606c1f126f3310da5116455efe5d83445ae3cfefe067fd09a8c0049fa",
+    SQUARED: "27b5fc614c381c5e4f39259d4ce56c22a9e3dde359d594c35219f20898fc8d91",
+    ABSOLUTE: "53fba073b986b7136eaa37b136d7109ce89d9205e36c74f3567e3a650cde6396",
 }
 
 
