@@ -3,12 +3,13 @@
 The posterior is the standard Gaussian linear-model one: precision
 B = I + sum a a^T over played arms, reward-weighted sum f, mean B^-1 f.
 Each update factors B = L L^T once and solves for the mean; a sample
-reuses L, so its covariance is exactly nu^2 B^-1.  The factorization and
-the draw are written once, on stacks of posteriors: discovery runs them on
-one `BanditPosterior`, and the simulator on its stack of one posterior per
-trial, so every trial of a step shares one batched factorization.  The
-simulator checks the log(T)/T misidentification trend for the
-empirical-play recommendation rule.
+reuses L, so its covariance is exactly nu^2 B^-1.  One LinTS step,
+posterior_sample then posterior_update, serves discovery and the
+simulator: a `BanditPosterior` holds one posterior or a stack of them on
+its leading axes, and the simulator steps its stack of one posterior per
+trial through the same two functions, so every trial of a step shares one
+batched factorization.  The simulator checks the log(T)/T
+misidentification trend for the empirical-play recommendation rule.
 """
 
 from __future__ import annotations
@@ -35,56 +36,50 @@ from .selection import ArmFeature, SelectionPair, argmax_arm, arm_matrix, rank_a
 
 @dataclass(frozen=True)
 class BanditPosterior:
-    B: np.ndarray  # (d, d) precision, I + sum a a^T
+    """One posterior, or a stack of them on the leading axes."""
+
+    B: np.ndarray  # (..., d, d) precision, I + sum a a^T
     L: np.ndarray  # lower Cholesky factor of B
-    f: np.ndarray  # (d,) reward-weighted arm sum
+    f: np.ndarray  # (..., d) reward-weighted arm sum
     mu_hat: np.ndarray  # exact solution of B mu = f
     nu: float
 
     @staticmethod
-    def fresh(d: int, nu: float) -> "BanditPosterior":
-        return BanditPosterior(np.eye(d), np.eye(d), np.zeros(d), np.zeros(d), nu)
+    def fresh(d: int, nu: float, stack: tuple = ()) -> "BanditPosterior":
+        eye = np.tile(np.eye(d), (*stack, 1, 1))
+        return BanditPosterior(eye, eye.copy(), np.zeros((*stack, d)), np.zeros((*stack, d)), nu)
 
     @property
     def d(self) -> int:
-        return self.B.shape[0]
+        return self.B.shape[-1]
 
 
-def _factor(B, f):
-    """(L, mu_hat) for each precision B and sum f on the last axes: the lower
-    Cholesky factor of B and the solution of B mu_hat = f."""
-    try:
-        L = np.linalg.cholesky(B)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"posterior precision not SPD: {exc}")
-    return L, np.linalg.solve(B, f[..., None])[..., 0]
-
-
-def _draw(mu_hat, L, nu, z):
-    """mu_hat + nu L^-T z for each posterior on the last axes, a draw from
-    N(mu_hat, nu^2 B^-1) when z is standard normal."""
-    return mu_hat + nu * np.linalg.solve(np.swapaxes(L, -1, -2), z[..., None])[..., 0]
-
-
-def posterior_sample(post: BanditPosterior, rng: np.random.Generator) -> np.ndarray:
-    """Draw mu ~ N(mu_hat, nu^2 B^-1), refused unless its absolute sum,
-    which bounds every 0/1 arm's score a . mu, is finite."""
-    z = rng.standard_normal(post.d)
+def posterior_sample(post: BanditPosterior, z) -> np.ndarray:
+    """mu_hat + nu L^-T z for each posterior, a draw from N(mu_hat, nu^2 B^-1)
+    when z is standard normal, refused unless its absolute sum, which bounds
+    every 0/1 arm's score a . mu, is finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = _draw(post.mu_hat, post.L, post.nu, z)
-        if not np.isfinite(np.abs(mu).sum()):
+        Lt = np.swapaxes(post.L, -1, -2)
+        mu = post.mu_hat + post.nu * np.linalg.solve(Lt, z[..., None])[..., 0]
+        if not np.isfinite(np.abs(mu).sum(axis=-1)).all():
             raise NumericError("posterior sample must be finite, and so must its absolute sum")
     return mu
 
 
-def posterior_update(post: BanditPosterior, a, gamma: float) -> BanditPosterior:
-    """Rank-1 precision update; the mean is re-solved, never drifted."""
+def posterior_update(post: BanditPosterior, a, gamma) -> BanditPosterior:
+    """Rank-1 precision update of each posterior, with its arm a and reward
+    gamma; the mean is re-solved, never drifted."""
     a = np.asarray(a, dtype=float)
-    if not np.isfinite(gamma):
+    gamma = np.asarray(gamma, dtype=float)
+    if not np.isfinite(gamma).all():
         raise NumericError("reward must be finite")
-    B = post.B + np.outer(a, a)
-    f = post.f + gamma * a
-    L, mu_hat = _factor(B, f)
+    B = post.B + a[..., :, None] * a[..., None, :]
+    f = post.f + gamma[..., None] * a
+    try:
+        L = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"posterior precision not SPD: {exc}")
+    mu_hat = np.linalg.solve(B, f[..., None])[..., 0]
     return BanditPosterior(B, L, f, mu_hat, post.nu)
 
 
@@ -279,7 +274,7 @@ def run_discovery(
     fit_data, held_data = _holdout_split(dataset, cfg.reward_holdout)
     ref_loss = None
     for t in range(1, cfg.T + 1):
-        mu = posterior_sample(post, rng)
+        mu = posterior_sample(post, rng.standard_normal(post.d))
         arm = arms[argmax_arm(mu, A)]
         fit = fits.get(arm.bits) or _fit_arm(arm, fit_data, held_data, cfg.train_cfg)
         if fit is None:
@@ -365,17 +360,14 @@ def lints_play_counts(instance: LinearInstance, horizons, nu, rngs):
     Returns {T: (len(rngs), n_arms) play counts}.  Each run draws, per
     step, standard_normal(d) for its sample and standard_normal() for its
     reward noise from its own generator, so row i equals a run on rngs[i]
-    alone.  The posteriors are held as stacks, so each step runs the
-    posterior's draw and factorization once for all trials."""
+    alone.  The runs' posteriors are one stacked BanditPosterior, so each
+    step is one posterior_sample and one posterior_update for all trials."""
     n_arms, d = instance.arms.shape
     trials = len(rngs)
     T_max = max(horizons)
     horizon_set = set(horizons)
     means = instance.arms @ instance.mu_star
-    B = np.tile(np.eye(d), (trials, 1, 1))
-    L = B.copy()
-    f = np.zeros((trials, d))
-    mu_hat = np.zeros((trials, d))
+    post = BanditPosterior.fresh(d, nu, (trials,))
     counts = np.zeros((trials, n_arms), dtype=int)
     rows = np.arange(trials)
     snapshots = {}
@@ -386,18 +378,12 @@ def lints_play_counts(instance: LinearInstance, horizons, nu, rngs):
             for rng, block in zip(rngs, draws[:, :steps]):
                 rng.standard_normal(out=block)
         z = draws[:, t % _DRAW_BLOCK]
+        mu = posterior_sample(post, z[:, :d])
+        # An overflowing reward sum leaves f infinite, and the next sample refuses it.
         with np.errstate(over="ignore", invalid="ignore"):
-            mu = _draw(mu_hat, L, nu, z[:, :d])
-            if not np.isfinite(mu).all():
-                raise NumericError("posterior sample must be finite")
             idx = np.argmax(mu @ instance.arms.T, axis=1)
             reward = means[idx] + instance.noise_sigma * z[:, d]
-            if not np.isfinite(reward).all():
-                raise NumericError("reward must be finite")
-            a = instance.arms[idx]
-            f += reward[:, None] * a
-        B += a[:, :, None] * a[:, None, :]
-        L, mu_hat = _factor(B, f)
+            post = posterior_update(post, instance.arms[idx], reward)
         counts[rows, idx] += 1
         if t + 1 in horizon_set:
             snapshots[t + 1] = counts.copy()

@@ -41,7 +41,7 @@ from .oracle import (
 )
 from .relaxed import evaluate_relaxed, train_relaxed
 from .selection import SelectionPair, dense_matrix, enumerate_arms
-from .tasks import BUILTIN_NAMES, builtin_polynomial, make_splits, persist_dataset
+from .tasks import BUILTIN_NAMES, builtin_polynomial, make_splits
 
 
 class ConfigError(SymforgeError):
@@ -235,7 +235,8 @@ def run_gen_data(cfg: dict) -> Path:
     files = {}
     for name, dataset in splits.items():
         path = out / f"{name}.csv"
-        persist_dataset(dataset, path)
+        header = [f"x_{i + 1}" for i in range(dataset.inputs.shape[1])] + ["y"]
+        path.write_bytes(_csv(np.column_stack((dataset.inputs, dataset.targets)).tolist(), header))
         files[name] = str(path)
     manifest = dict(manifest, files=files)
     (out / "manifest.yaml").write_text(yaml.safe_dump(manifest, sort_keys=True))

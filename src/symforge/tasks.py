@@ -16,8 +16,6 @@ from .errors import GenerationError
 from .groups import CYCLIC, DIHEDRAL, SYMMETRIC, GroupDescriptor, act, elements
 from .net import Dataset
 
-BUILTIN_NAMES = ("S_I(4)", "Z_I(5)", "Z_I(7)", "D_I(5)", "D_I(7)")
-
 # Cycle orders, 0-based: the index sets {1,2,3,4}, {1,2,3,6,7} and
 # {1,2,3,6,7,9,10} of the benchmark definitions.
 _CYCLE_5 = (0, 1, 2, 5, 6)
@@ -65,25 +63,26 @@ def _chain_terms(cycle, close_reversed=False):
     return tuple((1, ((a, 1), (b, 2))) for a, b in pairs)
 
 
+# Each builtin's group and terms; its PolynomialSpec, with the invariance
+# check, is built when asked for.
+_BUILTINS = {
+    "S_I(4)": (
+        GroupDescriptor(SYMMETRIC, (0, 1, 2, 3), 5),
+        ((1, ((0, 1), (1, 1), (2, 1), (3, 1))), (1, ((4, 1),))),
+    ),
+    "Z_I(5)": (GroupDescriptor(CYCLIC, _CYCLE_5, 10), _chain_terms(_CYCLE_5)),
+    "Z_I(7)": (GroupDescriptor(CYCLIC, _CYCLE_7, 10), _chain_terms(_CYCLE_7)),
+    "D_I(5)": (GroupDescriptor(DIHEDRAL, _CYCLE_5, 10), _chain_terms(_CYCLE_5, True)),
+    "D_I(7)": (GroupDescriptor(DIHEDRAL, _CYCLE_7, 10), _chain_terms(_CYCLE_7, True)),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin_polynomial(name: str) -> PolynomialSpec:
     """The benchmark polynomials, keyed by kind and index-set size."""
-    if name == "S_I(4)":
-        descriptor = GroupDescriptor(SYMMETRIC, (0, 1, 2, 3), 5)
-        terms = ((1, ((0, 1), (1, 1), (2, 1), (3, 1))), (1, ((4, 1),)))
-        return PolynomialSpec(name, descriptor, terms)
-    if name == "Z_I(5)":
-        descriptor = GroupDescriptor(CYCLIC, _CYCLE_5, 10)
-        return PolynomialSpec(name, descriptor, _chain_terms(_CYCLE_5))
-    if name == "Z_I(7)":
-        descriptor = GroupDescriptor(CYCLIC, _CYCLE_7, 10)
-        return PolynomialSpec(name, descriptor, _chain_terms(_CYCLE_7))
-    if name == "D_I(5)":
-        descriptor = GroupDescriptor(DIHEDRAL, _CYCLE_5, 10)
-        return PolynomialSpec(name, descriptor, _chain_terms(_CYCLE_5, True))
-    if name == "D_I(7)":
-        descriptor = GroupDescriptor(DIHEDRAL, _CYCLE_7, 10)
-        return PolynomialSpec(name, descriptor, _chain_terms(_CYCLE_7, True))
-    raise KeyError(f"unknown polynomial {name!r}; valid names: {BUILTIN_NAMES}")
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown polynomial {name!r}; valid names: {BUILTIN_NAMES}")
+    return PolynomialSpec(name, *_BUILTINS[name])
 
 
 def gen_poly_dataset(spec: PolynomialSpec, m: int, rng) -> Dataset:
@@ -129,13 +128,3 @@ def make_splits(spec: PolynomialSpec, sizes=(64, 480, 4800), seed=0):
         "normalization": {"y_min": y_min, "y_max": y_max},
     }
     return splits, manifest
-
-
-def persist_dataset(dataset: Dataset, path) -> None:
-    n = dataset.inputs.shape[1]
-    header = ",".join([f"x_{i + 1}" for i in range(n)] + ["y"])
-    lines = [header]
-    for x, y in zip(dataset.inputs, dataset.targets):
-        lines.append(",".join(f"{v:.17g}" for v in (*x, y)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -50,7 +50,7 @@ def test_posterior_sample_with_zero_nu_is_the_mean():
     post = posterior_update(post, np.array([1.0, 1.0, 0.0, 0.0]), 0.7)
     rng = np.random.default_rng(1)
     for _ in range(5):
-        assert np.array_equal(posterior_sample(post, rng), post.mu_hat)
+        assert np.array_equal(posterior_sample(post, rng.standard_normal(4)), post.mu_hat)
 
 
 def test_posterior_sample_moments():
@@ -59,7 +59,7 @@ def test_posterior_sample_moments():
     nu = 0.7
     post = BanditPosterior.fresh(2, nu=nu)
     rng = np.random.default_rng(2)
-    draws = np.array([posterior_sample(post, rng) for _ in range(20000)])
+    draws = np.array([posterior_sample(post, rng.standard_normal(2)) for _ in range(20000)])
     se_mean = nu / np.sqrt(len(draws))
     assert np.all(np.abs(draws.mean(axis=0)) <= 3 * se_mean)
     cov = np.cov(draws.T)
@@ -92,7 +92,7 @@ def test_posterior_sample_reuses_the_update_factor(monkeypatch):
     # failed one into a NumericError.
     monkeypatch.setattr(np.linalg, "cholesky", no_factorization)
     z = np.random.default_rng(9).standard_normal(5)
-    mu = posterior_sample(post, np.random.default_rng(9))
+    mu = posterior_sample(post, z)
     assert np.allclose(post.L.T @ (mu - post.mu_hat), post.nu * z)
     with pytest.raises(NumericError):
         posterior_update(post, np.ones(5), 0.5)
@@ -481,7 +481,7 @@ def _play_counts_one_run(instance, horizons, nu, rng):
     counts = np.zeros(len(instance.arms), dtype=int)
     snapshots = {}
     for t in range(1, max(horizons) + 1):
-        idx = int(np.argmax(instance.arms @ posterior_sample(post, rng)))
+        idx = int(np.argmax(instance.arms @ posterior_sample(post, rng.standard_normal(post.d))))
         reward = instance.arms[idx] @ instance.mu_star
         reward += instance.noise_sigma * rng.standard_normal()
         post = posterior_update(post, instance.arms[idx], reward)
@@ -514,6 +514,25 @@ def test_lockstep_trials_match_single_runs():
         fresh = np.random.default_rng(seed)
         fresh.standard_normal(max(horizons) * (d + 1))
         assert rng.standard_normal() == fresh.standard_normal()
+
+
+def test_simulator_steps_through_the_discovery_posterior(monkeypatch):
+    # Each lockstep step is one posterior_sample and one posterior_update
+    # of the stacked posterior, the two functions discovery steps with.
+    calls = {"posterior_sample": 0, "posterior_update": 0}
+    for name in calls:
+        inner = getattr(bandit, name)
+
+        def counted(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(bandit, name, counted)
+    inst = LinearInstance(np.array([0.5, 0.3, 0.2]), np.eye(3), 0.3)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(11).spawn(3)]
+    counts = lints_play_counts(inst, [7], 0.5, rngs)
+    assert counts[7].sum(axis=1).tolist() == [7, 7, 7]
+    assert calls == {"posterior_sample": 7, "posterior_update": 7}
 
 
 def test_regret_rate_improves_with_horizon():

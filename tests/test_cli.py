@@ -26,6 +26,7 @@ from symforge.cli import (
 )
 from symforge.oracle import InvarianceReport, VerificationReport
 from symforge.selection import SelectionPair, dense_matrix, enumerate_arms
+from symforge.tasks import builtin_polynomial, make_splits
 
 
 def _write_config(tmp_path, **overrides):
@@ -97,8 +98,15 @@ def test_gen_data_writes_splits_and_manifest(tmp_path):
     manifest = yaml.safe_load((out / "manifest.yaml").read_text())
     assert manifest["sizes"] == {"train": 48, "val": 16}
     assert manifest["spec"] == "S_I(4)"
-    header = (out / "train.csv").read_text().splitlines()[0]
-    assert header == "x_1,x_2,x_3,x_4,x_5,y"
+    # Each split's CSV reads back, through loadtxt, to exactly the inputs
+    # and targets that make_splits returns.
+    splits, _ = make_splits(builtin_polynomial("S_I(4)"), (48, 16), seed=0)
+    for name, ds in splits.items():
+        path = out / f"{name}.csv"
+        assert path.read_text().splitlines()[0] == "x_1,x_2,x_3,x_4,x_5,y"
+        loaded = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(loaded[:, :-1], ds.inputs)
+        assert np.array_equal(loaded[:, -1], ds.targets)
 
 
 def test_cli_rejects_unknown_task_kind(tmp_path):

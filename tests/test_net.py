@@ -197,9 +197,10 @@ def test_batched_forward_matches_single(seed):
 
 
 # sha256 of train_sgd's weight bytes followed by its final loss's bytes, taken
-# while every step still rebuilt the pair layout from its batch.  Hoisting the
-# layout must not move a single bit.  Float64 results can depend on the BLAS
-# build; these come from numpy 2.4 with OpenBLAS 0.3 on x86-64.
+# from the step that folds each layer's bias into its matmul (one a_aug @ Wb
+# per layer, over pre-sorted pairs).  A change that keeps that step must not
+# move a single bit.  Float64 results can depend on the BLAS build; these come
+# from numpy 2.4 with OpenBLAS 0.3 on x86-64.
 TRAIN_SGD_DIGESTS = {
     (CYCLIC, (0, 1, 3), SQUARED):
         "7ad4659fe869f44eeb8d098ca800a958365cb5093be407f85be61a607db30828",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from symforge.cli import _csv
 from symforge.groups import DIHEDRAL
 from symforge.oracle import check_invariance
 from symforge.tasks import (
@@ -8,7 +9,6 @@ from symforge.tasks import (
     builtin_polynomial,
     gen_poly_dataset,
     make_splits,
-    persist_dataset,
 )
 
 
@@ -92,9 +92,12 @@ def test_make_splits_reproducible():
 
 
 def test_persist_load_round_trip(tmp_path):
+    # gen-data persists each split through cli._csv; its .17g floats must
+    # read back exactly.
     ds = gen_poly_dataset(builtin_polynomial("S_I(4)"), 5, np.random.default_rng(2))
     path = tmp_path / "data.csv"
-    persist_dataset(ds, path)
+    header = [f"x_{i + 1}" for i in range(ds.inputs.shape[1])] + ["y"]
+    path.write_bytes(_csv(np.column_stack((ds.inputs, ds.targets)).tolist(), header))
     assert path.read_text().splitlines()[0] == "x_1,x_2,x_3,x_4,x_5,y"
     loaded = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(loaded[:, :-1], ds.inputs)
