@@ -61,7 +61,7 @@ def posterior_sample(post: BanditPosterior, z) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         Lt = np.swapaxes(post.L, -1, -2)
         mu = post.mu_hat + post.nu * np.linalg.solve(Lt, z[..., None])[..., 0]
-        if not np.isfinite(np.abs(mu).sum(axis=-1)).all():
+        if not np.isfinite(np.abs(mu) @ np.ones(post.d)).all():
             raise NumericError("posterior sample must be finite, and so must its absolute sum")
     return mu
 

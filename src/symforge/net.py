@@ -30,8 +30,11 @@ memory back and faulted it in again at every step until the process first
 freed a larger block, and the first SGD-only discovery in a process ran
 1.4-1.9x as long as the next (Z_I(5), CLI defaults, 2-vCPU Xeon: about
 700,000 page faults against 2,000).  Each training loop allocates the
-buffers for its batch sizes and drops them when it returns; a forward-only
-pass allocates its own.
+buffers for its batch sizes and drops them when it returns.  Every
+forward-only pass (`forward_batch`, the reference MLP's predictor and the
+ablation's `forward_relaxed`) runs through `_predict`, in blocks of
+`_EVAL_ROWS` rows that each allocate their own buffers, so an evaluation's
+memory is bounded by the block, not by the split.
 
 Everything is float64 numpy; gradients are hand-derived reverse mode and
 checked against central finite differences in the test suite.
@@ -50,6 +53,16 @@ from .selection import SelectionPair
 
 SQUARED = "squared"
 ABSOLUTE = "absolute"
+
+# Rows per block of a forward-only pass.  The last block is left short, not
+# padded: a pass of at most this many rows (a fit split's final loss, a
+# holdout, a single row) then stays one whole pass, bit for bit, while
+# padding each block to 64 rows moved the rewards in discovery's pulls.
+# Outputs over more rows equal one whole pass's at 100, 200, 480 and 4800
+# rows; where the last block has only a few rows (65, 129, 481 rows) the
+# last row can move by up to 1.1e-16, because BLAS rounds a matrix's
+# trailing rows apart from the rest, in a whole pass as in a block.
+_EVAL_ROWS = 64
 
 
 @dataclass
@@ -299,11 +312,22 @@ def _phi_loss_and_grad(params: PhiParams, P, q, y, loss_kind, grads, input_grad,
     return loss, dP, dz[:, params.p :]
 
 
+def _predict(forward_rows, X) -> np.ndarray:
+    """forward_rows, a forward pass from a (k, n) block of rows to its (k,)
+    outputs, over X (m, n) in blocks of `_EVAL_ROWS` rows; returns the (m,)
+    outputs."""
+    X = np.asarray(X, dtype=float)
+    out = np.empty(len(X))
+    for start in range(0, len(X), _EVAL_ROWS):
+        out[start : start + _EVAL_ROWS] = forward_rows(X[start : start + _EVAL_ROWS])
+    return out
+
+
 def forward_batch(params: PhiParams, sp: SelectionPair, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise NumericError("non-finite input")
-    return _phi_forward(params, *_pair_layout(sp, X))
+    return _predict(lambda block: _phi_forward(params, *_pair_layout(sp, block)), X)
 
 
 def forward(params: PhiParams, sp: SelectionPair, x) -> float:
@@ -475,12 +499,11 @@ def train_reference_mlp(dataset: Dataset, cfg: TrainConfig, h: int = 32):
 
     _sgd(theta, grad_fn, cfg, len(dataset), rng)
 
-    def predict(X):
-        X = _with_ones(np.asarray(X, dtype=float))
-        out, _ = _mlp_forward(layers, X, _mlp_buffers(layers, len(X)))
+    def forward_rows(block):
+        out, _ = _mlp_forward(layers, _with_ones(block), _mlp_buffers(layers, len(block)))
         return out[:, 0]
 
-    return layers, predict
+    return layers, lambda X: _predict(forward_rows, X)
 
 
 def evaluate(params: PhiParams, sp: SelectionPair, dataset: Dataset, metric=ABSOLUTE):

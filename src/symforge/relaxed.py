@@ -11,7 +11,8 @@ This module holds the dense front (Z, Q) and its backward into M1 and M2;
 phi's pass is `net`'s, with the rows of Z pooled in their own order.  The
 front is written into buffers that end in the ones column phi's bias rows
 multiply; `train_relaxed` keeps one set per batch size for the fit, and
-the forward pass allocates its own.
+`forward_relaxed` runs through `net._predict`, whose blocks of rows each
+allocate their own.
 
 Neither learned matrix reads as an arm.  At the CLI defaults (seed 1) on
 the five builtin tasks, M1 ends dense: 92-100% of its off-diagonal entries
@@ -37,6 +38,7 @@ from .net import (
     _phi_buffers,
     _phi_forward,
     _phi_loss_and_grad,
+    _predict,
     _residual_loss,
     _sgd,
     init_params,
@@ -92,9 +94,11 @@ def _dense_front(params: RelaxedParams, X, front):
 
 
 def forward_relaxed(params: RelaxedParams, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    _, Z, Q = _dense_front(params, X, _front_buffers(params.n, len(X)))
-    return _phi_forward(params.phi, Z, Q)
+    def forward_rows(block):
+        _, Z, Q = _dense_front(params, block, _front_buffers(params.n, len(block)))
+        return _phi_forward(params.phi, Z, Q)
+
+    return _predict(forward_rows, X)
 
 
 def _pair_major(A):

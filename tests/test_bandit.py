@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +52,20 @@ def test_posterior_sample_with_zero_nu_is_the_mean():
     rng = np.random.default_rng(1)
     for _ in range(5):
         assert np.array_equal(posterior_sample(post, rng.standard_normal(4)), post.mu_hat)
+
+
+def test_posterior_sample_refuses_an_overflowing_absolute_sum():
+    # Each entry is finite, but the absolute sum that bounds an arm's score
+    # is not; in a stack, one such posterior refuses the whole draw.
+    post = replace(BanditPosterior.fresh(2, nu=0.0), mu_hat=np.array([1e308, 1e308]))
+    with pytest.raises(NumericError, match="absolute sum"):
+        posterior_sample(post, np.zeros(2))
+    stack = BanditPosterior.fresh(2, nu=0.0, stack=(3,))
+    finite = np.array([[0.5, 0.5], [1e307, 1e307], [0.0, 1.0]])
+    assert np.array_equal(posterior_sample(replace(stack, mu_hat=finite), np.zeros((3, 2))), finite)
+    finite[1] = 1e308
+    with pytest.raises(NumericError, match="absolute sum"):
+        posterior_sample(replace(stack, mu_hat=finite), np.zeros((3, 2)))
 
 
 def test_posterior_sample_moments():

@@ -32,6 +32,7 @@ from symforge.net import (
     train_reference_mlp,
     train_sgd,
 )
+from symforge.relaxed import evaluate_relaxed, forward_relaxed, init_relaxed
 from symforge.selection import SelectionPair, apply_pipeline_front, enumerate_arms
 
 
@@ -286,6 +287,67 @@ def test_train_reference_mlp_golden_bits():
         _, predict = train_reference_mlp(ds, cfg)
         got = hashlib.sha256(predict(ds.inputs).tobytes()).hexdigest()
         assert got == digest, loss_kind
+
+
+def test_zero_rows_give_no_outputs():
+    rng = np.random.default_rng(12)
+    ds = Dataset(rng.uniform(size=(37, 5)), rng.uniform(size=37))
+    _, predict = train_reference_mlp(ds, TrainConfig(epochs=1, batch_size=8))
+    X = np.empty((0, 5))
+    assert forward_batch(init_params(5, seed=0), _pair(), X).shape == (0,)
+    assert predict(X).shape == (0,)
+
+
+# sha256 of forward_batch on three arms, forward_relaxed and the reference
+# MLP's predictor, on 480 and 4800 seeded rows of n = 5, taken while each
+# evaluated its rows in one whole-array pass.  Same BLAS caveat as
+# TRAIN_SGD_DIGESTS.
+EVALUATION_DIGESTS = {
+    480: "49db8d2f3ff99523dab96fc19a2a151f4ee4be7cddb9d64cc67f4cc13807ba10",
+    4800: "c2f3449af388d4ae7c04e043e9bd745a6fa0d9d8d396cedde78e41cb8ea27f36",
+}
+
+
+def test_evaluation_golden_bits():
+    rng = np.random.default_rng(12)
+    ds = Dataset(rng.uniform(size=(37, 5)), rng.uniform(size=37))
+    _, predict = train_reference_mlp(ds, TrainConfig(epochs=4, batch_size=8, seed=3))
+    params, relaxed = init_params(5, seed=3), init_relaxed(5, seed=3)
+    for rows, digest in EVALUATION_DIGESTS.items():
+        X = np.random.default_rng(rows).uniform(size=(rows, 5))
+        got = hashlib.sha256()
+        for kind, idx in ((CYCLIC, (0, 1, 3)), (DIHEDRAL, (1, 2, 4)), (SYMMETRIC, (0, 1, 2, 3, 4))):
+            got.update(forward_batch(params, _pair(kind, idx), X).tobytes())
+        got.update(forward_relaxed(relaxed, X).tobytes())
+        got.update(predict(X).tobytes())
+        assert got.hexdigest() == digest, rows
+
+
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluation_memory_is_bounded_by_the_block():
+    # An evaluation's buffers are bounded by its row block, not by the
+    # split: on 4800 rows it may hold the (m,) outputs, but not activations.
+    rng = np.random.default_rng(12)
+    fit = Dataset(rng.uniform(size=(37, 5)), rng.uniform(size=37))
+    _, predict = train_reference_mlp(fit, TrainConfig(epochs=1, batch_size=8))
+    params, relaxed = init_params(5, seed=3), init_relaxed(5, seed=3)
+    sp = _pair(SYMMETRIC, (0, 1, 2, 3, 4))
+    sets = [Dataset(rng.uniform(size=(rows, 5)), rng.uniform(size=rows)) for rows in (128, 4800)]
+    for name, run in (
+        ("evaluate_relaxed", lambda ds: evaluate_relaxed(relaxed, ds)),
+        ("evaluate", lambda ds: evaluate(params, sp, ds)),
+        ("predict", lambda ds: predict(ds.inputs)),
+    ):
+        small, large = (_peak_bytes(lambda: run(ds)) for ds in sets)
+        assert large < 2 * small, (name, small, large)
 
 
 def test_reference_mlp_divergence_raises():

@@ -157,6 +157,10 @@ def test_relaxed_evaluate_metrics():
         evaluate_relaxed(params, ds, metric="R2")
 
 
+def test_zero_rows_give_no_outputs():
+    assert forward_relaxed(init_relaxed(3, p=4, h=6, seed=0), np.empty((0, 3))).shape == (0,)
+
+
 # sha256 of train_relaxed's weight bytes followed by its final loss's bytes.
 # Float64 results can depend on the BLAS build; these come from numpy 2.4
 # with OpenBLAS 0.3 on x86-64.
