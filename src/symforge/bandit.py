@@ -31,7 +31,7 @@ from .net import (
     train_reference_mlp,
     train_sgd,
 )
-from .selection import ArmFeature, SelectionPair, argmax_arm, arm_matrix, rank_arms
+from .selection import ArmFeature, argmax_arm, arm_matrix, rank_arms
 
 
 @dataclass(frozen=True)
@@ -189,11 +189,10 @@ class ArmFit(NamedTuple):
 def _fit_arm(arm, fit_data: Dataset, held_data, train_cfg: TrainConfig) -> ArmFit | None:
     """phi trained for the arm on fit_data, and its loss on held_data (on
     fit_data when held_data is None); None when the fit fails."""
-    sp = SelectionPair.for_descriptor(arm.descriptor)
     try:
-        params, loss = train_sgd(fit_data, sp, train_cfg)
+        params, loss = train_sgd(fit_data, arm.descriptor, train_cfg)
         if held_data is not None:
-            loss = mean_loss(params, sp, held_data, train_cfg.loss_kind)
+            loss = mean_loss(params, arm.descriptor, held_data, train_cfg.loss_kind)
     except (NumericError, TrainingDivergedError):
         return None
     return ArmFit(params, loss)
@@ -310,7 +309,7 @@ def evaluate_top_arms(result: DiscoveryResult, dataset: Dataset, top: int = 3):
         mae = None
         if fit is not None:
             try:
-                mae = evaluate(fit.params, SelectionPair.for_descriptor(arm.descriptor), dataset)
+                mae = evaluate(fit.params, arm.descriptor, dataset)
             except NumericError:
                 pass
         out.append((arm, mae))

@@ -40,7 +40,7 @@ from .oracle import (
     verify_product_group,
 )
 from .relaxed import evaluate_relaxed, train_relaxed
-from .selection import SelectionPair, dense_matrix, enumerate_arms
+from .selection import build_m1, build_m2, dense_matrix, enumerate_arms
 from .tasks import BUILTIN_NAMES, builtin_polynomial, make_splits
 
 
@@ -199,6 +199,15 @@ def output_dir(cfg: dict, tag: str = "") -> Path:
     return out
 
 
+def _write(path: Path, data: bytes) -> None:
+    """Write one artifact of a run; an OSError is a ConfigError naming the
+    path, as the output directory's is."""
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _discovery_config(cfg: dict, n: int) -> DiscoveryConfig:
     """The bandit's settings for a task on n coordinates."""
     T = _value(cfg, "bandit.T")
@@ -236,10 +245,10 @@ def run_gen_data(cfg: dict) -> Path:
     for name, dataset in splits.items():
         path = out / f"{name}.csv"
         header = [f"x_{i + 1}" for i in range(dataset.inputs.shape[1])] + ["y"]
-        path.write_bytes(_csv(np.column_stack((dataset.inputs, dataset.targets)).tolist(), header))
+        _write(path, _csv(np.column_stack((dataset.inputs, dataset.targets)).tolist(), header))
         files[name] = str(path)
     manifest = dict(manifest, files=files)
-    (out / "manifest.yaml").write_text(yaml.safe_dump(manifest, sort_keys=True))
+    _write(out / "manifest.yaml", yaml.safe_dump(manifest, sort_keys=True).encode())
     return out
 
 
@@ -262,7 +271,7 @@ def discovery_artifacts(result, top) -> tuple[dict, dict]:
     arms lead result.ranking."""
     scores = [float(np.dot(result.posterior.mu_hat, arm.bits)) for arm in result.ranking]
     winner = result.ranking[0].descriptor
-    sp, n = SelectionPair.for_descriptor(winner), winner.n
+    n = winner.n
     pulls = [(r.t, "".join(map(str, r.arm.bits)), r.reward, r.train_loss) for r in result.records]
     ranking = [
         (i, arm.descriptor.kind, " ".join(map(str, arm.descriptor.index_set)), score)
@@ -271,8 +280,8 @@ def discovery_artifacts(result, top) -> tuple[dict, dict]:
     files = {
         "pulls.csv": _csv(pulls, ("t", "bits", "reward", "loss")),
         "ranking.csv": _csv(ranking, ("rank", "kind", "index_set", "score")),
-        "m1.csv": _csv(dense_matrix(sp.m1_entries, (n, n))),
-        "m2.csv": _csv(dense_matrix(sp.m2_entries, (n * n, n * n))),
+        "m1.csv": _csv(dense_matrix(build_m1(winner), (n, n))),
+        "m2.csv": _csv(dense_matrix(build_m2(winner), (n * n, n * n))),
     }
     top3 = [
         dict(_arm_fields(arm.descriptor), score=score, val_mae=mae)
@@ -327,9 +336,9 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
         )
 
     for name, data in files.items():
-        (out / name).write_bytes(data)
+        _write(out / name, data)
     report["timing_seconds"] = round(time.perf_counter() - t_start, 3)
-    (out / "report.yaml").write_text(yaml.safe_dump(report, sort_keys=True))
+    _write(out / "report.yaml", yaml.safe_dump(report, sort_keys=True).encode())
     return out, report
 
 
@@ -373,19 +382,20 @@ def _suite_checks(suite: str) -> dict:
         return {f"k{k}": _verdict(nonrealizability_counts(k, trials=50)) for k in (3, 4, 5)}
     if suite == "gradients":
         rng = np.random.default_rng(0)
-        sp = SelectionPair.for_descriptor(GroupDescriptor(CYCLIC, (0, 2, 3), 5))
+        descriptor = GroupDescriptor(CYCLIC, (0, 2, 3), 5)
         params = init_params(5, p=8, h=12, seed=0)
         X = rng.uniform(size=(10, 5))
         y = rng.uniform(size=10)
-        err = float(gradient_check(params, sp, X, y, n_coords=20))
+        err = float(gradient_check(params, descriptor, X, y, n_coords=20))
         return {"max_relative_error": (err <= 1e-4, err)}
     if suite == "invariance":
         checks = {}
         for kind, k in ((CYCLIC, 4), (DIHEDRAL, 4), (SYMMETRIC, 3)):
             descriptor = GroupDescriptor(kind, tuple(range(1, k + 1)), k + 2)
-            sp = SelectionPair.for_descriptor(descriptor)
             params = init_params(k + 2, p=8, h=12, seed=1)
-            report = check_invariance(lambda x: forward(params, sp, x), descriptor, samples=100)
+            report = check_invariance(
+                lambda x: forward(params, descriptor, x), descriptor, samples=100
+            )
             checks[f"{kind}-k{k}"] = _verdict(report, f"violation {report.max_violation:.2e}")
         return checks
     raise ConfigError(f"unknown suite {suite!r}; valid suites: {VERIFY_SUITES}")
@@ -409,7 +419,7 @@ def run_bandit_sim(cfg: dict) -> tuple[Path, dict]:
     )
     rates = dict(sorted(rates.items()))
     out = output_dir(cfg)
-    (out / "misid.csv").write_bytes(_csv(rates.items(), ("T", "misid_rate")))
+    _write(out / "misid.csv", _csv(rates.items(), ("T", "misid_rate")))
     return out, rates
 
 

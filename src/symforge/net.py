@@ -11,9 +11,9 @@ which makes the output bitwise identical under any permutation of the
 selected rows.
 
 Each row's selected pairs, sorted into that summation order, and its
-complement block depend only on the arm and on the row, so `train_sgd`
-builds this pair layout once per (arm, dataset) and every step takes its
-batch's rows.
+complement block depend only on the arm, which its `GroupDescriptor`
+names, and on the row, so `train_sgd` builds this pair layout once per
+(arm, dataset) and every step takes its batch's rows.
 
 This module runs phi for the package: `_phi_forward` and
 `_phi_loss_and_grad` serve the arm network and the SGD-only ablation
@@ -49,7 +49,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, TrainingDivergedError
-from .selection import SelectionPair
+from .groups import GroupDescriptor
+from .selection import complement_mask, selected_pairs
 
 SQUARED = "squared"
 ABSOLUTE = "absolute"
@@ -251,14 +252,11 @@ class _PairLayout(NamedTuple):
         return _PairLayout(self.P[rows], self.q[rows])
 
 
-def _pair_layout(sp: SelectionPair, X) -> _PairLayout:
-    pairs = sp.selected_pairs()
-    idx_l = [a for a, _ in pairs]
-    idx_r = [b for _, b in pairs]
-    P = np.stack([X[:, idx_l], X[:, idx_r]], axis=2)  # (m, s, 2)
+def _pair_layout(descriptor: GroupDescriptor, X) -> _PairLayout:
+    P = X[:, np.array(selected_pairs(descriptor))]  # (m, s, 2)
     order = np.lexsort((P[:, :, 1], P[:, :, 0]), axis=1)
     P = np.take_along_axis(P, order[:, :, None], axis=1)
-    return _PairLayout(_with_ones(P), _with_ones(X * sp.complement_mask()))
+    return _PairLayout(_with_ones(P), _with_ones(X * complement_mask(descriptor)))
 
 
 def _phi_buffers(params: PhiParams, rows: int, s_count: int):
@@ -323,15 +321,15 @@ def _predict(forward_rows, X) -> np.ndarray:
     return out
 
 
-def forward_batch(params: PhiParams, sp: SelectionPair, X) -> np.ndarray:
+def forward_batch(params: PhiParams, descriptor: GroupDescriptor, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise NumericError("non-finite input")
-    return _predict(lambda block: _phi_forward(params, *_pair_layout(sp, block)), X)
+    return _predict(lambda block: _phi_forward(params, *_pair_layout(descriptor, block)), X)
 
 
-def forward(params: PhiParams, sp: SelectionPair, x) -> float:
-    return float(forward_batch(params, sp, np.asarray(x, dtype=float)[None, :])[0])
+def forward(params: PhiParams, descriptor: GroupDescriptor, x) -> float:
+    return float(forward_batch(params, descriptor, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def _residual_loss(resid, kind) -> float:
@@ -365,17 +363,18 @@ def _mlp_loss_and_grad(layers, A, y, loss_kind, grads, input_grad, buffers):
 
 
 def loss_and_grad(
-    params: PhiParams, sp: SelectionPair, X, y, loss_kind=SQUARED, *, out=None, buffers=None
+    params: PhiParams, descriptor: GroupDescriptor, X, y, loss_kind=SQUARED, *,
+    out=None, buffers=None,
 ):
     """Mean loss over the batch and its gradient wrt all weights.
 
-    X is the (m, n) batch or its `_PairLayout` for sp.  The gradient is
+    X is the (m, n) batch or its `_PairLayout` for the arm.  The gradient is
     written into `out`, a PhiParams shaped like params, when one is given.
     `buffers` are `_phi_buffers` for the batch's shape, which a training
     loop keeps across its steps; without them the pass allocates its own.
     """
     if not isinstance(X, _PairLayout):
-        X = _pair_layout(sp, np.asarray(X, dtype=float))
+        X = _pair_layout(descriptor, np.asarray(X, dtype=float))
     grads = out
     if grads is None:
         grads = PhiParams(np.empty_like(params.theta), params.p, params.h, params.n)
@@ -385,8 +384,8 @@ def loss_and_grad(
     return loss, grads
 
 
-def mean_loss(params: PhiParams, sp: SelectionPair, dataset: Dataset, loss_kind):
-    pred = forward_batch(params, sp, dataset.inputs)
+def mean_loss(params: PhiParams, descriptor: GroupDescriptor, dataset: Dataset, loss_kind):
+    pred = forward_batch(params, descriptor, dataset.inputs)
     return _residual_loss(pred - dataset.targets, loss_kind)
 
 
@@ -414,7 +413,7 @@ def _sgd(theta, grad_fn, cfg: TrainConfig, m: int, rng) -> None:
 
 def train_sgd(
     dataset: Dataset,
-    sp: SelectionPair,
+    descriptor: GroupDescriptor,
     cfg: TrainConfig,
     p: int = 16,
     h: int = 32,
@@ -429,24 +428,24 @@ def train_sgd(
     rng = np.random.default_rng(cfg.seed)
     params = init_params(dataset.inputs.shape[1], p=p, h=h, seed=cfg.seed)
     grads = PhiParams(np.empty_like(params.theta), p, h, params.n)
-    layout = _pair_layout(sp, dataset.inputs)
+    layout = _pair_layout(descriptor, dataset.inputs)
     y = dataset.targets
     buffers = cache(lambda rows: _phi_buffers(params, rows, layout.P.shape[1]))
 
     def grad_fn(rows):
         loss, _ = loss_and_grad(
-            params, sp, layout.take(rows), y[rows], cfg.loss_kind, out=grads,
+            params, descriptor, layout.take(rows), y[rows], cfg.loss_kind, out=grads,
             buffers=buffers(len(rows)),
         )
         return loss, grads.theta
 
     _sgd(params.theta, grad_fn, cfg, len(dataset), rng)
-    return params, mean_loss(params, sp, dataset, cfg.loss_kind)
+    return params, mean_loss(params, descriptor, dataset, cfg.loss_kind)
 
 
 def gradient_check(
     params: PhiParams,
-    sp: SelectionPair,
+    descriptor: GroupDescriptor,
     X,
     y,
     n_coords: int = 20,
@@ -462,15 +461,15 @@ def gradient_check(
     """
     rng = np.random.default_rng(seed)
     flat = params.theta
-    _, grads = loss_and_grad(params, sp, X, y)
+    _, grads = loss_and_grad(params, descriptor, X, y)
     gflat = grads.theta
     worst = 0.0
     for idx in rng.choice(flat.size, size=min(n_coords, flat.size), replace=False):
         bumped = flat.copy()
         bumped[idx] += step
-        lp, _ = loss_and_grad(replace(params, theta=bumped), sp, X, y)
+        lp, _ = loss_and_grad(replace(params, theta=bumped), descriptor, X, y)
         bumped[idx] -= 2 * step
-        lm, _ = loss_and_grad(replace(params, theta=bumped), sp, X, y)
+        lm, _ = loss_and_grad(replace(params, theta=bumped), descriptor, X, y)
         fd = (lp - lm) / (2 * step)
         err = abs(fd - gflat[idx]) / max(abs(fd) + abs(gflat[idx]), 1e-6)
         worst = max(worst, err)
@@ -506,6 +505,6 @@ def train_reference_mlp(dataset: Dataset, cfg: TrainConfig, h: int = 32):
     return layers, lambda X: _predict(forward_rows, X)
 
 
-def evaluate(params: PhiParams, sp: SelectionPair, dataset: Dataset, metric=ABSOLUTE):
-    pred = forward_batch(params, sp, dataset.inputs)
+def evaluate(params: PhiParams, descriptor: GroupDescriptor, dataset: Dataset, metric=ABSOLUTE):
+    pred = forward_batch(params, descriptor, dataset.inputs)
     return _residual_loss(pred - dataset.targets, metric)

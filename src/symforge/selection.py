@@ -6,7 +6,9 @@ unified pair lift: with slot u holding x_{i_u}, the pair (x_{i_u}, x_{i_v})
 sits at unified row u*n + v, so the value conditions defining M2 reduce to
 fixed source-row indices per subgroup kind.
 
-Both matrices are stored sparsely as (row, col) entry lists.  The complement
+Both matrices are fixed by the arm's subgroup, so they, the selected pairs
+and the complement mask are all read off its `GroupDescriptor`.  The
+matrices are stored sparsely as (row, col) entry lists.  The complement
 block zeroes the coordinates inside the index set and keeps the rest in
 place, so it is untouched by every element of the arm's group.
 """
@@ -45,53 +47,38 @@ def build_m2(descriptor: GroupDescriptor) -> tuple[tuple[int, int], ...]:
     return tuple(fwd + bwd)
 
 
-@dataclass(frozen=True)
-class SelectionPair:
-    """M1/M2 realized for one arm, plus the derived index bookkeeping."""
-
-    descriptor: GroupDescriptor
-    m1_entries: tuple[tuple[int, int], ...]
-    m2_entries: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def for_descriptor(descriptor: GroupDescriptor) -> "SelectionPair":
-        return SelectionPair(descriptor, build_m1(descriptor), build_m2(descriptor))
-
-    @property
-    def n(self) -> int:
-        return self.descriptor.n
-
-    def selected_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Original-coordinate index pairs picked by M2, in output-row order."""
-        idx, n = self.descriptor.index_set, self.n
-        return tuple((idx[src // n], idx[src % n]) for _, src in self.m2_entries)
-
-    def complement_mask(self) -> np.ndarray:
-        """Boolean mask of coordinates outside the index set."""
-        mask = np.ones(self.n, dtype=bool)
-        mask[list(self.descriptor.index_set)] = False
-        return mask
+def selected_pairs(descriptor: GroupDescriptor) -> tuple[tuple[int, int], ...]:
+    """Original-coordinate index pairs picked by M2, in output-row order."""
+    idx, n = descriptor.index_set, descriptor.n
+    return tuple((idx[src // n], idx[src % n]) for _, src in build_m2(descriptor))
 
 
-def apply_pipeline_front(sp: SelectionPair, x) -> np.ndarray:
+def complement_mask(descriptor: GroupDescriptor) -> np.ndarray:
+    """Boolean mask of coordinates outside the index set."""
+    mask = np.ones(descriptor.n, dtype=bool)
+    mask[list(descriptor.index_set)] = False
+    return mask
+
+
+def apply_pipeline_front(descriptor: GroupDescriptor, x) -> np.ndarray:
     """The n(n+1) x 2 input to phi: M2 rho(M1 x) stacked over the complement.
 
     Output rows beyond M2's nonzero rows are (0, 0); the last n rows pair
     each complement coordinate with 0.
     """
     x = np.asarray(x, dtype=float)
-    n = sp.n
+    n = descriptor.n
     if x.shape != (n,):
         raise DimensionError(f"expected a vector of length {n}")
     m1x = np.zeros(n)
-    for u, i in sp.m1_entries:
+    for u, i in build_m1(descriptor):
         m1x[u] = x[i]
     lifted = rho_unified(m1x)
     front = np.zeros((n * n, 2))
-    for out_row, src in sp.m2_entries:
+    for out_row, src in build_m2(descriptor):
         front[out_row] = lifted[src]
     comp = np.zeros((n, 2))
-    comp[sp.complement_mask(), 0] = x[sp.complement_mask()]
+    comp[complement_mask(descriptor), 0] = x[complement_mask(descriptor)]
     return np.concatenate([front, comp], axis=0)
 
 

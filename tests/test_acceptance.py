@@ -40,7 +40,6 @@ from symforge.oracle import (
 )
 from symforge.rho import rho_variant
 from symforge.selection import (
-    SelectionPair,
     apply_pipeline_front,
     encode_arm,
     enumerate_arms,
@@ -95,6 +94,17 @@ def test_criterion_01_subgroup_discovery_top3():
     _report(1, ok, detail)
 
 
+def test_seven_cycle_tasks_find_their_subgroup_top3():
+    # `task.name` accepts Z_I(7) and D_I(7) too, so they get criterion 1's
+    # bound at criterion 1's settings.
+    for task in ("Z_I(7)", "D_I(7)"):
+        hits = 0
+        for seed in SEEDS:
+            spec, _, _, result = _discovery(task, seed)
+            hits += _true_bits(spec) in {arm.bits for arm in result.ranking[:3]}
+        assert hits >= 4, f"{task}: true arm in the top 3 in {hits}/5 seeds"
+
+
 def test_criterion_02_mae_ordering():
     target = 3 * 0.042
     ordered_hits = 0
@@ -139,9 +149,9 @@ def test_criterion_04_front_matches_reference_lift():
         for k in range(2, 6):
             for _ in range(10):
                 idx = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-                sp = SelectionPair.for_descriptor(GroupDescriptor(kind, idx, n))
+                d = GroupDescriptor(kind, idx, n)
                 x = rng.uniform(0.1, 1.0, size=n)
-                front = apply_pipeline_front(sp, x)[: n * n]
+                front = apply_pipeline_front(d, x)[: n * n]
                 nonzero = front[np.any(front != 0.0, axis=1)]
                 got = sorted(map(tuple, nonzero))
                 want = sorted(map(tuple, rho_variant(x[list(idx)], kind)))
@@ -154,10 +164,9 @@ def test_criterion_05_trained_pipeline_invariance():
     # Trained weights from a cached discovery run on the true arm.
     spec, train, _, result = _discovery("Z_I(5)", 1)
     bits = _true_bits(spec)
-    sp = SelectionPair.for_descriptor(spec.descriptor)
-    params, _ = result.fits.get(bits) or train_sgd(train, sp, TRAIN_CFG)
+    params, _ = result.fits.get(bits) or train_sgd(train, spec.descriptor, TRAIN_CFG)
     trained = check_invariance(
-        lambda x: forward(params, sp, x), spec.descriptor, samples=100, tol=1e-9
+        lambda x: forward(params, spec.descriptor, x), spec.descriptor, samples=100, tol=1e-9
     )
     # The guarantee is architectural, so it must also hold at random weights
     # for every kind and k <= 5.
@@ -166,9 +175,8 @@ def test_criterion_05_trained_pipeline_invariance():
     for kind in (CYCLIC, DIHEDRAL, SYMMETRIC):
         for k in range(2, 6):
             d = GroupDescriptor(kind, tuple(range(1, k + 1)), k + 2)
-            spk = SelectionPair.for_descriptor(d)
             pk = init_params(k + 2, p=8, h=12, seed=k)
-            rep = check_invariance(lambda x: forward(pk, spk, x), d, samples=100, tol=1e-9)
+            rep = check_invariance(lambda x: forward(pk, d, x), d, samples=100, tol=1e-9)
             worst_random = max(worst_random, rep.max_violation)
             random_ok = random_ok and rep.passed
     # Falsifiability: a wrong-group transposition moves the output.
@@ -178,7 +186,7 @@ def test_criterion_05_trained_pipeline_invariance():
     i = spec.descriptor.index_set[0]
     j = next(c for c in range(spec.n) if c not in spec.descriptor.index_set)
     outside[[i, j]] = outside[[j, i]]
-    falsifiable = forward(params, sp, outside) != forward(params, sp, x)
+    falsifiable = forward(params, spec.descriptor, outside) != forward(params, spec.descriptor, x)
     ok = trained.passed and random_ok and falsifiable
     _report(
         5,
@@ -196,11 +204,11 @@ def test_criterion_06_gradient_check():
         (DIHEDRAL, (1, 2, 4), 5),
         (SYMMETRIC, (0, 1, 2, 3), 5),
     ):
-        sp = SelectionPair.for_descriptor(GroupDescriptor(kind, idx, n))
+        d = GroupDescriptor(kind, idx, n)
         params = init_params(n, p=8, h=12, seed=3)
         X = rng.uniform(size=(10, n))
         y = rng.uniform(size=10)
-        worst = max(worst, gradient_check(params, sp, X, y, n_coords=20, seed=0))
+        worst = max(worst, gradient_check(params, d, X, y, n_coords=20, seed=0))
     _report(6, worst <= 1e-4, f"max relative gradient error {worst:.2e} (tol 1e-4)")
 
 

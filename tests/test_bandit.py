@@ -23,7 +23,7 @@ from symforge.cli import discovery_artifacts
 from symforge.errors import NumericError, SymforgeError, TrainingDivergedError
 from symforge.groups import CYCLIC, SYMMETRIC, GroupDescriptor
 from symforge.net import Dataset, TrainConfig, evaluate, train_sgd
-from symforge.selection import SelectionPair, encode_arm, enumerate_arms
+from symforge.selection import encode_arm, enumerate_arms
 
 FAST = TrainConfig(epochs=20, batch_size=16, seed=0)
 
@@ -393,12 +393,11 @@ def test_evaluate_top_arms_trains_missing(monkeypatch):
     assert any(pulled) and not all(pulled)
     fit_rows = _holdout_split(ds, cfg.reward_holdout)[0]
     for arm, mae in top:
-        sp = SelectionPair.for_descriptor(arm.descriptor)
         if arm.bits in result.fits:
             params = result.fits[arm.bits].params
         else:
-            params, _ = train_sgd(fit_rows, sp, FAST)
-        assert mae is not None and mae == evaluate(params, sp, ds)
+            params, _ = train_sgd(fit_rows, arm.descriptor, FAST)
+        assert mae is not None and mae == evaluate(params, arm.descriptor, ds)
 
     # A failed fit of an unpulled arm gives None, as does a failed evaluation.
     def diverging_train_sgd(*args):

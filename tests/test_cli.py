@@ -25,7 +25,7 @@ from symforge.cli import (
     run_verify,
 )
 from symforge.oracle import InvarianceReport, VerificationReport
-from symforge.selection import SelectionPair, dense_matrix, enumerate_arms
+from symforge.selection import build_m2, dense_matrix, enumerate_arms
 from symforge.tasks import builtin_polynomial, make_splits
 
 
@@ -216,8 +216,7 @@ def test_sgd_only_m2_rounds_to_no_arm(tmp_path, task):
     m2 = np.loadtxt(out / "m2.csv", delimiter=",")
     n = round(len(m2) ** 0.5)
     for arm in enumerate_arms(n):
-        sp = SelectionPair.for_descriptor(arm.descriptor)
-        distance = np.abs(m2 - dense_matrix(sp.m2_entries, m2.shape)).max()
+        distance = np.abs(m2 - dense_matrix(build_m2(arm.descriptor), m2.shape)).max()
         assert distance >= 0.5, arm.descriptor
 
 
@@ -473,6 +472,27 @@ def test_cli_unusable_output_dir_exits_2(tmp_path):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "cannot create output directory" in result.output
+
+
+@pytest.mark.parametrize(
+    "command, artifact",
+    [("gen-data", "train.csv"), ("discover", "pulls.csv"), ("bandit-sim", "misid.csv")],
+)
+def test_cli_unwritable_artifact_exits_2(tmp_path, command, artifact):
+    # An artifact that cannot be written is a fault of the output setting:
+    # exit 2 with one error line naming it, not a traceback with exit 1,
+    # which is the code of a failed suite.
+    path = _tiny_config(tmp_path, "task", {})
+    blocked = tmp_path / "runs" / config_hash(load_config(path)) / artifact
+    blocked.mkdir(parents=True)
+    proc = _child(
+        "import sys; from symforge.cli import main; main(sys.argv[1:])",
+        command, "--config", str(path),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    (line,) = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert str(blocked) in line
 
 
 def test_discover_with_no_rows_to_hold_out(tmp_path):

@@ -33,11 +33,11 @@ from symforge.net import (
     train_sgd,
 )
 from symforge.relaxed import evaluate_relaxed, forward_relaxed, init_relaxed
-from symforge.selection import SelectionPair, apply_pipeline_front, enumerate_arms
+from symforge.selection import apply_pipeline_front, build_m2, enumerate_arms
 
 
 def _pair(kind=CYCLIC, idx=(0, 2, 3), n=5):
-    return SelectionPair.for_descriptor(GroupDescriptor(kind, idx, n))
+    return GroupDescriptor(kind, idx, n)
 
 
 def test_dataset_validation():
@@ -74,77 +74,76 @@ def test_forward_bitwise_invariance():
     rng = np.random.default_rng(5)
     for kind, idx in ((CYCLIC, (0, 1, 3, 4)), (DIHEDRAL, (1, 2, 4)), (SYMMETRIC, (0, 2, 3))):
         d = GroupDescriptor(kind, idx, 5)
-        sp = SelectionPair.for_descriptor(d)
         params = init_params(5, p=8, h=10, seed=1)
         for _ in range(10):
             x = rng.uniform(size=5)
-            base = forward(params, sp, x)
+            base = forward(params, d, x)
             for g in elements(d):
-                assert forward(params, sp, act(g, x)) == base
+                assert forward(params, d, act(g, x)) == base
 
 
 def test_forward_not_invariant_under_wrong_group():
-    sp = _pair(CYCLIC, (0, 1, 2), 5)
+    d = _pair(CYCLIC, (0, 1, 2), 5)
     params = init_params(5, p=8, h=10, seed=2)
     x = np.array([0.9, 0.1, 0.5, 0.3, 0.7])
     swapped = x.copy()
     swapped[[0, 1]] = swapped[[1, 0]]  # transposition outside the cyclic group
-    assert forward(params, sp, swapped) != forward(params, sp, x)
+    assert forward(params, d, swapped) != forward(params, d, x)
 
 
 def test_forward_rejects_nonfinite():
-    sp = _pair()
+    d = _pair()
     params = init_params(5, p=4, h=6, seed=0)
     with pytest.raises(NumericError):
-        forward_batch(params, sp, np.array([[np.nan] * 5]))
+        forward_batch(params, d, np.array([[np.nan] * 5]))
 
 
 def test_loss_kinds_agree_on_zero_residual():
-    sp = _pair()
+    d = _pair()
     params = init_params(5, p=4, h=6, seed=0)
     X = np.random.default_rng(0).uniform(size=(6, 5))
-    y = forward_batch(params, sp, X)
+    y = forward_batch(params, d, X)
     for kind in (SQUARED, ABSOLUTE):
-        loss, _ = loss_and_grad(params, sp, X, y, kind)
+        loss, _ = loss_and_grad(params, d, X, y, kind)
         assert loss == 0.0
 
 
 def test_gradient_check_small():
     rng = np.random.default_rng(0)
-    sp = _pair(DIHEDRAL, (0, 1, 3), 5)
+    d = _pair(DIHEDRAL, (0, 1, 3), 5)
     params = init_params(5, p=6, h=8, seed=4)
     X = rng.uniform(size=(8, 5))
     y = rng.uniform(size=8)
-    assert gradient_check(params, sp, X, y, n_coords=30) <= 1e-4
+    assert gradient_check(params, d, X, y, n_coords=30) <= 1e-4
 
 
 def test_training_fits_constant_target():
     rng = np.random.default_rng(1)
     X = rng.uniform(size=(32, 4))
     ds = Dataset(X, np.full(32, 0.5))
-    sp = _pair(SYMMETRIC, (0, 1, 2), 4)
+    d = _pair(SYMMETRIC, (0, 1, 2), 4)
     # Full-batch descent: a bias-only fit that must reach the tolerance.
     cfg = TrainConfig(epochs=200, batch_size=32, lr_initial=0.6, lr_decay=1.0, seed=0)
-    _, final = train_sgd(ds, sp, cfg, p=8, h=12)
+    _, final = train_sgd(ds, d, cfg, p=8, h=12)
     assert final <= 1e-6
 
 
 def test_training_with_zero_lr_keeps_params():
     rng = np.random.default_rng(2)
     ds = Dataset(rng.uniform(size=(16, 4)), rng.uniform(size=16))
-    sp = _pair(CYCLIC, (0, 1, 2), 4)
+    d = _pair(CYCLIC, (0, 1, 2), 4)
     cfg = TrainConfig(epochs=3, batch_size=8, lr_initial=0.0, seed=7)
-    params, _ = train_sgd(ds, sp, cfg, p=4, h=6)
+    params, _ = train_sgd(ds, d, cfg, p=4, h=6)
     assert np.array_equal(params.theta, init_params(4, p=4, h=6, seed=7).theta)
 
 
 def test_training_is_deterministic():
     rng = np.random.default_rng(3)
     ds = Dataset(rng.uniform(size=(24, 4)), rng.uniform(size=24))
-    sp = _pair(CYCLIC, (0, 1, 3), 4)
+    d = _pair(CYCLIC, (0, 1, 3), 4)
     cfg = TrainConfig(epochs=10, batch_size=8, seed=11)
-    p1, l1 = train_sgd(ds, sp, cfg, p=4, h=6)
-    p2, l2 = train_sgd(ds, sp, cfg, p=4, h=6)
+    p1, l1 = train_sgd(ds, d, cfg, p=4, h=6)
+    p2, l2 = train_sgd(ds, d, cfg, p=4, h=6)
     assert l1 == l2
     assert np.array_equal(p1.theta, p2.theta)
 
@@ -152,26 +151,26 @@ def test_training_is_deterministic():
 def test_training_divergence_reports_last_loss():
     rng = np.random.default_rng(4)
     ds = Dataset(rng.uniform(size=(16, 4)), rng.uniform(size=16))
-    sp = _pair(CYCLIC, (0, 1, 2), 4)
+    d = _pair(CYCLIC, (0, 1, 2), 4)
     cfg = TrainConfig(epochs=50, batch_size=16, lr_initial=1e6, lr_decay=1.0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         TrainingDivergedError
     ):
-        train_sgd(ds, sp, cfg, p=4, h=6)
+        train_sgd(ds, d, cfg, p=4, h=6)
 
 
 def test_mae_bounded_by_rmse():
     rng = np.random.default_rng(6)
     ds = Dataset(rng.uniform(size=(20, 5)), rng.uniform(size=20))
-    sp = _pair()
+    d = _pair()
     params = init_params(5, p=4, h=6, seed=0)
-    mae = evaluate(params, sp, ds)
-    mse = evaluate(params, sp, ds, metric=SQUARED)
+    mae = evaluate(params, d, ds)
+    mse = evaluate(params, d, ds, metric=SQUARED)
     assert mae <= np.sqrt(mse) + 1e-12
-    assert mae == mean_loss(params, sp, ds, ABSOLUTE)
-    assert mse == mean_loss(params, sp, ds, SQUARED)
+    assert mae == mean_loss(params, d, ds, ABSOLUTE)
+    assert mse == mean_loss(params, d, ds, SQUARED)
     with pytest.raises(ValueError):
-        evaluate(params, sp, ds, metric="R2")
+        evaluate(params, d, ds, metric="R2")
 
 
 def test_reference_mlp_learns_linear_target():
@@ -187,11 +186,11 @@ def test_reference_mlp_learns_linear_target():
 @given(st.integers(0, 10**6))
 def test_batched_forward_matches_single(seed):
     rng = np.random.default_rng(seed)
-    sp = _pair(DIHEDRAL, (0, 2, 4), 5)
+    d = _pair(DIHEDRAL, (0, 2, 4), 5)
     params = init_params(5, p=4, h=6, seed=0)
     X = rng.uniform(size=(5, 5))
-    batched = forward_batch(params, sp, X)
-    singles = [forward(params, sp, x) for x in X]
+    batched = forward_batch(params, d, X)
+    singles = [forward(params, d, x) for x in X]
     # BLAS may round differently for different batch shapes, so this is a
     # tight numerical comparison rather than a bitwise one.
     assert np.allclose(batched, np.asarray(singles), rtol=1e-12, atol=1e-14)
@@ -231,16 +230,16 @@ def test_layout_rows_match_per_batch_path():
     X = np.round(rng.uniform(size=(37, 5)), 1)
     y = rng.uniform(size=37)
     for kind, idx in ((CYCLIC, (0, 1, 3)), (DIHEDRAL, (1, 2, 4)), (SYMMETRIC, (0, 2, 3, 4))):
-        sp = _pair(kind, idx, 5)
+        d = _pair(kind, idx, 5)
         params = init_params(5, seed=2)
-        layout = _pair_layout(sp, X)
+        layout = _pair_layout(d, X)
         out = PhiParams(np.empty_like(params.theta), params.p, params.h, params.n)
         perm = rng.permutation(37)
         for start in range(0, 37, 16):  # 16, 16, then a short batch of 5
             rows = perm[start : start + 16]
-            loss, grads = loss_and_grad(params, sp, X[rows], y[rows], SQUARED)
+            loss, grads = loss_and_grad(params, d, X[rows], y[rows], SQUARED)
             got, returned = loss_and_grad(
-                params, sp, layout.take(rows), y[rows], SQUARED, out=out
+                params, d, layout.take(rows), y[rows], SQUARED, out=out
             )
             assert returned is out
             assert np.float64(got).tobytes() == np.float64(loss).tobytes()
@@ -256,14 +255,14 @@ def test_pair_layout_matches_pipeline_front():
     rng = np.random.default_rng(4)
     n = 7
     for arm in enumerate_arms(n):
-        sp = SelectionPair.for_descriptor(arm.descriptor)
+        d = arm.descriptor
         X = rng.normal(size=(3, n))
-        layout = _pair_layout(sp, X)
-        s = len(sp.m2_entries)
+        layout = _pair_layout(d, X)
+        s = len(build_m2(d))
         assert layout.P.shape == (3, s, 3) and layout.q.shape == (3, n + 1)
         assert (layout.P[:, :, 2] == 1).all() and (layout.q[:, n] == 1).all()
         for i, x in enumerate(X):
-            front = apply_pipeline_front(sp, x)
+            front = apply_pipeline_front(d, x)
             pairs = front[:s][np.lexsort((front[:s, 1], front[:s, 0]))]
             assert np.array_equal(layout.P[i, :, :2], pairs), (arm.descriptor, i)
             assert not front[s : n * n].any(), (arm.descriptor, i)
@@ -339,11 +338,11 @@ def test_evaluation_memory_is_bounded_by_the_block():
     fit = Dataset(rng.uniform(size=(37, 5)), rng.uniform(size=37))
     _, predict = train_reference_mlp(fit, TrainConfig(epochs=1, batch_size=8))
     params, relaxed = init_params(5, seed=3), init_relaxed(5, seed=3)
-    sp = _pair(SYMMETRIC, (0, 1, 2, 3, 4))
+    d = _pair(SYMMETRIC, (0, 1, 2, 3, 4))
     sets = [Dataset(rng.uniform(size=(rows, 5)), rng.uniform(size=rows)) for rows in (128, 4800)]
     for name, run in (
         ("evaluate_relaxed", lambda ds: evaluate_relaxed(relaxed, ds)),
-        ("evaluate", lambda ds: evaluate(params, sp, ds)),
+        ("evaluate", lambda ds: evaluate(params, d, ds)),
         ("predict", lambda ds: predict(ds.inputs)),
     ):
         small, large = (_peak_bytes(lambda: run(ds)) for ds in sets)
@@ -376,7 +375,7 @@ def test_fits_share_no_buffers():
     wide = Dataset(rng.uniform(size=(480, 5)), rng.uniform(size=480))
     cfg = TrainConfig(epochs=4, batch_size=8, seed=3)
     a, b = _pair(CYCLIC, (0, 1, 3), 5), _pair(SYMMETRIC, (0, 1, 2, 3, 4), 5)
-    assert len(a.m2_entries) != len(b.m2_entries)
+    assert len(build_m2(a)) != len(build_m2(b))
     first, first_loss = train_sgd(ds, a, cfg)
     mean_loss(first, a, wide, SQUARED)
     train_sgd(ds, b, cfg)
@@ -428,14 +427,14 @@ def test_every_bias_row_matches_finite_differences():
     # criterion 6's tolerance; gradient_check samples only 20 coordinates.
     rng = np.random.default_rng(6)
     X, y = rng.uniform(size=(10, 5)), rng.uniform(size=10)
-    sp = _pair(DIHEDRAL, (1, 2, 4), 5)
+    d = _pair(DIHEDRAL, (1, 2, 4), 5)
     params = init_params(5, p=8, h=12, seed=3)
     index = PhiParams(np.arange(params.theta.size, dtype=float), params.p, params.h, params.n)
     coords = _bias_coords(index.eta + index.mu_head)
     assert len(coords) == 2 * 12 + 8 + 2 * 12 + 1
-    _, grads = loss_and_grad(params, sp, X, y)
+    _, grads = loss_and_grad(params, d, X, y)
     assert np.abs(grads.theta[coords]).max() > 1e-3
-    phi_loss = lambda theta: loss_and_grad(replace(params, theta=theta), sp, X, y)[0]
+    phi_loss = lambda theta: loss_and_grad(replace(params, theta=theta), d, X, y)[0]
     assert _worst_fd_error(phi_loss, params.theta, grads.theta, coords) <= 1e-4
 
     dims = (5, 12, 12, 1)

@@ -12,16 +12,17 @@ from symforge.errors import (
 from symforge.groups import CYCLIC, DIHEDRAL, SYMMETRIC, GroupDescriptor
 from symforge.selection import (
     ArmFeature,
-    SelectionPair,
     apply_pipeline_front,
     argmax_arm,
     arm_matrix,
     build_m1,
     build_m2,
+    complement_mask,
     dense_matrix,
     encode_arm,
     enumerate_arms,
     rank_arms,
+    selected_pairs,
 )
 
 
@@ -56,15 +57,22 @@ def test_m2_is_constant_in_the_index_set():
 
 
 def test_selected_pairs_use_original_coordinates():
-    sp = SelectionPair.for_descriptor(GroupDescriptor(CYCLIC, (1, 3, 4), 5))
-    assert sp.selected_pairs() == ((1, 3), (3, 4), (4, 1))
-    mask = sp.complement_mask()
-    assert mask.tolist() == [True, False, True, False, False]
+    # Each kind on I = (1, 3, 4): a dihedral arm selects every cycle edge in
+    # both orientations, the forward pairs first, then each one reversed.
+    for kind, pairs in (
+        (CYCLIC, ((1, 3), (3, 4), (4, 1))),
+        (DIHEDRAL, ((1, 3), (3, 4), (4, 1), (3, 1), (4, 3), (1, 4))),
+        (SYMMETRIC, ((1, 1), (3, 3), (4, 4))),
+    ):
+        d = GroupDescriptor(kind, (1, 3, 4), 5)
+        assert selected_pairs(d) == pairs, kind
+        mask = complement_mask(d)
+        assert mask.tolist() == [True, False, True, False, False]
 
 
 def test_apply_pipeline_front_cyclic_pair():
-    sp = SelectionPair.for_descriptor(GroupDescriptor(CYCLIC, (0, 1), 3))
-    front = apply_pipeline_front(sp, np.array([5.0, 7.0, 9.0]))
+    d = GroupDescriptor(CYCLIC, (0, 1), 3)
+    front = apply_pipeline_front(d, np.array([5.0, 7.0, 9.0]))
     assert front.shape == (12, 2)
     assert front[0].tolist() == [5.0, 7.0]
     assert front[1].tolist() == [7.0, 5.0]
@@ -75,9 +83,9 @@ def test_apply_pipeline_front_cyclic_pair():
 
 
 def test_apply_pipeline_front_shape_guard():
-    sp = SelectionPair.for_descriptor(GroupDescriptor(SYMMETRIC, (0, 1, 2), 4))
+    d = GroupDescriptor(SYMMETRIC, (0, 1, 2), 4)
     with pytest.raises(DimensionError):
-        apply_pipeline_front(sp, np.zeros(5))
+        apply_pipeline_front(d, np.zeros(5))
 
 
 def test_encode_arm_reference_example():
@@ -163,14 +171,12 @@ def test_reference_block_structure_n10():
     # into the leading slots, and the cyclic M2 walks the leading 5-cycle of
     # the unified lift.
     d = GroupDescriptor(CYCLIC, (0, 2, 3, 6, 7), 10)
-    sp = SelectionPair.for_descriptor(d)
-    assert sp.m1_entries == ((0, 0), (1, 2), (2, 3), (3, 6), (4, 7))
-    assert sp.m2_entries == ((0, 1), (1, 12), (2, 23), (3, 34), (4, 40))
-    assert sp.selected_pairs() == ((0, 2), (2, 3), (3, 6), (6, 7), (7, 0))
+    assert build_m1(d) == ((0, 0), (1, 2), (2, 3), (3, 6), (4, 7))
+    assert build_m2(d) == ((0, 1), (1, 12), (2, 23), (3, 34), (4, 40))
+    assert selected_pairs(d) == ((0, 2), (2, 3), (3, 6), (6, 7), (7, 0))
 
 
 def test_entry_dumps():
     d = GroupDescriptor(SYMMETRIC, (0, 2), 3)
-    sp = SelectionPair.for_descriptor(d)
-    dense = dense_matrix(sp.m1_entries, (3, 3))
+    dense = dense_matrix(build_m1(d), (3, 3))
     assert dense.tolist() == [[1, 0, 0], [0, 0, 1], [0, 0, 0]]
