@@ -267,8 +267,8 @@ def _arm_fields(descriptor) -> dict:
 def discovery_artifacts(result, top) -> tuple[dict, dict]:
     """(files, fields) of a discovery run: the bytes of pulls.csv,
     ranking.csv and the winner's dense m1.csv and m2.csv, and the report's
-    top3 and winner fields.  top is evaluate_top_arms' [(arm, MAE)], whose
-    arms lead result.ranking."""
+    top3 and winner fields.  top is [(arm, validation MAE or None)] for
+    the arms that lead result.ranking."""
     scores = [float(np.dot(result.posterior.mu_hat, arm.bits)) for arm in result.ranking]
     winner = result.ranking[0].descriptor
     n = winner.n
@@ -322,7 +322,10 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
             )
             arms = filter_arms(arms, kept)
         result = run_discovery(arms, train, dcfg, references)
-        top = evaluate_top_arms(result, val if val is not None else train, top=3)
+        if val is None:  # no rows the arms were not fit on
+            top = [(arm, None) for arm in result.ranking[:3]]
+        else:
+            top = evaluate_top_arms(result, val, top=3)
         files, fields = discovery_artifacts(result, top)
         fields["winner"].update(paths)
         report.update(

@@ -22,17 +22,19 @@ Each layer's weights are one (d_in + 1, d_out) block, W over the bias row,
 and every layer input carries a trailing ones column, so a layer is one
 matmul and one more gives both its weight and bias gradients.  Inputs get
 their ones column once, in the pair layout, the reference MLP's inputs and
-the ablation's front; hidden layers copy their activations into buffers
-that keep it.  The last layer's output and the hidden layers' gradients
-have buffers too, so a training step allocates nothing the size of its pair
-rows: when each step allocated and freed those arrays, glibc handed the
-memory back and faulted it in again at every step until the process first
-freed a larger block, and the first SGD-only discovery in a process ran
-1.4-1.9x as long as the next (Z_I(5), CLI defaults, 2-vCPU Xeon: about
-700,000 page faults against 2,000).  Each training loop allocates the
-buffers for its batch sizes and drops them when it returns.  Every
-forward-only pass (`forward_batch`, the reference MLP's predictor and the
-ablation's `forward_relaxed`) runs through `_predict`, in blocks of
+the ablation's front; hidden layers write their activations into buffers
+that keep it.  A pass's buffers hold its activations, and the backward
+pass reads them there: each layer's input is the pass's input or the
+hidden buffer before it.  The last layer's output and the hidden layers'
+gradients have buffers too, so a training step allocates nothing the size
+of its pair rows: when each step allocated and freed those arrays, glibc
+handed the memory back and faulted it in again at every step until the
+process first freed a larger block, and the first SGD-only discovery in a
+process ran 1.4-1.9x as long as the next (Z_I(5), CLI defaults, 2-vCPU
+Xeon: about 700,000 page faults against 2,000).  Each training loop
+allocates the buffers for its batch sizes and drops them when it returns.
+Every forward-only pass (`forward_batch`, the reference MLP's predictor and
+the ablation's `forward_relaxed`) runs through `_predict`, in blocks of
 `_EVAL_ROWS` rows that each allocate their own buffers, so an evaluation's
 memory is bounded by the block, not by the split.
 
@@ -109,10 +111,10 @@ class PhiParams:
     mu_head: (p + n) -> h -> h -> 1, tanh hidden, linear output.
 
     All weights live in the one float64 vector `theta`; `eta` and `mu_head`
-    are lists of `_Layer` views into it, so an in-place update of `theta`
-    moves every layer.  Each layer is stored as one contiguous (d_in + 1,
-    d_out) block, W over the bias row b, which the forward and backward
-    passes multiply whole.  The activation buffers are not part of the
+    are lists of layer views into it, so an in-place update of `theta`
+    moves every layer.  Each layer is one contiguous (d_in + 1, d_out)
+    block, W over the bias row b, which the forward and backward passes
+    multiply whole.  The activation buffers are not part of the
     parameters: the training loop that owns a fit allocates them.
     """
 
@@ -134,32 +136,23 @@ def _mlp_size(dims) -> int:
     return sum((d_in + 1) * d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
 
 
-class _Layer(NamedTuple):
-    """One layer's views into a weight vector: W (d_in, d_out), b (d_out,)
-    and Wb, the contiguous (d_in + 1, d_out) block of W with b as its last
-    row, which multiplies an input carrying a trailing ones column."""
-
-    W: np.ndarray
-    b: np.ndarray
-    Wb: np.ndarray
-
-
 def _mlp_views(vec, dims):
-    """`_Layer` views into the head of vec for an MLP with the given widths,
-    and the rest of vec."""
+    """Views into the head of vec for an MLP with the given widths, and the
+    rest of vec.  Each layer is its contiguous (d_in + 1, d_out) block Wb,
+    W over the bias row, which multiplies an input carrying a trailing ones
+    column."""
     layers, pos = [], 0
     for d_in, d_out in zip(dims[:-1], dims[1:]):
-        Wb = vec[pos : pos + (d_in + 1) * d_out].reshape(d_in + 1, d_out)
-        layers.append(_Layer(Wb[:-1], Wb[-1], Wb))
+        layers.append(vec[pos : pos + (d_in + 1) * d_out].reshape(d_in + 1, d_out))
         pos += (d_in + 1) * d_out
     return layers, vec[pos:]
 
 
 def _init_mlp(layers, rng):
-    for W, b, _ in layers:
-        bound = 1.0 / np.sqrt(W.shape[0])
-        W[...] = rng.uniform(-bound, bound, size=W.shape)
-        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    for Wb in layers:
+        bound = 1.0 / np.sqrt(Wb.shape[0] - 1)
+        Wb[:-1] = rng.uniform(-bound, bound, size=Wb[:-1].shape)
+        Wb[-1] = rng.uniform(-bound, bound, size=Wb.shape[1])
 
 
 def init_params(n: int, p: int = 16, h: int = 32, seed: int = 0) -> PhiParams:
@@ -185,6 +178,7 @@ class _Buffers(NamedTuple):
     size of the batch's rows."""
 
     hidden: list  # (rows, d + 1) per hidden layer of width d, last column 1
+    act: list  # hidden[i][:, :-1], the layer's tanh output
     out: np.ndarray  # (rows, d_out), the last layer's output
     grad: list  # (rows, d) per hidden layer, the gradient wrt its output
 
@@ -195,47 +189,44 @@ def _mlp_buffers(layers, rows) -> _Buffers:
     so the d activation columns are one contiguous block: numpy's tanh runs
     its vectorized loop only on contiguous memory, and on a row-major
     buffer's strided view it took 1.4-2x as long (16-160 rows of 32)."""
+    hidden = [np.ones((rows, Wb.shape[1] + 1), order="F") for Wb in layers[:-1]]
     return _Buffers(
-        [np.ones((rows, layer.b.size + 1), order="F") for layer in layers[:-1]],
-        np.empty((rows, layers[-1].b.size)),
-        [np.empty((rows, layer.b.size)) for layer in layers[:-1]],
+        hidden,
+        [H[:, :-1] for H in hidden],
+        np.empty((rows, layers[-1].shape[1])),
+        [np.empty((rows, Wb.shape[1])) for Wb in layers[:-1]],
     )
 
 
 def _mlp_forward(layers, A, buffers: _Buffers):
-    """Tanh hidden layers, linear last layer, written into `buffers`.  A
-    carries a trailing ones column, and so does each hidden buffer, so each
-    layer is one matmul with its block.  Returns (output, caches): each
-    layer's input and its tanh output, None for the linear last layer."""
-    caches = []
+    """Tanh hidden layers, linear last layer, written into `buffers`; returns
+    the output.  A carries a trailing ones column, and so does each hidden
+    buffer, so each layer is one matmul with its block."""
     a = A
-    for layer, H in zip(layers, buffers.hidden):
-        z = H[:, :-1]
-        np.matmul(a, layer.Wb, out=z)
-        np.tanh(z, out=z)
-        caches.append((a, z))
+    for Wb, H, act in zip(layers, buffers.hidden, buffers.act):
+        np.matmul(a, Wb, out=act)
+        np.tanh(act, out=act)
         a = H
-    caches.append((a, None))
-    return np.matmul(a, layers[-1].Wb, out=buffers.out), caches
+    return np.matmul(a, layers[-1], out=buffers.out)
 
 
-def _mlp_backward(layers, caches, grad_out, grads, input_grad, buffers: _Buffers):
-    """Writes the param grads into `grads`, `_Layer`s shaped like `layers`;
-    returns the grad wrt the MLP input (without its ones column), or None
-    if not input_grad.  The hidden layers' gradients go into `buffers`,
-    and each tanh output in the caches is spent: it is overwritten with
-    tanh's derivative."""
+def _mlp_backward(layers, A, grad_out, grads, input_grad, buffers: _Buffers):
+    """The backward pass of the `_mlp_forward` over A that filled `buffers`:
+    writes the param grads into `grads`, blocks shaped like `layers`, and
+    returns the grad wrt A's data columns, or None if not input_grad.  Each
+    later layer's input is read from `buffers.hidden`; the hidden layers'
+    gradients go into `buffers.grad`, and each tanh output in `buffers.act`
+    is spent: it is overwritten with tanh's derivative."""
     g = grad_out
-    for i in range(len(layers) - 1, -1, -1):
-        a, out = caches[i]
-        if out is not None:  # g is buffers.grad[i]: g *= 1 - out**2
-            np.multiply(out, out, out=out)
-            np.subtract(1.0, out, out=out)
-            np.multiply(g, out, out=g)
-        np.matmul(a.T, g, out=grads[i].Wb)  # gW, then gb as the last row
-        if i == 0:
-            return g @ layers[0].W.T if input_grad else None
-        g = np.matmul(g, layers[i].W.T, out=buffers.grad[i - 1])
+    for i in range(len(layers) - 1, 0, -1):
+        np.matmul(buffers.hidden[i - 1].T, g, out=grads[i])  # gW, then gb as the last row
+        g = np.matmul(g, layers[i][:-1].T, out=buffers.grad[i - 1])
+        act = buffers.act[i - 1]  # g *= 1 - act**2
+        np.multiply(act, act, out=act)
+        np.subtract(1.0, act, out=act)
+        np.multiply(g, act, out=g)
+    np.matmul(A.T, g, out=grads[0])
+    return g @ layers[0][:-1].T if input_grad else None
 
 
 class _PairLayout(NamedTuple):
@@ -266,22 +257,22 @@ def _phi_buffers(params: PhiParams, rows: int, s_count: int):
 
 
 def _phi_pool(params: PhiParams, P, q, eta_buffers):
-    """The head input [mean of eta over the pair rows P (m, s, 3) ; q] and
-    eta's caches.  P and q carry ones columns, and so does the head
-    input.  Each sample's rows are summed in the order P holds them: sorted
-    by pair value in a `_PairLayout`, for the bitwise invariance the module
-    docstring describes."""
+    """The head input [mean of eta over the pair rows P (m, s, 3) ; q].  P
+    and q carry ones columns, and so does the head input.  Each sample's
+    rows are summed in the order P holds them: sorted by pair value in a
+    `_PairLayout`, for the bitwise invariance the module docstring
+    describes."""
     m, s_count, _ = P.shape
-    E, eta_caches = _mlp_forward(params.eta, P.reshape(m * s_count, 3), eta_buffers)
+    E = _mlp_forward(params.eta, P.reshape(m * s_count, 3), eta_buffers)
     pooled = E.reshape(m, s_count, params.p).sum(axis=1) / s_count
-    return np.concatenate([pooled, q], axis=1), eta_caches
+    return np.concatenate([pooled, q], axis=1)
 
 
 def _phi_forward(params: PhiParams, P, q) -> np.ndarray:
     """phi's output (m,) for pair rows P and complement q."""
     eta_buffers, head_buffers = _phi_buffers(params, *P.shape[:2])
-    z, _ = _phi_pool(params, P, q, eta_buffers)
-    out, _ = _mlp_forward(params.mu_head, z, head_buffers)
+    z = _phi_pool(params, P, q, eta_buffers)
+    out = _mlp_forward(params.mu_head, z, head_buffers)
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite network output")
     return out[:, 0]
@@ -297,7 +288,7 @@ def _phi_loss_and_grad(params: PhiParams, P, q, y, loss_kind, grads, input_grad,
     if buffers is None:
         buffers = _phi_buffers(params, m, s_count)
     eta_buffers, head_buffers = buffers
-    z, eta_caches = _phi_pool(params, P, q, eta_buffers)
+    z = _phi_pool(params, P, q, eta_buffers)
     loss, dz = _mlp_loss_and_grad(
         params.mu_head, z, y, loss_kind, grads.mu_head, True, head_buffers
     )
@@ -306,7 +297,8 @@ def _phi_loss_and_grad(params: PhiParams, P, q, y, loss_kind, grads, input_grad,
     # takes these rows.
     up = eta_buffers.out
     up.reshape(m, s_count, params.p)[...] = (dz[:, : params.p] / s_count)[:, None, :]
-    dP = _mlp_backward(params.eta, eta_caches, up, grads.eta, input_grad, eta_buffers)
+    A = P.reshape(m * s_count, 3)
+    dP = _mlp_backward(params.eta, A, up, grads.eta, input_grad, eta_buffers)
     return loss, dP, dz[:, params.p :]
 
 
@@ -350,16 +342,16 @@ def _residual_grad(resid, kind) -> np.ndarray:
 
 def _mlp_loss_and_grad(layers, A, y, loss_kind, grads, input_grad, buffers):
     """Mean loss of the MLP on (A, y), A with its ones column, into
-    `buffers` (see `_mlp_buffers`); writes its weight gradient into grads, `_Layer`s
-    shaped like layers.  Returns (loss, gradient wrt A's data columns or
-    None if not input_grad); a non-finite loss raises NumericError."""
-    out, caches = _mlp_forward(layers, A, buffers)
+    `buffers` (see `_mlp_buffers`); writes its weight gradient into grads,
+    blocks shaped like layers.  Returns (loss, gradient wrt A's data columns
+    or None if not input_grad); a non-finite loss raises NumericError."""
+    out = _mlp_forward(layers, A, buffers)
     resid = out[:, 0] - y
     loss = _residual_loss(resid, loss_kind)
     if not np.isfinite(loss):
         raise NumericError("non-finite loss")
     dpred = _residual_grad(resid, loss_kind)
-    return loss, _mlp_backward(layers, caches, dpred[:, None], grads, input_grad, buffers)
+    return loss, _mlp_backward(layers, A, dpred[:, None], grads, input_grad, buffers)
 
 
 def loss_and_grad(
@@ -478,7 +470,8 @@ def gradient_check(
 
 def train_reference_mlp(dataset: Dataset, cfg: TrainConfig, h: int = 32):
     """Plain MLP on the raw input, no invariance imposed: the symmetry-free
-    reference fit.  Returns (layers, predict) with the same budget as cfg.
+    reference fit.  Returns (layers, predict), each layer its weight block,
+    with the same budget as cfg.
     The init and the shuffles come from one seeded stream.  A non-finite
     training loss raises TrainingDivergedError."""
     rng = np.random.default_rng(cfg.seed)
@@ -499,8 +492,7 @@ def train_reference_mlp(dataset: Dataset, cfg: TrainConfig, h: int = 32):
     _sgd(theta, grad_fn, cfg, len(dataset), rng)
 
     def forward_rows(block):
-        out, _ = _mlp_forward(layers, _with_ones(block), _mlp_buffers(layers, len(block)))
-        return out[:, 0]
+        return _mlp_forward(layers, _with_ones(block), _mlp_buffers(layers, len(block)))[:, 0]
 
     return layers, lambda X: _predict(forward_rows, X)
 

@@ -508,6 +508,24 @@ def test_discover_with_no_rows_to_hold_out(tmp_path):
     assert report["screened_coordinates"] == [0, 1, 2, 3, 4]
 
 
+def test_discover_without_a_val_split_reports_no_val_mae(tmp_path):
+    # With train rows only, every row was fit and rewarded on: an MAE
+    # measured there is no validation MAE, so none is reported or printed.
+    path = _write_config(
+        tmp_path,
+        task={"sizes": [48]},
+        arms={"screen_repeats": 2},
+        bandit={"T": 3},
+        training={"epochs": 5},
+    )
+    result = CliRunner().invoke(main, ["discover", "--config", str(path)])
+    assert result.exit_code == 0, result.output
+    report = yaml.safe_load(next((tmp_path / "runs").rglob("report.yaml")).read_text())
+    assert len(report["top3"]) == 3
+    assert all(row["val_mae"] is None for row in report["top3"])
+    assert "val_mae=" not in result.output
+
+
 def _tiny_config(tmp_path, section, values):
     """A discover and bandit-sim config that runs in well under a second,
     with `values` set in `section`."""
