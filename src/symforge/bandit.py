@@ -275,11 +275,12 @@ def run_discovery(
     for t in range(1, cfg.T + 1):
         mu = posterior_sample(post, rng.standard_normal(post.d))
         arm = arms[argmax_arm(mu, A)]
-        fit = fits.get(arm.bits) or _fit_arm(arm, fit_data, held_data, cfg.train_cfg)
+        bits = arm.bits
+        fit = fits.get(bits) or _fit_arm(arm, fit_data, held_data, cfg.train_cfg)
         if fit is None:
             loss, gamma = float("inf"), -1.0
         else:
-            fits[arm.bits] = fit
+            fits[bits] = fit
             loss = fit.loss
             if held_data is None:
                 gamma = -min(loss, cfg.loss_cap) / cfg.loss_cap
@@ -294,7 +295,7 @@ def run_discovery(
                 # its subgroups on the same support.
                 gamma += cfg.size_bonus * len(arm.descriptor.index_set) / n_coords
         records.append(PullRecord(t, arm, gamma, loss))
-        post = posterior_update(post, arm.bits, gamma)
+        post = posterior_update(post, bits, gamma)
     ranking = [arms[i] for i in rank_arms(post.mu_hat, A)]
     return DiscoveryResult(ranking, records, post, fits, fit_data, cfg.train_cfg)
 

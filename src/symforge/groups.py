@@ -53,12 +53,14 @@ class Permutation:
         return Permutation(tuple(range(n)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupDescriptor:
     """Names a subgroup of S_n: one kind acting on one index set.
 
-    Products of such groups exist only in the lift verifier
-    (`oracle.verify_product_group`), which takes their factors directly.
+    An index set given as a sorted tuple is kept, not copied, so the
+    descriptors on one support can share one tuple.  Products of such
+    groups exist only in the lift verifier (`oracle.verify_product_group`),
+    which takes their factors directly.
     """
 
     kind: str
@@ -73,7 +75,8 @@ class GroupDescriptor:
             raise InvalidDescriptorError("index set needs at least 2 distinct indices")
         if idx[0] < 0 or idx[-1] >= self.n:
             raise InvalidDescriptorError(f"index set {idx} not within [0, {self.n})")
-        object.__setattr__(self, "index_set", idx)
+        if type(self.index_set) is not tuple or idx != self.index_set:
+            object.__setattr__(self, "index_set", idx)
 
     @property
     def k(self) -> int:

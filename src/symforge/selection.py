@@ -6,11 +6,12 @@ unified pair lift: with slot u holding x_{i_u}, the pair (x_{i_u}, x_{i_v})
 sits at unified row u*n + v, so the value conditions defining M2 reduce to
 fixed source-row indices per subgroup kind.
 
-Both matrices are fixed by the arm's subgroup, so they, the selected pairs
-and the complement mask are all read off its `GroupDescriptor`.  The
-matrices are stored sparsely as (row, col) entry lists.  The complement
-block zeroes the coordinates inside the index set and keeps the rest in
-place, so it is untouched by every element of the arm's group.
+Both matrices are fixed by the arm's subgroup, so they, the selected pairs,
+the complement mask and the arm's bit vector are all read off its
+`GroupDescriptor`, the one field an arm stores.  The matrices are stored
+sparsely as (row, col) entry lists.  The complement block zeroes the
+coordinates inside the index set and keeps the rest in place, so it is
+untouched by every element of the arm's group.
 """
 
 from __future__ import annotations
@@ -82,26 +83,27 @@ def apply_pipeline_front(descriptor: GroupDescriptor, x) -> np.ndarray:
     return np.concatenate([front, comp], axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArmFeature:
-    """A bandit arm: n index bits plus the 3-bit kind one-hot (S, D, Z)."""
+    """A bandit arm: its subgroup, played as n index bits plus the 3-bit
+    kind one-hot (S, D, Z)."""
 
-    bits: tuple[int, ...]
     descriptor: GroupDescriptor
 
-
-def encode_arm(descriptor: GroupDescriptor) -> ArmFeature:
-    n = descriptor.n
-    bits = [0] * (n + 3)
-    for i in descriptor.index_set:
-        bits[i] = 1
-    bits[n + KIND_BIT_ORDER.index(descriptor.kind)] = 1
-    return ArmFeature(tuple(bits), descriptor)
+    @property
+    def bits(self) -> tuple[int, ...]:
+        d = self.descriptor
+        bits = [0] * (d.n + 3)
+        for i in d.index_set:
+            bits[i] = 1
+        bits[d.n + KIND_BIT_ORDER.index(d.kind)] = 1
+        return tuple(bits)
 
 
 def enumerate_arms(n: int) -> list[ArmFeature]:
     """All (kind, I) arms with |I| >= 2; for |I| = 2 the three kinds coincide
-    as actions, so only the symmetric arm is kept."""
+    as actions, so only the symmetric arm is kept.  The kinds on one support
+    share its index-set tuple."""
     if n > ARM_N_GUARD:
         raise EnumerationTooLargeError(f"arm enumeration for n={n} exceeds guard")
     if n < 2:
@@ -111,14 +113,27 @@ def enumerate_arms(n: int) -> list[ArmFeature]:
         for combo in itertools.combinations(range(n), size):
             kinds = (SYMMETRIC,) if size == 2 else KIND_BIT_ORDER
             for kind in kinds:
-                arms.append(encode_arm(GroupDescriptor(kind, combo, n)))
+                arms.append(ArmFeature(GroupDescriptor(kind, combo, n)))
     return arms
 
 
 def arm_matrix(arms) -> np.ndarray:
     """The arms' bits as one 0/1 matrix, a row per arm, stored by column so
-    that `_scores` reads each column contiguously."""
-    return np.array([a.bits for a in arms], dtype=bool, order="F")
+    that `_scores` reads each column contiguously.  It is filled in one
+    scatter from the arms' index sets and kinds; every arm must act on the
+    same n."""
+    descriptors = [a.descriptor for a in arms]
+    if not descriptors:
+        return np.zeros((0, 0), dtype=bool, order="F")
+    n = descriptors[0].n
+    if any(d.n != n for d in descriptors):
+        raise DimensionError("arms act on different n")
+    kind_bit = {kind: (n + j,) for j, kind in enumerate(KIND_BIT_ORDER)}
+    ones = [d.k + 1 for d in descriptors]
+    cols = itertools.chain.from_iterable(d.index_set + kind_bit[d.kind] for d in descriptors)
+    A = np.zeros((len(descriptors), n + 3), dtype=bool, order="F")
+    A[np.repeat(np.arange(len(A)), ones), np.fromiter(cols, np.intp, sum(ones))] = True
+    return A
 
 
 def _scores(mu, A) -> np.ndarray:

@@ -104,7 +104,10 @@ def gen_poly_dataset(spec: PolynomialSpec, m: int, rng) -> Dataset:
 
 def make_splits(spec: PolynomialSpec, sizes=(64, 480, 4800), seed=0):
     """Train/val/test from disjoint sub-streams of one seed, targets min-max
-    normalized to [0,1] with train statistics.  Returns (splits, manifest)."""
+    normalized to [0,1] with train statistics; 1-3 sizes name train, val
+    and test in that order.  Returns (splits, manifest)."""
+    if not 1 <= len(sizes) <= 3:
+        raise ValueError(f"need 1-3 split sizes (train, val, test), got {len(sizes)}")
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
     names = ("train", "val", "test")[: len(sizes)]
     raw = {

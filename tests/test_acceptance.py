@@ -40,8 +40,8 @@ from symforge.oracle import (
 )
 from symforge.rho import rho_variant
 from symforge.selection import (
+    ArmFeature,
     apply_pipeline_front,
-    encode_arm,
     enumerate_arms,
 )
 from symforge.tasks import builtin_polynomial, make_splits
@@ -73,7 +73,7 @@ def _discovery(task_name, seed):
 
 
 def _true_bits(spec):
-    return encode_arm(spec.descriptor).bits
+    return ArmFeature(spec.descriptor).bits
 
 
 def test_criterion_01_subgroup_discovery_top3():

@@ -23,7 +23,7 @@ from symforge.cli import discovery_artifacts
 from symforge.errors import NumericError, SymforgeError, TrainingDivergedError
 from symforge.groups import CYCLIC, SYMMETRIC, GroupDescriptor
 from symforge.net import Dataset, TrainConfig, evaluate, train_sgd
-from symforge.selection import encode_arm, enumerate_arms
+from symforge.selection import ArmFeature, enumerate_arms
 
 FAST = TrainConfig(epochs=20, batch_size=16, seed=0)
 
@@ -153,7 +153,7 @@ def test_discovery_config_validation():
 
 
 def test_discovery_single_arm_runs_all_pulls():
-    arm = encode_arm(GroupDescriptor(SYMMETRIC, (0, 1), 4))
+    arm = ArmFeature(GroupDescriptor(SYMMETRIC, (0, 1), 4))
     cfg = DiscoveryConfig(T=4, train_cfg=FAST, seed=1)
     result = run_discovery([arm], _toy_dataset(), cfg)
     assert len(result.records) == 4
@@ -316,7 +316,7 @@ def test_discovery_floors_mid_training_divergence(monkeypatch):
 
     monkeypatch.setattr(net, "loss_and_grad", failing_loss_and_grad)
     monkeypatch.setattr(bandit, "train_sgd", recording_train_sgd)
-    arm = encode_arm(GroupDescriptor(SYMMETRIC, (0, 1), 4))
+    arm = ArmFeature(GroupDescriptor(SYMMETRIC, (0, 1), 4))
     cfg = DiscoveryConfig(T=3, train_cfg=FAST, seed=1)
     result = run_discovery([arm], _toy_dataset(), cfg)
     assert len(errors) == cfg.T

@@ -24,7 +24,7 @@ from symforge.oracle import (
     verify_orbit_mapping,
     verify_product_group,
 )
-from symforge.selection import encode_arm
+from symforge.selection import ArmFeature
 
 
 def test_check_invariance_accepts_and_rejects():
@@ -190,7 +190,7 @@ def test_end_to_end_symmetrized_probe_prefers_true_kind():
         y = np.array([probe(x) for x in X])
         y = (y - y.min()) / (y.max() - y.min())
         arms = [
-            encode_arm(GroupDescriptor(kind, tuple(range(k)), n))
+            ArmFeature(GroupDescriptor(kind, tuple(range(k)), n))
             for kind in (CYCLIC, DIHEDRAL, SYMMETRIC)
         ]
         cfg = DiscoveryConfig(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from symforge.selection import (
     build_m2,
     complement_mask,
     dense_matrix,
-    encode_arm,
     enumerate_arms,
     rank_arms,
     selected_pairs,
@@ -90,14 +91,14 @@ def test_apply_pipeline_front_shape_guard():
 
 def test_encode_arm_reference_example():
     d = GroupDescriptor(CYCLIC, (3, 5, 6, 8), 10)
-    arm = encode_arm(d)
+    arm = ArmFeature(d)
     assert arm.bits == (0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1)
 
 
 def test_encode_arm_kind_bits():
     # The trailing three bits one-hot the kind in KIND_BIT_ORDER: S, D, Z.
     for kind, kind_bits in ((SYMMETRIC, (1, 0, 0)), (DIHEDRAL, (0, 1, 0)), (CYCLIC, (0, 0, 1))):
-        arm = encode_arm(GroupDescriptor(kind, (1, 2, 4), 6))
+        arm = ArmFeature(GroupDescriptor(kind, (1, 2, 4), 6))
         assert arm.bits == (0, 1, 1, 0, 1, 0) + kind_bits
 
 
@@ -120,6 +121,31 @@ def test_enumerate_arms_guards():
         enumerate_arms(1)
 
 
+def test_enumerate_arms_memory():
+    # An arm stores only its descriptor, and the kinds on one support share
+    # its index-set tuple, so the 48,925 arms of n = 14 hold under 12 MB.
+    tracemalloc.start()
+    try:
+        arms = enumerate_arms(14)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(arms) == 48925
+    assert held < 12e6
+
+
+def test_arm_matrix_is_the_arms_bits():
+    for n in range(2, 15):
+        arms = enumerate_arms(n)
+        A = arm_matrix(arms)
+        assert np.array_equal(A, np.array([a.bits for a in arms], dtype=bool))
+        assert A.dtype == bool and A.flags.f_contiguous
+    with pytest.raises(DimensionError):
+        arm_matrix(enumerate_arms(3) + enumerate_arms(4))
+    with pytest.raises(ValueError, match="empty arm set"):
+        argmax_arm(np.zeros(6), arm_matrix([]))
+
+
 def test_argmax_arm_ties_break_lexicographically():
     arms = enumerate_arms(3)
     A = arm_matrix(arms)
@@ -138,11 +164,11 @@ def test_argmax_arm_ties_break_lexicographically():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_argmax_arm_refuses_an_overflowing_score():
-    # mu is finite, but the row [1, 1] scores 2e308: it used to be picked
-    # among infinite scores, with an overflow warning.
-    row = ArmFeature((1, 1), GroupDescriptor(SYMMETRIC, (0, 1), 2))
+    # mu is finite, but the row [1, 1, 1, 0, 0] scores 2e308: it used to be
+    # picked among infinite scores, with an overflow warning.
+    row = ArmFeature(GroupDescriptor(SYMMETRIC, (0, 1), 2))
     with pytest.raises(NumericError, match="arm scores must be finite"):
-        argmax_arm(np.array([1e308, 1e308]), arm_matrix([row]))
+        argmax_arm(np.array([1e308, 1e308, 0, 0, 0]), arm_matrix([row]))
 
 
 @settings(max_examples=60, deadline=None)

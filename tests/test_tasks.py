@@ -91,6 +91,15 @@ def test_make_splits_reproducible():
     assert np.array_equal(s1["val"].targets, s2["val"].targets)
 
 
+def test_make_splits_refuses_sizes_it_cannot_name():
+    # Splits are named train, val and test: a fourth size would have no
+    # name, and with no size there is no train split to normalize by.
+    spec = builtin_polynomial("S_I(4)")
+    for sizes in ((8, 4, 4, 4), ()):
+        with pytest.raises(ValueError, match="1-3 split sizes"):
+            make_splits(spec, sizes=sizes)
+
+
 def test_persist_load_round_trip(tmp_path):
     # gen-data persists each split through cli._csv; its .17g floats must
     # read back exactly.
