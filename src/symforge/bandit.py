@@ -136,15 +136,17 @@ def screen_coordinates(
     """Coordinates the target measurably depends on, by permutation importance.
 
     A symmetry-free reference MLP is fit on the head of the dataset; a
-    coordinate is kept when shuffling its column raises the held-out MSE by
-    more than `threshold` times the base MSE.  Restricting arms to the kept
-    coordinates removes the vacuous arms over coordinates the target
-    ignores (any subgroup acting only on those is trivially respected and
-    would crowd the ranking).  Falls back to all coordinates if fewer than
-    two pass, or if the dataset is too small to hold any rows out.  The
-    reference fit is added to `references`, when a dict is given, for
-    run_discovery to reuse.
+    coordinate is kept when shuffling its column raises the held-out MSE,
+    on average over `repeats` >= 1 shuffles, by more than `threshold` times
+    the base MSE.  Restricting arms to the kept coordinates removes the
+    vacuous arms over coordinates the target ignores (any subgroup acting
+    only on those is trivially respected and would crowd the ranking).
+    Falls back to all coordinates if fewer than two pass, or if the dataset
+    is too small to hold any rows out.  The reference fit is added to
+    `references`, when a dict is given, for run_discovery to reuse.
     """
+    if repeats < 1:
+        raise ValueError(f"need repeats >= 1, got {repeats}")
     n = dataset.inputs.shape[1]
     fit, held = _holdout_split(dataset, _SCREEN_HOLDOUT)
     if held is None:

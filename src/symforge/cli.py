@@ -40,7 +40,7 @@ from .oracle import (
     verify_product_group,
 )
 from .relaxed import evaluate_relaxed, train_relaxed
-from .selection import build_m1, build_m2, dense_matrix, enumerate_arms
+from .selection import arm_matrix, arm_scores, build_m1, build_m2, dense_matrix, enumerate_arms
 from .tasks import BUILTIN_NAMES, builtin_polynomial, make_splits
 
 
@@ -268,8 +268,9 @@ def discovery_artifacts(result, top) -> tuple[dict, dict]:
     """(files, fields) of a discovery run: the bytes of pulls.csv,
     ranking.csv and the winner's dense m1.csv and m2.csv, and the report's
     top3 and winner fields.  top is [(arm, validation MAE or None)] for
-    the arms that lead result.ranking."""
-    scores = [float(np.dot(result.posterior.mu_hat, arm.bits)) for arm in result.ranking]
+    the arms that lead result.ranking.  The scores are the ones the arms
+    were ranked by, as Python floats, which yaml.safe_dump takes."""
+    scores = arm_scores(result.posterior.mu_hat, arm_matrix(result.ranking)).tolist()
     winner = result.ranking[0].descriptor
     n = winner.n
     pulls = [(r.t, "".join(map(str, r.arm.bits)), r.reward, r.train_loss) for r in result.records]
@@ -364,7 +365,7 @@ def _suite_checks(suite: str) -> dict:
             for kind in (CYCLIC, DIHEDRAL, SYMMETRIC)
             for k in range(2, 6)
         }
-        found = find_set_e_counterexample(k=4) is not None
+        found = find_set_e_counterexample() is not None
         checks["dihedral-duplicate-counterexample"] = (found, "found" if found else "missing")
         return checks
     if suite == "product":

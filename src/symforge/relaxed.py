@@ -146,7 +146,8 @@ def loss_and_grad_relaxed(
 
 def train_relaxed(dataset: Dataset, cfg: TrainConfig, p: int = 16, h: int = 32):
     """Joint minibatch SGD over M1, M2 and phi.  The buffers live for this
-    fit alone, one set per batch size.  Returns (params, final loss)."""
+    fit alone, one set per batch size.  Returns (params, final loss), the
+    loss `evaluate_relaxed` gives on dataset in cfg.loss_kind."""
     rng = np.random.default_rng(cfg.seed)
     params = init_relaxed(dataset.inputs.shape[1], p=p, h=h, seed=cfg.seed)
     grads = RelaxedParams(np.empty_like(params.theta), params.n, p, h)
@@ -160,7 +161,7 @@ def train_relaxed(dataset: Dataset, cfg: TrainConfig, p: int = 16, h: int = 32):
         return loss, grads.theta
 
     _sgd(params.theta, grad_fn, cfg, len(dataset), rng)
-    return params, _residual_loss(forward_relaxed(params, X) - y, cfg.loss_kind)
+    return params, evaluate_relaxed(params, dataset, cfg.loss_kind)
 
 
 def evaluate_relaxed(params: RelaxedParams, dataset: Dataset, metric=ABSOLUTE) -> float:

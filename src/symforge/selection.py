@@ -12,6 +12,9 @@ the complement mask and the arm's bit vector are all read off its
 sparsely as (row, col) entry lists.  The complement block zeroes the
 coordinates inside the index set and keeps the rest in place, so it is
 untouched by every element of the arm's group.
+
+`arm_scores` is the one arm scorer: the argmax, the ranking and the
+scores a run reports all read it.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ def enumerate_arms(n: int) -> list[ArmFeature]:
 
 def arm_matrix(arms) -> np.ndarray:
     """The arms' bits as one 0/1 matrix, a row per arm, stored by column so
-    that `_scores` reads each column contiguously.  It is filled in one
+    that `arm_scores` reads each column contiguously.  It is filled in one
     scatter from the arms' index sets and kinds; every arm must act on the
     same n."""
     descriptors = [a.descriptor for a in arms]
@@ -136,7 +139,7 @@ def arm_matrix(arms) -> np.ndarray:
     return A
 
 
-def _scores(mu, A) -> np.ndarray:
+def arm_scores(mu, A) -> np.ndarray:
     """a . mu for every row a of the arm matrix, summed column by column.
 
     Every row takes the same float operations in the same order, so rows
@@ -163,13 +166,13 @@ def _scores(mu, A) -> np.ndarray:
 def _codes(A) -> np.ndarray:
     """Each row's bits read as a binary number: the codes order the rows as
     their bit vectors order lexicographically."""
-    return _scores(2.0 ** np.arange(A.shape[1] - 1, -1, -1), A)
+    return arm_scores(2.0 ** np.arange(A.shape[1] - 1, -1, -1), A)
 
 
 def argmax_arm(mu, A) -> int:
     """Row of the arm matrix with the largest score a . mu; ties go to the
     lexicographically smallest bit vector."""
-    score = _scores(mu, A)
+    score = arm_scores(mu, A)
     tied = np.flatnonzero(score == score.max())
     return int(tied[np.argmin(_codes(A[tied]))])
 
@@ -177,7 +180,7 @@ def argmax_arm(mu, A) -> int:
 def rank_arms(mu, A) -> np.ndarray:
     """Rows of the arm matrix by score a . mu descending, ties broken as in
     argmax_arm."""
-    return np.lexsort((_codes(A), -_scores(mu, A)))
+    return np.lexsort((_codes(A), -arm_scores(mu, A)))
 
 
 def dense_matrix(entries, shape) -> np.ndarray:

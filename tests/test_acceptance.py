@@ -208,7 +208,7 @@ def test_criterion_06_gradient_check():
         params = init_params(n, p=8, h=12, seed=3)
         X = rng.uniform(size=(10, n))
         y = rng.uniform(size=10)
-        worst = max(worst, gradient_check(params, d, X, y, n_coords=20, seed=0))
+        worst = max(worst, gradient_check(params, d, X, y, n_coords=20))
     _report(6, worst <= 1e-4, f"max relative gradient error {worst:.2e} (tol 1e-4)")
 
 
@@ -242,12 +242,12 @@ def test_criterion_07_misidentification_trend():
 def test_criterion_08_orbit_counting():
     failures = 0
     for k in (3, 4, 5):
-        failures += len(nonrealizability_counts(k, trials=50, seed=0).failures)
+        failures += len(nonrealizability_counts(k, trials=50).failures)
     _report(8, failures == 0, f"{failures} violations over k in {{3,4,5}}, 50 pairs each")
 
 
 def test_criterion_09_duplicate_entry_failure():
-    found = find_set_e_counterexample(k=4, seed=0)
+    found = find_set_e_counterexample()
     dihedral = {g.mapping for g in elements(GroupDescriptor(DIHEDRAL, (0, 1, 2, 3), 4))}
     counter_ok = found is not None and found[1].mapping not in dihedral
     # On distinct entries the passing relabelings are exactly the group.

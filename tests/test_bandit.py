@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from symforge import bandit, net
 from symforge.bandit import (
     BanditPosterior,
     DiscoveryConfig,
+    DiscoveryResult,
     LinearInstance,
     _holdout_split,
     evaluate_top_arms,
@@ -23,7 +25,7 @@ from symforge.cli import discovery_artifacts
 from symforge.errors import NumericError, SymforgeError, TrainingDivergedError
 from symforge.groups import CYCLIC, SYMMETRIC, GroupDescriptor
 from symforge.net import Dataset, TrainConfig, evaluate, train_sgd
-from symforge.selection import ArmFeature, enumerate_arms
+from symforge.selection import ArmFeature, arm_matrix, arm_scores, enumerate_arms, rank_arms
 
 FAST = TrainConfig(epochs=20, batch_size=16, seed=0)
 
@@ -219,6 +221,27 @@ def test_discovery_artifacts_match_the_golden_format():
         assert files["m1.csv"].count(b"\n") == 5 and files["m2.csv"].count(b"\n") == 25
 
 
+def test_ranking_csv_prints_the_scores_that_ranked_the_arms():
+    # n = 13 is the smallest n whose rows have 16 bits, where a BLAS dot
+    # product can sum a row in another order than arm_scores and so print
+    # a score other than the one that ranked the arm.
+    arms = enumerate_arms(13)
+    A = arm_matrix(arms)
+    mu_hat = np.random.default_rng(13).normal(size=A.shape[1])
+    order = rank_arms(mu_hat, A)
+    posterior = replace(BanditPosterior.fresh(A.shape[1], 0.5), mu_hat=mu_hat)
+    ranking = [arms[i] for i in order]
+    result = DiscoveryResult(ranking, [], posterior, {}, _toy_dataset(13), FAST)
+    files, fields = discovery_artifacts(result, [(arm, None) for arm in ranking[:3]])
+    rows = files["ranking.csv"].decode().splitlines()[1:]
+    printed = np.array([float(row.split(",")[3]) for row in rows])
+    assert printed.tobytes() == arm_scores(mu_hat, A)[order].tobytes()
+    assert np.all(np.diff(printed) <= 0)
+    assert [r["score"] for r in fields["top3"]] == printed[:3].tolist()
+    assert all(type(r["score"]) is float for r in fields["top3"])
+    yaml.safe_dump(fields)
+
+
 def test_discovery_literal_reward_mode():
     # reward_holdout = 0 switches to the capped negative-training-loss rule.
     arms = enumerate_arms(3)
@@ -380,6 +403,14 @@ def test_screen_coordinates_falls_back_to_all():
     ds = Dataset(rng.uniform(size=(40, 4)), rng.uniform(size=40))  # pure noise
     kept = screen_coordinates(ds, FAST, threshold=10.0, repeats=5, seed=0)
     assert kept == (0, 1, 2, 3)
+
+
+def test_screen_coordinates_refuses_repeats_below_one():
+    # repeats=0 would divide the importances by zero and repeats=-3 would
+    # run no shuffles; either would keep every coordinate silently.
+    for repeats in (0, -3):
+        with pytest.raises(ValueError, match="repeats"):
+            screen_coordinates(_toy_dataset(3), FAST, repeats=repeats)
 
 
 def test_evaluate_top_arms_trains_missing(monkeypatch):

@@ -728,7 +728,7 @@ def _failing_counts(k, trials=50):
         (
             "orbits",
             "find_set_e_counterexample",
-            lambda k: None,
+            lambda: None,
             "orbits.dihedral-duplicate-counterexample: missing",
         ),
         (

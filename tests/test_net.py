@@ -165,12 +165,12 @@ def test_mae_bounded_by_rmse():
     d = _pair()
     params = init_params(5, p=4, h=6, seed=0)
     mae = evaluate(params, d, ds)
-    mse = evaluate(params, d, ds, metric=SQUARED)
+    mse = mean_loss(params, d, ds, SQUARED)
     assert mae <= np.sqrt(mse) + 1e-12
     assert mae == mean_loss(params, d, ds, ABSOLUTE)
     assert mse == mean_loss(params, d, ds, SQUARED)
     with pytest.raises(ValueError):
-        evaluate(params, d, ds, metric="R2")
+        mean_loss(params, d, ds, "R2")
 
 
 def test_reference_mlp_learns_linear_target():
