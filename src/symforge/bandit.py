@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError, TrainingDivergedError
+from .errors import DimensionError, NumericError, TrainingDivergedError
 from .net import (
     SQUARED,
     Dataset,
@@ -85,10 +85,14 @@ def posterior_update(post: BanditPosterior, a, gamma) -> BanditPosterior:
 
 def _holdout_split(dataset: Dataset, frac: float):
     """(fit, held): the head to fit on and the tail, round(frac * m) rows,
-    held out.  held is None when that tail would be empty or everything."""
+    held out.  A tail that would be empty or everything raises
+    DimensionError."""
     n_held = int(round(frac * len(dataset)))
     if not 0 < n_held < len(dataset):
-        return dataset, None
+        raise DimensionError(
+            f"holding out {frac:g} of {len(dataset)} train rows leaves {n_held} held out "
+            f"and {len(dataset) - n_held} to fit; each needs at least one row"
+        )
     fit = Dataset(dataset.inputs[:-n_held], dataset.targets[:-n_held])
     return fit, Dataset(dataset.inputs[-n_held:], dataset.targets[-n_held:])
 
@@ -141,16 +145,14 @@ def screen_coordinates(
     the base MSE.  Restricting arms to the kept coordinates removes the
     vacuous arms over coordinates the target ignores (any subgroup acting
     only on those is trivially respected and would crowd the ranking).
-    Falls back to all coordinates if fewer than two pass, or if the dataset
-    is too small to hold any rows out.  The reference fit is added to
-    `references`, when a dict is given, for run_discovery to reuse.
+    Falls back to all coordinates if fewer than two pass.  A dataset too
+    small to hold a row out raises DimensionError.  The reference fit is
+    added to `references`, when a dict is given, for run_discovery to reuse.
     """
     if repeats < 1:
         raise ValueError(f"need repeats >= 1, got {repeats}")
     n = dataset.inputs.shape[1]
     fit, held = _holdout_split(dataset, _SCREEN_HOLDOUT)
-    if held is None:
-        return tuple(range(n))
     predict, base = _reference_fit(fit, held, train_cfg, SQUARED, references)
     rng = np.random.default_rng(seed)
     importance = np.zeros(n)
@@ -174,8 +176,8 @@ def filter_arms(arms, coordinates) -> list:
 
 @dataclass(frozen=True)
 class PullRecord:
-    """train_loss is the arm's reward loss: held out when a holdout exists,
-    else on the rows it was fit on; inf when the fit failed."""
+    """train_loss is the arm's reward loss, on the held-out rows; inf when
+    the fit failed."""
 
     t: int
     arm: ArmFeature
@@ -188,13 +190,12 @@ class ArmFit(NamedTuple):
     loss: float  # the reward loss, as PullRecord.train_loss
 
 
-def _fit_arm(arm, fit_data: Dataset, held_data, train_cfg: TrainConfig) -> ArmFit | None:
-    """phi trained for the arm on fit_data, and its loss on held_data (on
-    fit_data when held_data is None); None when the fit fails."""
+def _fit_arm(arm, fit_data: Dataset, held_data: Dataset, train_cfg: TrainConfig) -> ArmFit | None:
+    """phi trained for the arm on fit_data, and its loss on held_data; None
+    when the fit fails."""
     try:
-        params, loss = train_sgd(fit_data, arm.descriptor, train_cfg)
-        if held_data is not None:
-            loss = mean_loss(params, arm.descriptor, held_data, train_cfg.loss_kind)
+        params, _ = train_sgd(fit_data, arm.descriptor, train_cfg)
+        loss = mean_loss(params, arm.descriptor, held_data, train_cfg.loss_kind)
     except (NumericError, TrainingDivergedError):
         return None
     return ArmFit(params, loss)
@@ -205,16 +206,13 @@ class DiscoveryConfig:
     T: int
     nu: float = 0.5
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
-    loss_cap: float = 1.0
     reward_holdout: float = 0.25
     size_bonus: float = 1.2
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.reward_holdout < 1.0:
-            raise ValueError("reward_holdout must be in [0, 1)")
-        if not 0 < self.loss_cap < np.inf:
-            raise ValueError("loss_cap must be finite and > 0")
+        if not 0.0 < self.reward_holdout < 1.0:
+            raise ValueError("reward_holdout must be in (0, 1)")
         if not 0 <= self.nu < np.inf:
             raise ValueError("nu must be finite and >= 0")
 
@@ -226,6 +224,7 @@ class DiscoveryResult:
     posterior: BanditPosterior
     fits: dict  # bits -> ArmFit of each pulled arm whose fit succeeded, fit once per run
     fit_data: Dataset  # the rows every arm is fit on
+    held_data: Dataset  # the rows every arm's reward loss is measured on
     train_cfg: TrainConfig
 
 
@@ -233,7 +232,7 @@ def run_discovery(
     arms, dataset: Dataset, cfg: DiscoveryConfig, references: dict | None = None
 ) -> DiscoveryResult:
     """Algorithm loop: sample mu, play the argmax arm, train phi for it,
-    reward with the capped negative loss, update the posterior.
+    reward it by its held-out loss, update the posterior.
 
     The reward loss is measured on a held-out tail of the dataset (fraction
     reward_holdout, trained on the rest): with enough epochs every arm can
@@ -245,8 +244,7 @@ def run_discovery(
     fitted mu_hat turns positive on the useful coordinates.  A bonus
     size_bonus * |I| / n favours arms on larger supports; it is the same for
     every kind on one support, so only the held-out loss tells the kinds on
-    a support apart.  With reward_holdout = 0 the literal rule is used
-    instead: reward -min(L_train, loss_cap)/loss_cap.
+    a support apart.
 
     Training failures never abort the loop: an arm whose training diverges
     or whose loss is non-finite gets the floor reward -1 and loss inf.  The
@@ -284,22 +282,19 @@ def run_discovery(
         else:
             fits[bits] = fit
             loss = fit.loss
-            if held_data is None:
-                gamma = -min(loss, cfg.loss_cap) / cfg.loss_cap
-            else:
-                if ref_loss is None:
-                    _, ref_loss = _reference_fit(
-                        fit_data, held_data, cfg.train_cfg, cfg.train_cfg.loss_kind, references
-                    )
-                gamma = float(np.clip((ref_loss - loss) / ref_loss, -1.0, 1.0))
-                # Bonus for larger index sets.  It depends on |I| alone, so
-                # it favours larger supports but does not rank a group above
-                # its subgroups on the same support.
-                gamma += cfg.size_bonus * len(arm.descriptor.index_set) / n_coords
+            if ref_loss is None:
+                _, ref_loss = _reference_fit(
+                    fit_data, held_data, cfg.train_cfg, cfg.train_cfg.loss_kind, references
+                )
+            gamma = float(np.clip((ref_loss - loss) / ref_loss, -1.0, 1.0))
+            # Bonus for larger index sets.  It depends on |I| alone, so it
+            # favours larger supports but does not rank a group above its
+            # subgroups on the same support.
+            gamma += cfg.size_bonus * len(arm.descriptor.index_set) / n_coords
         records.append(PullRecord(t, arm, gamma, loss))
         post = posterior_update(post, bits, gamma)
     ranking = [arms[i] for i in rank_arms(post.mu_hat, A)]
-    return DiscoveryResult(ranking, records, post, fits, fit_data, cfg.train_cfg)
+    return DiscoveryResult(ranking, records, post, fits, fit_data, held_data, cfg.train_cfg)
 
 
 def evaluate_top_arms(result: DiscoveryResult, dataset: Dataset, top: int = 3):
@@ -308,7 +303,9 @@ def evaluate_top_arms(result: DiscoveryResult, dataset: Dataset, top: int = 3):
     settings.  None when the fit fails or the evaluation raises NumericError."""
     out = []
     for arm in result.ranking[:top]:
-        fit = result.fits.get(arm.bits) or _fit_arm(arm, result.fit_data, None, result.train_cfg)
+        fit = result.fits.get(arm.bits) or _fit_arm(
+            arm, result.fit_data, result.held_data, result.train_cfg
+        )
         mae = None
         if fit is not None:
             try:

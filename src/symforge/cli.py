@@ -31,7 +31,7 @@ from .bandit import (
 )
 from .errors import SymforgeError
 from .groups import CYCLIC, DIHEDRAL, SYMMETRIC, GroupDescriptor
-from .net import ABSOLUTE, SQUARED, TrainConfig, forward, gradient_check, init_params
+from .net import SQUARED, TrainConfig, forward, gradient_check, init_params
 from .oracle import (
     check_invariance,
     find_set_e_counterexample,
@@ -67,13 +67,6 @@ def _counts(values) -> list:
     return counts
 
 
-def _bool(value) -> bool:
-    """value itself when it is true or false; bool() would take "no" as true."""
-    if not isinstance(value, bool):
-        raise TypeError(f"{value!r} is not true or false")
-    return value
-
-
 def _mu_star(values) -> np.ndarray:
     """values as the simulator's mean vector, refused by LinearInstance over
     the unit arms unless it is finite and one arm is uniquely best."""
@@ -91,12 +84,15 @@ _FINITE_AT_LEAST_0 = (lambda scale: 0 <= scale < np.inf, "finite and >= 0")
 # the YAML value or raises; ok, unless None, is the rule the converted value
 # must meet, and need says it in words.  The library classes check the same
 # ranges again, as library input, but their messages do not name the key.
+# arms.screen, bandit.reward_holdout and training.loss accept only settings
+# that meet criterion 1 (see README); bandit.loss_cap is read by nothing and
+# keeps its one value only so that the config hashes do not move.
 _KEYS = {
     "task.kind": ("polynomial", str, lambda kind: kind == "polynomial", "polynomial"),
     "task.name": ("Z_I(5)", str, *_NO_RULE),  # checked against the builtins when run
     "task.sizes": ([64, 480, 4800], _counts, lambda sizes: len(sizes) <= 3, "1-3 counts"),
     "task.seed": (0, _whole, lambda seed: seed >= 0, ">= 0"),
-    "arms.screen": (True, _bool, *_NO_RULE),
+    "arms.screen": (True, lambda screen: screen, lambda screen: screen is True, "true"),
     "arms.screen_threshold": (0.08, float, *_NO_RULE),
     "arms.screen_repeats": (30, _whole, *_AT_LEAST_1),
     "bandit.T": (
@@ -106,19 +102,14 @@ _KEYS = {
         "null (4n) or >= 1",
     ),
     "bandit.nu": (0.5, float, *_FINITE_AT_LEAST_0),
-    "bandit.loss_cap": (1.0, float, lambda cap: 0 < cap < np.inf, "finite and > 0"),
-    "bandit.reward_holdout": (0.25, float, lambda share: 0 <= share < 1, "in [0, 1)"),
+    "bandit.loss_cap": (1.0, float, lambda cap: cap == 1.0, "1.0"),
+    "bandit.reward_holdout": (0.25, float, lambda share: 0 < share < 1, "in (0, 1)"),
     "bandit.size_bonus": (1.2, float, np.isfinite, "finite"),
     "training.epochs": (400, _whole, *_AT_LEAST_1),
     "training.batch_size": (16, _whole, *_AT_LEAST_1),
     "training.lr_initial": (0.2, float, *_FINITE_AT_LEAST_0),
     "training.lr_decay": (0.997, float, lambda decay: 0 < decay <= 1, "in (0, 1]"),
-    "training.loss": (
-        SQUARED,
-        str,
-        lambda loss: loss in (SQUARED, ABSOLUTE),
-        "squared or absolute",
-    ),
+    "training.loss": (SQUARED, str, lambda loss: loss == SQUARED, SQUARED),
     "sim.mu_star": ([1.0, 0.2, 0.2, 0.2, 0.2], _mu_star, *_NO_RULE),
     "sim.noise_sigma": (0.1, float, *_FINITE_AT_LEAST_0),
     "sim.nu": (0.5, float, *_FINITE_AT_LEAST_0),
@@ -222,7 +213,6 @@ def _discovery_config(cfg: dict, n: int) -> DiscoveryConfig:
         T=4 * n if T is None else T,
         nu=_value(cfg, "bandit.nu"),
         train_cfg=train_cfg,
-        loss_cap=_value(cfg, "bandit.loss_cap"),
         reward_holdout=_value(cfg, "bandit.reward_holdout"),
         size_bonus=_value(cfg, "bandit.size_bonus"),
         seed=_value(cfg, "task.seed"),
@@ -309,19 +299,16 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
             report["val_mae"] = evaluate_relaxed(params, val)
         files = {"m1.csv": _csv(params.m1), "m2.csv": _csv(params.m2)}
     else:
-        arms = enumerate_arms(n)
-        kept = tuple(range(n))
         references: dict = {}  # screening's reference fit, for discovery to reuse
-        if _value(cfg, "arms.screen"):
-            kept = screen_coordinates(
-                train,
-                dcfg.train_cfg,
-                threshold=_value(cfg, "arms.screen_threshold"),
-                repeats=_value(cfg, "arms.screen_repeats"),
-                seed=dcfg.seed,
-                references=references,
-            )
-            arms = filter_arms(arms, kept)
+        kept = screen_coordinates(
+            train,
+            dcfg.train_cfg,
+            threshold=_value(cfg, "arms.screen_threshold"),
+            repeats=_value(cfg, "arms.screen_repeats"),
+            seed=dcfg.seed,
+            references=references,
+        )
+        arms = filter_arms(enumerate_arms(n), kept)
         result = run_discovery(arms, train, dcfg, references)
         if val is None:  # no rows the arms were not fit on
             top = [(arm, None) for arm in result.ranking[:3]]

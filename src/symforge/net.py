@@ -388,19 +388,21 @@ def _sgd(theta, grad_fn, cfg: TrainConfig, m: int, rng) -> None:
     cfg.batch_size at learning rate lr_initial * lr_decay**epoch.
     grad_fn(rows) returns (loss, gradient vector shaped like theta); a
     NumericError from it becomes TrainingDivergedError carrying the last
-    finite loss.
+    finite loss.  numpy's overflow warnings on the way there are silenced:
+    that error is the one report.
     """
     last_loss = None
-    for epoch in range(cfg.epochs):
-        lr = cfg.lr_initial * cfg.lr_decay**epoch
-        perm = rng.permutation(m)
-        for start in range(0, m, cfg.batch_size):
-            try:
-                loss, grad = grad_fn(perm[start : start + cfg.batch_size])
-            except NumericError:
-                raise TrainingDivergedError("loss became non-finite", last_loss)
-            last_loss = loss
-            theta -= lr * grad
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = cfg.lr_initial * cfg.lr_decay**epoch
+            perm = rng.permutation(m)
+            for start in range(0, m, cfg.batch_size):
+                try:
+                    loss, grad = grad_fn(perm[start : start + cfg.batch_size])
+                except NumericError:
+                    raise TrainingDivergedError("loss became non-finite", last_loss)
+                last_loss = loss
+                theta -= lr * grad
 
 
 def train_sgd(
@@ -432,7 +434,8 @@ def train_sgd(
         return loss, grads.theta
 
     _sgd(params.theta, grad_fn, cfg, len(dataset), rng)
-    return params, mean_loss(params, descriptor, dataset, cfg.loss_kind)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _sgd
+        return params, mean_loss(params, descriptor, dataset, cfg.loss_kind)
 
 
 def gradient_check(

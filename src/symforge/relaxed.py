@@ -161,7 +161,8 @@ def train_relaxed(dataset: Dataset, cfg: TrainConfig, p: int = 16, h: int = 32):
         return loss, grads.theta
 
     _sgd(params.theta, grad_fn, cfg, len(dataset), rng)
-    return params, evaluate_relaxed(params, dataset, cfg.loss_kind)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in net._sgd
+        return params, evaluate_relaxed(params, dataset, cfg.loss_kind)
 
 
 def evaluate_relaxed(params: RelaxedParams, dataset: Dataset, metric=ABSOLUTE) -> float:

@@ -1,5 +1,7 @@
 import hashlib
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from symforge.bandit import (
     simulate_linear,
 )
 from symforge.cli import discovery_artifacts
-from symforge.errors import NumericError, SymforgeError, TrainingDivergedError
+from symforge.errors import DimensionError, NumericError, SymforgeError, TrainingDivergedError
 from symforge.groups import CYCLIC, SYMMETRIC, GroupDescriptor
 from symforge.net import Dataset, TrainConfig, evaluate, train_sgd
 from symforge.selection import ArmFeature, arm_matrix, arm_scores, enumerate_arms, rank_arms
@@ -145,8 +147,9 @@ def _toy_dataset(n=4, m=40, seed=0):
 
 
 def test_discovery_config_validation():
-    with pytest.raises(ValueError):
-        DiscoveryConfig(T=10, reward_holdout=1.0)
+    for holdout in (0.0, 1.0):
+        with pytest.raises(ValueError, match="reward_holdout"):
+            DiscoveryConfig(T=10, reward_holdout=holdout)
     cfg = DiscoveryConfig(T=0, train_cfg=FAST)
     with pytest.raises(ValueError):
         run_discovery(enumerate_arms(3), _toy_dataset(3), cfg)
@@ -183,7 +186,7 @@ DISCOVERY_DIGESTS = {
 }
 
 
-def test_discovery_golden_bits():
+def test_discovery_golden_bits(blas_core):
     # sha256 of the pulls.csv and ranking.csv bytes, in the CLI's formats.
     for seed, digest in DISCOVERY_DIGESTS.items():
         cfg = DiscoveryConfig(T=10, train_cfg=FAST, seed=seed)
@@ -199,10 +202,10 @@ def test_discovery_golden_bits():
             for i, a in enumerate(result.ranking)
         )
         got = hashlib.sha256(pulls.encode() + ranking.encode()).hexdigest()
-        assert got == digest, seed
+        assert got == digest, (seed, blas_core)
 
 
-def test_discovery_artifacts_match_the_golden_format():
+def test_discovery_artifacts_match_the_golden_format(blas_core):
     # The CLI's renderer writes the bytes that test_discovery_golden_bits
     # hashes, and its top3 scores are ranking.csv's leading scores.
     for seed, digest in DISCOVERY_DIGESTS.items():
@@ -212,7 +215,7 @@ def test_discovery_artifacts_match_the_golden_format():
         top = evaluate_top_arms(result, data, top=3)
         files, fields = discovery_artifacts(result, top)
         got = hashlib.sha256(files["pulls.csv"] + files["ranking.csv"]).hexdigest()
-        assert got == digest, seed
+        assert got == digest, (seed, blas_core)
         leading = files["ranking.csv"].decode().splitlines()[1:4]
         assert [float(row.split(",")[3]) for row in leading] == [r["score"] for r in fields["top3"]]
         assert [r["val_mae"] for r in fields["top3"]] == [mae for _, mae in top]
@@ -231,7 +234,8 @@ def test_ranking_csv_prints_the_scores_that_ranked_the_arms():
     order = rank_arms(mu_hat, A)
     posterior = replace(BanditPosterior.fresh(A.shape[1], 0.5), mu_hat=mu_hat)
     ranking = [arms[i] for i in order]
-    result = DiscoveryResult(ranking, [], posterior, {}, _toy_dataset(13), FAST)
+    data = _toy_dataset(13)
+    result = DiscoveryResult(ranking, [], posterior, {}, data, data, FAST)
     files, fields = discovery_artifacts(result, [(arm, None) for arm in ranking[:3]])
     rows = files["ranking.csv"].decode().splitlines()[1:]
     printed = np.array([float(row.split(",")[3]) for row in rows])
@@ -242,15 +246,19 @@ def test_ranking_csv_prints_the_scores_that_ranked_the_arms():
     yaml.safe_dump(fields)
 
 
-def test_discovery_literal_reward_mode():
-    # reward_holdout = 0 switches to the capped negative-training-loss rule.
-    arms = enumerate_arms(3)
-    cfg = DiscoveryConfig(
-        T=5, train_cfg=FAST, reward_holdout=0.0, size_bonus=0.0, seed=2
-    )
-    result = run_discovery(arms, _toy_dataset(3), cfg)
-    for rec in result.records:
-        assert -1.0 <= rec.reward <= 0.0
+def test_too_few_rows_to_hold_out_are_refused():
+    # round(0.25 * 2) = 0 rows held out: no reward and no screening can be
+    # measured, so both refuse the split and name it.
+    ds = _toy_dataset(3, m=2)
+    for run in (
+        lambda: run_discovery(enumerate_arms(3), ds, DiscoveryConfig(T=2, train_cfg=FAST)),
+        lambda: screen_coordinates(ds, FAST, repeats=2),
+    ):
+        with pytest.raises(DimensionError, match="0.25 of 2 train rows"):
+            run()
+    # round(0.9 * 2) = 2 rows: none would be left to fit on.
+    with pytest.raises(DimensionError, match="0.9 of 2 train rows"):
+        _holdout_split(ds, 0.9)
 
 
 def test_discovery_survives_divergence():
@@ -470,12 +478,12 @@ SIMULATOR_DIGESTS = {
 }
 
 
-def test_simulator_golden_bits():
+def test_simulator_golden_bits(blas_core):
     inst = LinearInstance(np.array([1.0, 0.6, 0.6, 0.6, 0.6]), np.eye(5), 0.5)
     for seed, digest in SIMULATOR_DIGESTS.items():
         rates = simulate_linear(inst, [10, 20, 40], nu=0.5, trials=40, seed=seed)
         csv = "T,misid_rate\n" + "".join(f"{T},{rates[T]:.17g}\n" for T in sorted(rates))
-        assert hashlib.sha256(csv.encode()).hexdigest() == digest, seed
+        assert hashlib.sha256(csv.encode()).hexdigest() == digest, (seed, blas_core)
 
 
 def test_simulator_validation():
@@ -607,3 +615,14 @@ def test_misidentification_follows_log_over_t():
     c = float(env @ obs / (env @ env))  # least squares through the origin
     assert c > 0
     assert rates[800] <= rates[100] + 0.05
+
+
+def test_readme_library_example_finds_the_true_arm(capsys):
+    # The README's Python block screens first, as `discover` does; the
+    # target of Z_I(5) is cyclic on (0, 1, 2, 5, 6).
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (code,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    exec(code, {})
+    top3 = capsys.readouterr().out.splitlines()
+    assert len(top3) == 3
+    assert "cyclic (0, 1, 2, 5, 6)" in top3

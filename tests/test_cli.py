@@ -218,6 +218,12 @@ def test_sgd_only_m2_rounds_to_no_arm(tmp_path, task):
     for arm in enumerate_arms(n):
         distance = np.abs(m2 - dense_matrix(build_m2(arm.descriptor), m2.shape)).max()
         assert distance >= 0.5, arm.descriptor
+    # And M1 ends dense: at least 90% of its off-diagonal entries exceed
+    # 0.01 in size, where an arm's 0/1 M1 has nearly all of them at 0 (seen:
+    # 100% on S_I(4) and 96.7% on Z_I(5)).
+    m1 = np.loadtxt(out / "m1.csv", delimiter=",")
+    off_diagonal = m1[~np.eye(n, dtype=bool)]
+    assert np.mean(np.abs(off_diagonal) > 0.01) >= 0.9
 
 
 def test_bandit_sim_writes_rates(tmp_path):
@@ -383,6 +389,29 @@ def test_cli_bad_seed_names_the_option(tmp_path):
         pytest.param("bandit", {"T": 1e308}, "bandit.T", id="discover:bandit.T-1e308"),
         pytest.param("sim", {"trials": 1e308}, "sim.trials", id="bandit-sim:sim.trials-1e308"),
         pytest.param("arms", {"screen": "no"}, "arms.screen", id="discover:arms.screen"),
+        # Settings that discover ran, each of which misses criterion 1's
+        # bound (README): unscreened arms, no reward holdout (which fell
+        # back to a reward on the training loss) and the absolute loss.
+        # loss_cap, which only that fallback read, keeps its one value.
+        pytest.param("arms", {"screen": False}, "arms.screen", id="discover:arms.screen-false"),
+        pytest.param(
+            "bandit",
+            {"reward_holdout": 0},
+            "bandit.reward_holdout",
+            id="discover:bandit.reward_holdout-zero",
+        ),
+        pytest.param(
+            "training", {"loss": "absolute"}, "training.loss", id="discover:training.loss-absolute"
+        ),
+        pytest.param(
+            "bandit", {"loss_cap": 2.0}, "bandit.loss_cap", id="discover:bandit.loss_cap-2"
+        ),
+        pytest.param(
+            "bandit", {"loss_cap": 1e-308}, "bandit.loss_cap", id="discover:bandit.loss_cap-1e-308"
+        ),
+        pytest.param(
+            "bandit", {"loss_cap": 1e308}, "bandit.loss_cap", id="discover:bandit.loss_cap-1e308"
+        ),
         # int(True) is 1, so a bool epoch count trained one epoch; a string
         # of digits was read digit by digit (train 4, val 8; horizons 1 and
         # 2); and a fourth size was dropped without a word.
@@ -496,16 +525,20 @@ def test_cli_unwritable_artifact_exits_2(tmp_path, command, artifact):
 
 
 def test_discover_with_no_rows_to_hold_out(tmp_path):
-    # round(0.25 * 2) = 0 held-out rows: screening keeps every coordinate and
-    # the bandit falls back to the literal reward.
+    # round(0.25 * 2) = 0 held-out rows: no arm can be screened or rewarded
+    # on held-out rows, so discover exits 2 naming the split, and writes no
+    # artifact.  It used to keep every coordinate and reward the training
+    # loss.
     path = _write_config(
         tmp_path, task={"sizes": [2, 10]}, bandit={"T": 2}, training={"epochs": 2}
     )
     result = CliRunner().invoke(main, ["discover", "--config", str(path)])
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
-    report = yaml.safe_load(next((tmp_path / "runs").rglob("report.yaml")).read_text())
-    assert report["screened_coordinates"] == [0, 1, 2, 3, 4]
+    (line,) = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert "0.25 of 2 train rows" in line
+    assert not [entry for entry in (tmp_path / "runs").rglob("*") if entry.is_file()]
 
 
 def test_discover_without_a_val_split_reports_no_val_mae(tmp_path):
@@ -561,13 +594,24 @@ def test_discover_refuses_an_infinite_posterior_sample(tmp_path):
         pytest.param(
             "bandit-sim", "sim", {"noise_sigma": 1e308}, id="bandit-sim-sim.noise_sigma-1e308"
         ),
+        # A diverging fit: the reference MLP in screening, and the relaxed
+        # front in the ablation.
+        pytest.param(
+            "discover", "training", {"lr_initial": 1e300}, id="discover-training.lr_initial-1e300"
+        ),
+        pytest.param(
+            "discover --sgd-only",
+            "training",
+            {"lr_initial": 1e300},
+            id="discover-sgd-only-training.lr_initial-1e300",
+        ),
     ],
 )
 def test_cli_overflow_is_one_error_line_not_a_warning(tmp_path, command, section, values):
     # numpy's overflow warnings used to print before the error line; as
     # errors, they turned the run into a traceback.
     path = _tiny_config(tmp_path, section, values)
-    result = CliRunner().invoke(main, [command, "--config", str(path)])
+    result = CliRunner().invoke(main, [*command.split(), "--config", str(path)])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert len([line for line in result.output.splitlines() if line.startswith("error:")]) == 1
@@ -579,8 +623,6 @@ def test_cli_overflow_is_one_error_line_not_a_warning(tmp_path, command, section
     [
         pytest.param("bandit", {"nu": 1e308}, id="bandit.nu-1e308"),
         pytest.param("bandit", {"size_bonus": 1e308}, id="bandit.size_bonus-1e308"),
-        pytest.param("bandit", {"loss_cap": 1e-308}, id="bandit.loss_cap-1e-308"),
-        pytest.param("bandit", {"loss_cap": 1e308}, id="bandit.loss_cap-1e308"),
         pytest.param("training", {"lr_initial": 1e308}, id="training.lr_initial-1e308"),
         pytest.param("training", {"lr_decay": 1e-308}, id="training.lr_decay-1e-308"),
         pytest.param("sim", {"nu": 1e308}, id="sim.nu-1e308"),

@@ -199,8 +199,10 @@ def test_batched_forward_matches_single(seed):
 # sha256 of train_sgd's weight bytes followed by its final loss's bytes, taken
 # from the step that folds each layer's bias into its matmul (one a_aug @ Wb
 # per layer, over pre-sorted pairs).  A change that keeps that step must not
-# move a single bit.  Float64 results can depend on the BLAS build; these come
-# from numpy 2.4 with OpenBLAS 0.3 on x86-64.
+# move a single bit.  Float64 results can depend on the BLAS build and kernel;
+# these come from numpy 2.4 with OpenBLAS 0.3 on x86-64, under its SkylakeX
+# kernel (the Haswell and Sandybridge kernels give other bits).  A failure
+# names the kernel that ran.
 TRAIN_SGD_DIGESTS = {
     (CYCLIC, (0, 1, 3), SQUARED):
         "7ad4659fe869f44eeb8d098ca800a958365cb5093be407f85be61a607db30828",
@@ -211,14 +213,14 @@ TRAIN_SGD_DIGESTS = {
 }
 
 
-def test_train_sgd_golden_bits():
+def test_train_sgd_golden_bits(blas_core):
     rng = np.random.default_rng(12)
     ds = Dataset(rng.uniform(size=(37, 5)), rng.uniform(size=37))  # short last batch
     for (kind, idx, loss_kind), digest in TRAIN_SGD_DIGESTS.items():
         cfg = TrainConfig(epochs=4, batch_size=8, seed=3, loss_kind=loss_kind)
         params, loss = train_sgd(ds, _pair(kind, idx, 5), cfg)
         got = hashlib.sha256(params.theta.tobytes() + np.float64(loss).tobytes())
-        assert got.hexdigest() == digest, (kind, idx)
+        assert got.hexdigest() == digest, (kind, idx, blas_core)
 
 
 def test_layout_rows_match_per_batch_path():
@@ -278,14 +280,14 @@ REFERENCE_MLP_DIGESTS = {
 }
 
 
-def test_train_reference_mlp_golden_bits():
+def test_train_reference_mlp_golden_bits(blas_core):
     rng = np.random.default_rng(12)
     ds = Dataset(rng.uniform(size=(37, 5)), rng.uniform(size=37))
     for loss_kind, digest in REFERENCE_MLP_DIGESTS.items():
         cfg = TrainConfig(epochs=4, batch_size=8, seed=3, loss_kind=loss_kind)
         _, predict = train_reference_mlp(ds, cfg)
         got = hashlib.sha256(predict(ds.inputs).tobytes()).hexdigest()
-        assert got == digest, loss_kind
+        assert got == digest, (loss_kind, blas_core)
 
 
 def test_zero_rows_give_no_outputs():
@@ -307,7 +309,7 @@ EVALUATION_DIGESTS = {
 }
 
 
-def test_evaluation_golden_bits():
+def test_evaluation_golden_bits(blas_core):
     rng = np.random.default_rng(12)
     ds = Dataset(rng.uniform(size=(37, 5)), rng.uniform(size=37))
     _, predict = train_reference_mlp(ds, TrainConfig(epochs=4, batch_size=8, seed=3))
@@ -319,7 +321,7 @@ def test_evaluation_golden_bits():
             got.update(forward_batch(params, _pair(kind, idx), X).tobytes())
         got.update(forward_relaxed(relaxed, X).tobytes())
         got.update(predict(X).tobytes())
-        assert got.hexdigest() == digest, rows
+        assert got.hexdigest() == digest, (rows, blas_core)
 
 
 def _peak_bytes(run) -> int:
