@@ -98,10 +98,10 @@ def _holdout_split(dataset: Dataset, frac: float):
 
 
 def _reference_fit(
-    fit: Dataset, held: Dataset, train_cfg: TrainConfig, loss_kind, references: dict | None = None
+    fit: Dataset, held: Dataset, train_cfg: TrainConfig, references: dict | None = None
 ):
-    """The symmetry-free reference MLP fit on `fit`, and its held-out loss
-    (floored at 1e-12), in loss_kind.  `references`, when given, maps the
+    """The symmetry-free reference MLP fit on `fit`, and its held-out MSE
+    (floored at 1e-12).  `references`, when given, maps the
     rows and settings of earlier fits to their predictors: a fit is
     deterministic, so one on the same rows with the same settings is
     reused, and a new one is added.  A diverged fit raises
@@ -114,13 +114,13 @@ def _reference_fit(
     if key not in references:
         _, references[key] = train_reference_mlp(fit, train_cfg)
     predict = references[key]
-    fit_loss = _residual_loss(predict(fit.inputs) - fit.targets, loss_kind)
-    constant = _residual_loss(fit.targets.mean() - fit.targets, loss_kind)
+    fit_loss = _residual_loss(predict(fit.inputs) - fit.targets, SQUARED)
+    constant = _residual_loss(fit.targets.mean() - fit.targets, SQUARED)
     if not fit_loss < constant:
         raise NumericError(
             f"reference fit does no better than the mean ({fit_loss:.3g} >= {constant:.3g})"
         )
-    loss = _residual_loss(predict(held.inputs) - held.targets, loss_kind)
+    loss = _residual_loss(predict(held.inputs) - held.targets, SQUARED)
     if not np.isfinite(loss):
         raise NumericError("reference fit has a non-finite held-out loss")
     return predict, max(loss, 1e-12)
@@ -153,7 +153,7 @@ def screen_coordinates(
         raise ValueError(f"need repeats >= 1, got {repeats}")
     n = dataset.inputs.shape[1]
     fit, held = _holdout_split(dataset, _SCREEN_HOLDOUT)
-    predict, base = _reference_fit(fit, held, train_cfg, SQUARED, references)
+    predict, base = _reference_fit(fit, held, train_cfg, references)
     rng = np.random.default_rng(seed)
     importance = np.zeros(n)
     for j in range(n):
@@ -176,8 +176,8 @@ def filter_arms(arms, coordinates) -> list:
 
 @dataclass(frozen=True)
 class PullRecord:
-    """train_loss is the arm's reward loss, on the held-out rows; inf when
-    the fit failed."""
+    """train_loss is the arm's reward loss, its MSE on the held-out rows;
+    inf when the fit failed."""
 
     t: int
     arm: ArmFeature
@@ -187,15 +187,15 @@ class PullRecord:
 
 class ArmFit(NamedTuple):
     params: PhiParams
-    loss: float  # the reward loss, as PullRecord.train_loss
+    loss: float  # the held-out MSE, as PullRecord.train_loss
 
 
 def _fit_arm(arm, fit_data: Dataset, held_data: Dataset, train_cfg: TrainConfig) -> ArmFit | None:
-    """phi trained for the arm on fit_data, and its loss on held_data; None
-    when the fit fails."""
+    """phi trained for the arm on fit_data, in train_cfg's loss, and its
+    MSE on held_data; None when the fit fails."""
     try:
         params, _ = train_sgd(fit_data, arm.descriptor, train_cfg)
-        loss = mean_loss(params, arm.descriptor, held_data, train_cfg.loss_kind)
+        loss = mean_loss(params, arm.descriptor, held_data, SQUARED)
     except (NumericError, TrainingDivergedError):
         return None
     return ArmFit(params, loss)
@@ -234,12 +234,13 @@ def run_discovery(
     """Algorithm loop: sample mu, play the argmax arm, train phi for it,
     reward it by its held-out loss, update the posterior.
 
-    The reward loss is measured on a held-out tail of the dataset (fraction
-    reward_holdout, trained on the rest): with enough epochs every arm can
-    memorize a small training set, but only arms whose symmetry the target
-    respects generalize, so the held-out loss is what separates them.  The
-    reward is centered on the held-out loss of a symmetry-free reference
-    MLP trained once with the same budget: arms whose inductive bias helps
+    The reward loss is the MSE on a held-out tail of the dataset (fraction
+    reward_holdout, trained on the rest), whatever loss train_cfg trains:
+    with enough epochs every arm can memorize a small training set, but
+    only arms whose symmetry the target respects generalize, so the
+    held-out loss is what separates them.  The reward is centered on the
+    held-out MSE of a symmetry-free reference MLP, fit with the same
+    budget before the first pull: arms whose inductive bias helps
     get positive rewards, harmful constraints get negative ones, so the
     fitted mu_hat turns positive on the useful coordinates.  A bonus
     size_bonus * |I| / n favours arms on larger supports; it is the same for
@@ -248,10 +249,10 @@ def run_discovery(
 
     Training failures never abort the loop: an arm whose training diverges
     or whose loss is non-finite gets the floor reward -1 and loss inf.  The
-    reference is fit when the first reward needs it, unless `references`
-    (as screen_coordinates fills it) holds one fit on the same rows with
-    the same train_cfg; its failure, like a non-finite dataset, ends the
-    run with a SymforgeError.  A fit is deterministic (the same seed on the
+    reference is reused when `references` (as screen_coordinates fills it)
+    holds one fit on the same rows with the same train_cfg; its failure,
+    like a non-finite dataset, refuses the run with a SymforgeError before
+    any arm is trained.  A fit is deterministic (the same seed on the
     same rows), so an arm is trained on its first pull and a re-pull reuses
     that fit, with the same weights, loss and reward.  A failed fit is not
     kept, so a re-pull of that arm trains again.  The result keeps the
@@ -264,14 +265,14 @@ def run_discovery(
         raise ValueError("empty arm set")
     if not (np.all(np.isfinite(dataset.inputs)) and np.all(np.isfinite(dataset.targets))):
         raise NumericError("non-finite value in the dataset")
+    fit_data, held_data = _holdout_split(dataset, cfg.reward_holdout)
+    _, ref_loss = _reference_fit(fit_data, held_data, cfg.train_cfg, references)
     rng = np.random.default_rng(cfg.seed)
     A = arm_matrix(arms)
     post = BanditPosterior.fresh(A.shape[1], cfg.nu)
     records = []
     fits: dict = {}
     n_coords = dataset.inputs.shape[1]
-    fit_data, held_data = _holdout_split(dataset, cfg.reward_holdout)
-    ref_loss = None
     for t in range(1, cfg.T + 1):
         mu = posterior_sample(post, rng.standard_normal(post.d))
         arm = arms[argmax_arm(mu, A)]
@@ -282,10 +283,6 @@ def run_discovery(
         else:
             fits[bits] = fit
             loss = fit.loss
-            if ref_loss is None:
-                _, ref_loss = _reference_fit(
-                    fit_data, held_data, cfg.train_cfg, cfg.train_cfg.loss_kind, references
-                )
             gamma = float(np.clip((ref_loss - loss) / ref_loss, -1.0, 1.0))
             # Bonus for larger index sets.  It depends on |I| alone, so it
             # favours larger supports but does not rank a group above its
@@ -323,7 +320,6 @@ class LinearInstance:
     mu_star: np.ndarray
     arms: np.ndarray  # (n_arms, d) binary feature rows
     noise_sigma: float
-    delta_min: float = field(init=False)  # gap between the best two mean rewards
     best_index: int = field(init=False)
 
     def __post_init__(self):
@@ -336,12 +332,10 @@ class LinearInstance:
         if not np.isfinite(means).all():
             raise ValueError("arm means must be finite")
         order = np.sort(means)[::-1]
-        gap = float(order[0] - order[1])
-        if not gap > 0:
+        if not order[0] > order[1]:
             raise ValueError("instance needs a unique best arm")
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError("noise_sigma must be finite and >= 0")
-        self.delta_min = gap
         self.best_index = int(np.argmax(means))
 
 

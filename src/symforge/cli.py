@@ -82,8 +82,9 @@ _FINITE_AT_LEAST_0 = (lambda scale: 0 <= scale < np.inf, "finite and >= 0")
 
 # Every config key: "section.name": (default, cast, ok, need).  cast converts
 # the YAML value or raises; ok, unless None, is the rule the converted value
-# must meet, and need says it in words.  The library classes check the same
-# ranges again, as library input, but their messages do not name the key.
+# must meet, and need says it in words.  A default the library declares is
+# read from its class.  The library classes check the same ranges again, as
+# library input, but their messages do not name the key.
 # arms.screen, bandit.reward_holdout and training.loss accept only settings
 # that meet criterion 1 (see README); bandit.loss_cap is read by nothing and
 # keeps its one value only so that the config hashes do not move.
@@ -101,14 +102,16 @@ _KEYS = {
         lambda T: T is None or T >= 1,
         "null (4n) or >= 1",
     ),
-    "bandit.nu": (0.5, float, *_FINITE_AT_LEAST_0),
+    "bandit.nu": (DiscoveryConfig.nu, float, *_FINITE_AT_LEAST_0),
     "bandit.loss_cap": (1.0, float, lambda cap: cap == 1.0, "1.0"),
-    "bandit.reward_holdout": (0.25, float, lambda share: 0 < share < 1, "in (0, 1)"),
-    "bandit.size_bonus": (1.2, float, np.isfinite, "finite"),
-    "training.epochs": (400, _whole, *_AT_LEAST_1),
-    "training.batch_size": (16, _whole, *_AT_LEAST_1),
-    "training.lr_initial": (0.2, float, *_FINITE_AT_LEAST_0),
-    "training.lr_decay": (0.997, float, lambda decay: 0 < decay <= 1, "in (0, 1]"),
+    "bandit.reward_holdout": (
+        DiscoveryConfig.reward_holdout, float, lambda share: 0 < share < 1, "in (0, 1)"
+    ),
+    "bandit.size_bonus": (DiscoveryConfig.size_bonus, float, np.isfinite, "finite"),
+    "training.epochs": (TrainConfig.epochs, _whole, *_AT_LEAST_1),
+    "training.batch_size": (TrainConfig.batch_size, _whole, *_AT_LEAST_1),
+    "training.lr_initial": (TrainConfig.lr_initial, float, *_FINITE_AT_LEAST_0),
+    "training.lr_decay": (TrainConfig.lr_decay, float, lambda decay: 0 < decay <= 1, "in (0, 1]"),
     "training.loss": (SQUARED, str, lambda loss: loss == SQUARED, SQUARED),
     "sim.mu_star": ([1.0, 0.2, 0.2, 0.2, 0.2], _mu_star, *_NO_RULE),
     "sim.noise_sigma": (0.1, float, *_FINITE_AT_LEAST_0),
@@ -182,21 +185,25 @@ def config_hash(cfg: dict, tag: str = "") -> str:
 
 
 def output_dir(cfg: dict, tag: str = "") -> Path:
-    out = _value(cfg, "output.dir") / config_hash(cfg, tag)
+    """The path of a run's directory, named by the config hash; nothing is
+    created here."""
+    return _value(cfg, "output.dir") / config_hash(cfg, tag)
+
+
+def _write(out: Path, files: dict) -> None:
+    """Create the run directory out and write files, name -> bytes, into
+    it; a command calls this once, after its results exist, so a run
+    refused on the way writes nothing.  A failure is a ConfigError naming
+    the directory or the file."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot create output directory {out}: {exc}")
-    return out
-
-
-def _write(path: Path, data: bytes) -> None:
-    """Write one artifact of a run; an OSError is a ConfigError naming the
-    path, as the output directory's is."""
-    try:
-        path.write_bytes(data)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
+    for name, data in files.items():
+        try:
+            (out / name).write_bytes(data)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out / name}: {exc}") from None
 
 
 def _discovery_config(cfg: dict, n: int) -> DiscoveryConfig:
@@ -230,15 +237,14 @@ def _task_splits(cfg: dict):
 
 def run_gen_data(cfg: dict) -> Path:
     splits, manifest = _task_splits(cfg)
-    out = output_dir(cfg)
     files = {}
     for name, dataset in splits.items():
-        path = out / f"{name}.csv"
         header = [f"x_{i + 1}" for i in range(dataset.inputs.shape[1])] + ["y"]
-        _write(path, _csv(np.column_stack((dataset.inputs, dataset.targets)).tolist(), header))
-        files[name] = str(path)
-    manifest = dict(manifest, files=files)
-    _write(out / "manifest.yaml", yaml.safe_dump(manifest, sort_keys=True).encode())
+        rows = np.column_stack((dataset.inputs, dataset.targets)).tolist()
+        files[f"{name}.csv"] = _csv(rows, header)
+    files["manifest.yaml"] = yaml.safe_dump(manifest, sort_keys=True).encode()
+    out = output_dir(cfg)
+    _write(out, files)
     return out
 
 
@@ -288,13 +294,11 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
     val = splits.get("val")
     n = train.inputs.shape[1]
     dcfg = _discovery_config(cfg, n)
-    out = output_dir(cfg, tag="sgd-only" if sgd_only else "")
     report: dict = {"config": cfg, "seed": dcfg.seed, "task": manifest}
-    paths = {"m1_path": str(out / "m1.csv"), "m2_path": str(out / "m2.csv")}
 
     if sgd_only:
         params, loss = train_relaxed(train, dcfg.train_cfg)
-        report.update(paths, mode="sgd-only", train_loss=loss)
+        report.update(mode="sgd-only", train_loss=loss)
         if val is not None:
             report["val_mae"] = evaluate_relaxed(params, val)
         files = {"m1.csv": _csv(params.m1), "m2.csv": _csv(params.m2)}
@@ -315,21 +319,18 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
         else:
             top = evaluate_top_arms(result, val, top=3)
         files, fields = discovery_artifacts(result, top)
-        fields["winner"].update(paths)
         report.update(
             fields,
             mode="bandit",
             screened_coordinates=list(kept),
             arm_count=len(arms),
             T=dcfg.T,
-            pull_log=str(out / "pulls.csv"),
-            ranking_path=str(out / "ranking.csv"),
         )
 
-    for name, data in files.items():
-        _write(out / name, data)
     report["timing_seconds"] = round(time.perf_counter() - t_start, 3)
-    _write(out / "report.yaml", yaml.safe_dump(report, sort_keys=True).encode())
+    files["report.yaml"] = yaml.safe_dump(report, sort_keys=True).encode()
+    out = output_dir(cfg, tag="sgd-only" if sgd_only else "")
+    _write(out, files)
     return out, report
 
 
@@ -410,7 +411,7 @@ def run_bandit_sim(cfg: dict) -> tuple[Path, dict]:
     )
     rates = dict(sorted(rates.items()))
     out = output_dir(cfg)
-    _write(out / "misid.csv", _csv(rates.items(), ("T", "misid_rate")))
+    _write(out, {"misid.csv": _csv(rates.items(), ("T", "misid_rate"))})
     return out, rates
 
 

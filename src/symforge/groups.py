@@ -39,9 +39,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.mapping)
 
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
-
     def compose(self, other: "Permutation") -> "Permutation":
         """Return the permutation p with act(p, x) == act(self, act(other, x))."""
         if self.n != other.n:

@@ -26,7 +26,7 @@ from symforge.bandit import (
 from symforge.cli import discovery_artifacts
 from symforge.errors import DimensionError, NumericError, SymforgeError, TrainingDivergedError
 from symforge.groups import CYCLIC, SYMMETRIC, GroupDescriptor
-from symforge.net import Dataset, TrainConfig, evaluate, train_sgd
+from symforge.net import ABSOLUTE, SQUARED, Dataset, TrainConfig, evaluate, mean_loss, train_sgd
 from symforge.selection import ArmFeature, arm_matrix, arm_scores, enumerate_arms, rank_arms
 
 FAST = TrainConfig(epochs=20, batch_size=16, seed=0)
@@ -261,14 +261,23 @@ def test_too_few_rows_to_hold_out_are_refused():
         _holdout_split(ds, 0.9)
 
 
-def test_discovery_survives_divergence():
-    arms = enumerate_arms(3)
+def test_discovery_refuses_a_diverging_reference_before_any_pull(monkeypatch):
+    # The reference is fit before the first pull, so settings under which it
+    # diverges refuse the run before any arm is trained.  Arms that diverge
+    # under a healthy reference are floored instead (see
+    # test_discovery_floors_mid_training_divergence).
+    calls = []
+
+    def counting_train_sgd(*args, **kwargs):
+        calls.append(None)
+        return train_sgd(*args, **kwargs)
+
+    monkeypatch.setattr(bandit, "train_sgd", counting_train_sgd)
     bad = TrainConfig(epochs=30, batch_size=16, lr_initial=1e6, lr_decay=1.0)
     cfg = DiscoveryConfig(T=3, train_cfg=bad, seed=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = run_discovery(arms, _toy_dataset(3), cfg)
-    assert all(rec.reward == -1.0 for rec in result.records)
-    assert all(np.isinf(rec.train_loss) for rec in result.records)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError):
+        run_discovery(enumerate_arms(3), _toy_dataset(3), cfg)
+    assert calls == []
 
 
 def test_discovery_survives_nonfinite_held_out_loss(monkeypatch):
@@ -314,13 +323,26 @@ def test_discovery_trains_each_arm_once(monkeypatch):
     assert len(distinct) < cfg.T  # the run has re-pulls
     assert len(calls) == len(distinct)
     fit_rows, held_rows = _holdout_split(ds, cfg.reward_holdout)
-    _, ref_loss = bandit._reference_fit(fit_rows, held_rows, FAST, FAST.loss_kind)
+    _, ref_loss = bandit._reference_fit(fit_rows, held_rows, FAST)
     for rec in result.records:
         fresh = bandit._fit_arm(rec.arm, fit_rows, held_rows, FAST)
         reward = float(np.clip((ref_loss - fresh.loss) / ref_loss, -1.0, 1.0))
         reward += cfg.size_bonus * len(rec.arm.descriptor.index_set) / ds.inputs.shape[1]
         assert rec.train_loss == fresh.loss and rec.reward == reward
         assert np.array_equal(result.fits[rec.arm.bits].params.theta, fresh.params.theta)
+
+
+def test_discovery_rewards_held_out_mse_whatever_the_training_loss():
+    # An arm trained in MAE is still rewarded by its held-out MSE, the loss
+    # the reference is scored in.
+    ds = _toy_dataset(3)
+    mae_cfg = replace(FAST, loss_kind=ABSOLUTE)
+    cfg = DiscoveryConfig(T=6, train_cfg=mae_cfg)
+    result = run_discovery(enumerate_arms(3), ds, cfg)
+    fit_rows, held_rows = _holdout_split(ds, cfg.reward_holdout)
+    for rec in result.records:
+        params, _ = train_sgd(fit_rows, rec.arm.descriptor, mae_cfg)
+        assert rec.train_loss == mean_loss(params, rec.arm.descriptor, held_rows, SQUARED)
 
 
 def test_discovery_floors_mid_training_divergence(monkeypatch):
@@ -458,10 +480,10 @@ def test_linear_instance_requires_unique_best():
         LinearInstance(np.array([1.0, 1.0]), np.eye(2), 0.1)
     inst = LinearInstance(np.array([1.0, 0.4]), np.eye(2), 0.1)
     assert inst.best_index == 0
-    assert np.isclose(inst.delta_min, 0.6)
 
 
 def test_linear_instance_derives_its_gap():
+    # The best arm's lead is checked from the means, never taken as input.
     with pytest.raises(TypeError):
         LinearInstance(np.array([1.0, 0.4]), np.eye(2), 0.1, 0.6)
     for mu_star in ([], [1.0], [[1.0], [0.4]]):

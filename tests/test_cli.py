@@ -98,6 +98,7 @@ def test_gen_data_writes_splits_and_manifest(tmp_path):
     manifest = yaml.safe_load((out / "manifest.yaml").read_text())
     assert manifest["sizes"] == {"train": 48, "val": 16}
     assert manifest["spec"] == "S_I(4)"
+    assert "files" not in manifest  # the CSVs sit next to it
     # Each split's CSV reads back, through loadtxt, to exactly the inputs
     # and targets that make_splits returns.
     splits, _ = make_splits(builtin_polynomial("S_I(4)"), (48, 16), seed=0)
@@ -138,6 +139,10 @@ def test_discover_report_and_determinism(tmp_path):
     assert (out1 / "m1.csv").exists() and (out1 / "m2.csv").exists()
     assert len(report1["top3"]) == 3
     assert report1["T"] == 6
+    # The report names no file: each artifact sits next to it.
+    assert report1 == yaml.safe_load((out1 / "report.yaml").read_text())
+    assert not {"pull_log", "ranking_path", "m1_path", "m2_path"} & set(report1)
+    assert set(report1["winner"]) == {"kind", "index_set"}
     out2, report2 = run_discover(cfg)
     assert out2 == out1  # same config hash, same directory
     assert (out2 / "pulls.csv").read_bytes() == pulls1
@@ -172,6 +177,7 @@ def test_discover_sgd_only_mode(tmp_path):
     out, report = run_discover(cfg, sgd_only=True)
     assert report["mode"] == "sgd-only"
     assert "val_mae" in report
+    assert not {"m1_path", "m2_path"} & set(report)
     # Dense learned matrices, in a directory separate from the bandit run.
     m1 = np.loadtxt(out / "m1.csv", delimiter=",")
     assert m1.shape == (5, 5)
@@ -526,19 +532,25 @@ def test_cli_unwritable_artifact_exits_2(tmp_path, command, artifact):
 
 def test_discover_with_no_rows_to_hold_out(tmp_path):
     # round(0.25 * 2) = 0 held-out rows: no arm can be screened or rewarded
-    # on held-out rows, so discover exits 2 naming the split, and writes no
-    # artifact.  It used to keep every coordinate and reward the training
-    # loss.
-    path = _write_config(
-        tmp_path, task={"sizes": [2, 10]}, bandit={"T": 2}, training={"epochs": 2}
-    )
-    result = CliRunner().invoke(main, ["discover", "--config", str(path)])
-    assert result.exit_code == 2, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "Traceback" not in result.output
-    (line,) = [line for line in result.output.splitlines() if line.startswith("error:")]
-    assert "0.25 of 2 train rows" in line
-    assert not [entry for entry in (tmp_path / "runs").rglob("*") if entry.is_file()]
+    # on held-out rows, so discover exits 2 naming the split.  It used to
+    # keep every coordinate and reward the training loss.  A reference that
+    # does not learn (lr 0) is refused too.  A run refused at run time
+    # creates no run directory, not even an empty one.
+    cases = {
+        "0.25 of 2 train rows": {"task": {"sizes": [2, 10]}, "training": {"epochs": 2}},
+        "reference fit does no better than the mean": {"training": {"lr_initial": 0}},
+    }
+    for i, (message, settings) in enumerate(cases.items()):
+        case = tmp_path / f"case{i}"
+        case.mkdir()
+        path = _write_config(case, bandit={"T": 2}, **settings)
+        result = CliRunner().invoke(main, ["discover", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        (line,) = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert message in line
+        assert not (case / "runs").exists()
 
 
 def test_discover_without_a_val_split_reports_no_val_mae(tmp_path):
