@@ -127,13 +127,16 @@ def _reference_fit(
 
 
 _SCREEN_HOLDOUT = 0.25  # the share of rows, at the tail, that screening holds out
+# screen_coordinates' defaults, and `discover`'s.
+SCREEN_THRESHOLD = 0.08
+SCREEN_REPEATS = 30
 
 
 def screen_coordinates(
     dataset: Dataset,
     train_cfg: TrainConfig,
-    threshold: float = 0.08,
-    repeats: int = 30,
+    threshold: float = SCREEN_THRESHOLD,
+    repeats: int = SCREEN_REPEATS,
     seed: int = 0,
     references: dict | None = None,
 ) -> tuple:
@@ -222,7 +225,7 @@ class DiscoveryResult:
     ranking: list[ArmFeature]  # all arms, by a^T mu_hat descending
     records: list[PullRecord]
     posterior: BanditPosterior
-    fits: dict  # bits -> ArmFit of each pulled arm whose fit succeeded, fit once per run
+    fits: dict  # bits -> ArmFit of each pulled arm, None if its fit failed; fit once per run
     fit_data: Dataset  # the rows every arm is fit on
     held_data: Dataset  # the rows every arm's reward loss is measured on
     train_cfg: TrainConfig
@@ -254,10 +257,9 @@ def run_discovery(
     like a non-finite dataset, refuses the run with a SymforgeError before
     any arm is trained.  A fit is deterministic (the same seed on the
     same rows), so an arm is trained on its first pull and a re-pull reuses
-    that fit, with the same weights, loss and reward.  A failed fit is not
-    kept, so a re-pull of that arm trains again.  The result keeps the
-    fits, and the rows and settings they used, so evaluate_top_arms fits
-    other arms the same way.
+    that fit, with the same weights, loss and reward, or its failure.  The
+    result keeps the fits, and the rows and settings they used, so
+    evaluate_top_arms fits other arms the same way.
     """
     if cfg.T < 1:
         raise ValueError("need T >= 1")
@@ -277,11 +279,12 @@ def run_discovery(
         mu = posterior_sample(post, rng.standard_normal(post.d))
         arm = arms[argmax_arm(mu, A)]
         bits = arm.bits
-        fit = fits.get(bits) or _fit_arm(arm, fit_data, held_data, cfg.train_cfg)
+        if bits not in fits:
+            fits[bits] = _fit_arm(arm, fit_data, held_data, cfg.train_cfg)
+        fit = fits[bits]
         if fit is None:
             loss, gamma = float("inf"), -1.0
         else:
-            fits[bits] = fit
             loss = fit.loss
             gamma = float(np.clip((ref_loss - loss) / ref_loss, -1.0, 1.0))
             # Bonus for larger index sets.  It depends on |I| alone, so it
@@ -296,13 +299,15 @@ def run_discovery(
 
 def evaluate_top_arms(result: DiscoveryResult, dataset: Dataset, top: int = 3):
     """[(arm, MAE on dataset)] for the leading ranked arms, in one fit regime:
-    a pulled arm's fit from the run, else a fit on the same rows and
-    settings.  None when the fit fails or the evaluation raises NumericError."""
+    a pulled arm's fit, or failure, from the run, else a fit on the same rows
+    and settings.  None when the fit fails or the evaluation raises
+    NumericError."""
     out = []
     for arm in result.ranking[:top]:
-        fit = result.fits.get(arm.bits) or _fit_arm(
-            arm, result.fit_data, result.held_data, result.train_cfg
-        )
+        if arm.bits in result.fits:
+            fit = result.fits[arm.bits]
+        else:
+            fit = _fit_arm(arm, result.fit_data, result.held_data, result.train_cfg)
         mae = None
         if fit is not None:
             try:

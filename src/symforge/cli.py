@@ -5,8 +5,9 @@ Every command is a pure function of (config file, seed): artifacts land in
 an output directory named by the hash of the effective configuration, so
 re-running a config reproduces its outputs bit for bit.
 
-Exit codes: 0 = ok, 1 = a `verify` suite failed, 2 = usage or
-configuration error.
+Exit codes: 0 = ok, 1 = a `verify` suite failed, 2 = a usage or
+configuration error, a run refused at run time (a SymforgeError) or a
+workload too large for this machine's memory.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import numpy as np
 import yaml
 
 from .bandit import (
+    SCREEN_REPEATS,
+    SCREEN_THRESHOLD,
     DiscoveryConfig,
     LinearInstance,
     evaluate_top_arms,
@@ -41,7 +44,7 @@ from .oracle import (
 )
 from .relaxed import evaluate_relaxed, train_relaxed
 from .selection import arm_matrix, arm_scores, build_m1, build_m2, dense_matrix, enumerate_arms
-from .tasks import BUILTIN_NAMES, builtin_polynomial, make_splits
+from .tasks import BUILTIN_NAMES, SPLIT_SIZES, builtin_polynomial, make_splits
 
 
 class ConfigError(SymforgeError):
@@ -83,19 +86,19 @@ _FINITE_AT_LEAST_0 = (lambda scale: 0 <= scale < np.inf, "finite and >= 0")
 # Every config key: "section.name": (default, cast, ok, need).  cast converts
 # the YAML value or raises; ok, unless None, is the rule the converted value
 # must meet, and need says it in words.  A default the library declares is
-# read from its class.  The library classes check the same ranges again, as
-# library input, but their messages do not name the key.
+# read from its class or module.  The library classes check the same ranges
+# again, as library input, but their messages do not name the key.
 # arms.screen, bandit.reward_holdout and training.loss accept only settings
 # that meet criterion 1 (see README); bandit.loss_cap is read by nothing and
 # keeps its one value only so that the config hashes do not move.
 _KEYS = {
     "task.kind": ("polynomial", str, lambda kind: kind == "polynomial", "polynomial"),
     "task.name": ("Z_I(5)", str, *_NO_RULE),  # checked against the builtins when run
-    "task.sizes": ([64, 480, 4800], _counts, lambda sizes: len(sizes) <= 3, "1-3 counts"),
+    "task.sizes": (list(SPLIT_SIZES), _counts, lambda sizes: len(sizes) <= 3, "1-3 counts"),
     "task.seed": (0, _whole, lambda seed: seed >= 0, ">= 0"),
     "arms.screen": (True, lambda screen: screen, lambda screen: screen is True, "true"),
-    "arms.screen_threshold": (0.08, float, *_NO_RULE),
-    "arms.screen_repeats": (30, _whole, *_AT_LEAST_1),
+    "arms.screen_threshold": (SCREEN_THRESHOLD, float, *_NO_RULE),
+    "arms.screen_repeats": (SCREEN_REPEATS, _whole, *_AT_LEAST_1),
     "bandit.T": (
         None,
         lambda T: T if T is None else _whole(T),
@@ -349,7 +352,7 @@ def _suite_checks(suite: str) -> dict:
     """label -> (passed, summary value) for one named suite."""
     if suite == "orbits":
         checks = {
-            f"{kind}-k{k}": _verdict(verify_orbit_mapping(kind, k, trials=100))
+            f"{kind}-k{k}": _verdict(verify_orbit_mapping(kind, k))
             for kind in (CYCLIC, DIHEDRAL, SYMMETRIC)
             for k in range(2, 6)
         }
@@ -371,23 +374,21 @@ def _suite_checks(suite: str) -> dict:
             for components, trials in combos
         }
     if suite == "nonreal":
-        return {f"k{k}": _verdict(nonrealizability_counts(k, trials=50)) for k in (3, 4, 5)}
+        return {f"k{k}": _verdict(nonrealizability_counts(k)) for k in (3, 4, 5)}
     if suite == "gradients":
         rng = np.random.default_rng(0)
         descriptor = GroupDescriptor(CYCLIC, (0, 2, 3), 5)
         params = init_params(5, p=8, h=12, seed=0)
         X = rng.uniform(size=(10, 5))
         y = rng.uniform(size=10)
-        err = float(gradient_check(params, descriptor, X, y, n_coords=20))
+        err = float(gradient_check(params, descriptor, X, y))
         return {"max_relative_error": (err <= 1e-4, err)}
     if suite == "invariance":
         checks = {}
         for kind, k in ((CYCLIC, 4), (DIHEDRAL, 4), (SYMMETRIC, 3)):
             descriptor = GroupDescriptor(kind, tuple(range(1, k + 1)), k + 2)
             params = init_params(k + 2, p=8, h=12, seed=1)
-            report = check_invariance(
-                lambda x: forward(params, descriptor, x), descriptor, samples=100
-            )
+            report = check_invariance(lambda x: forward(params, descriptor, x), descriptor)
             checks[f"{kind}-k{k}"] = _verdict(report, f"violation {report.max_violation:.2e}")
         return checks
     raise ConfigError(f"unknown suite {suite!r}; valid suites: {VERIFY_SUITES}")

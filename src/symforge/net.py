@@ -67,6 +67,10 @@ ABSOLUTE = "absolute"
 # trailing rows apart from the rest, in a whole pass as in a block.
 _EVAL_ROWS = 64
 
+# phi's widths, eta's output P and every hidden layer's H (see PhiParams); the
+# reference MLP and the ablation have them too.
+P_WIDTH, H_WIDTH = 16, 32
+
 
 @dataclass
 class Dataset:
@@ -155,7 +159,7 @@ def _init_mlp(layers, rng):
         Wb[-1] = rng.uniform(-bound, bound, size=Wb.shape[1])
 
 
-def init_params(n: int, p: int = 16, h: int = 32, seed: int = 0) -> PhiParams:
+def init_params(n: int, p: int = P_WIDTH, h: int = H_WIDTH, seed: int = 0) -> PhiParams:
     rng = np.random.default_rng(seed)
     size = _mlp_size((2, h, h, p)) + _mlp_size((p + n, h, h, 1))
     params = PhiParams(np.empty(size), p, h, n)
@@ -409,8 +413,8 @@ def train_sgd(
     dataset: Dataset,
     descriptor: GroupDescriptor,
     cfg: TrainConfig,
-    p: int = 16,
-    h: int = 32,
+    p: int = P_WIDTH,
+    h: int = H_WIDTH,
 ):
     """Minibatch SGD with per-epoch decayed learning rate.
 
@@ -467,14 +471,14 @@ def gradient_check(
     return worst
 
 
-def train_reference_mlp(dataset: Dataset, cfg: TrainConfig, h: int = 32):
+def train_reference_mlp(dataset: Dataset, cfg: TrainConfig):
     """Plain MLP on the raw input, no invariance imposed: the symmetry-free
-    reference fit.  Returns (layers, predict), each layer its weight block,
-    with the same budget as cfg.
+    reference fit, with hidden layers H_WIDTH wide.  Returns (layers,
+    predict), each layer its weight block, with the same budget as cfg.
     The init and the shuffles come from one seeded stream.  A non-finite
     training loss raises TrainingDivergedError."""
     rng = np.random.default_rng(cfg.seed)
-    dims = (dataset.inputs.shape[1], h, h, 1)
+    dims = (dataset.inputs.shape[1], H_WIDTH, H_WIDTH, 1)
     theta, grad = np.empty(_mlp_size(dims)), np.empty(_mlp_size(dims))
     layers, _ = _mlp_views(theta, dims)
     grad_layers, _ = _mlp_views(grad, dims)

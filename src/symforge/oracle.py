@@ -39,6 +39,12 @@ from .groups import (
 )
 from .rho import rho_inverse, rho_variant
 
+# The checks' sample sizes and the invariance tolerance; no caller needs others.
+_INVARIANCE_SAMPLES = 100
+_INVARIANCE_TOL = 1e-9
+_ORBIT_TRIALS = 100
+_NONREAL_TRIALS = 50
+
 
 @dataclass
 class InvarianceReport:
@@ -52,19 +58,20 @@ class InvarianceReport:
         return self.max_violation <= self.tol
 
 
-def check_invariance(fn, descriptor: GroupDescriptor, samples=100, tol=1e-9):
-    """Max of |fn(g.x) - fn(x)| over all group elements and `samples`
-    uniform inputs drawn from a generator seeded with 0."""
+def check_invariance(fn, descriptor: GroupDescriptor):
+    """Max of |fn(g.x) - fn(x)| over all group elements and
+    _INVARIANCE_SAMPLES uniform inputs drawn from a generator seeded with 0;
+    it passes within _INVARIANCE_TOL."""
     rng = np.random.default_rng(0)
     group = elements(descriptor)
-    worst = InvarianceReport(0.0, None, None, tol)
-    for _ in range(samples):
+    worst = InvarianceReport(0.0, None, None, _INVARIANCE_TOL)
+    for _ in range(_INVARIANCE_SAMPLES):
         x = rng.uniform(size=descriptor.n)
         base = fn(x)
         for g in group:
             violation = abs(fn(act(g, x)) - base)
             if violation > worst.max_violation:
-                worst = InvarianceReport(violation, x, g, tol)
+                worst = InvarianceReport(violation, x, g, _INVARIANCE_TOL)
     return worst
 
 
@@ -124,9 +131,10 @@ def _product_elements(components) -> list[Permutation]:
     return [functools.reduce(Permutation.compose, combo, identity) for combo in factors]
 
 
-def _verify_lift(components, trials, seed, orbits=False):
+def _verify_lift(components, trials, orbits=False):
     """Steps 1-3 of the lift verification of the group with factors
-    `components` on distinct-entry samples, and step 4 when `orbits` is set.
+    `components` on `trials` distinct-entry samples, and step 4 when
+    `orbits` is set.
 
     1. The lift is injective: each component's block of the lift
        round-trips exactly through rho_inverse, which must not refuse it.
@@ -136,7 +144,7 @@ def _verify_lift(components, trials, seed, orbits=False):
     4. Distinct orbits lift to distinct row-sorted canonical forms, and a
        random in-orbit representative lifts to the same one.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     support = sorted(i for c in components for i in c.index_set)
     group = _product_elements(components)
     group_set = {g.mapping for g in group}
@@ -182,9 +190,10 @@ def _verify_lift(components, trials, seed, orbits=False):
     return report
 
 
-def verify_orbit_mapping(kind: str, k: int, trials=100, seed=0) -> VerificationReport:
-    """All four steps of the lift verification for one kind on k coordinates."""
-    return _verify_lift((GroupDescriptor(kind, tuple(range(k)), k),), trials, seed, orbits=True)
+def verify_orbit_mapping(kind: str, k: int) -> VerificationReport:
+    """All four steps of the lift verification for one kind on k
+    coordinates, on _ORBIT_TRIALS samples drawn from a generator seeded with 0."""
+    return _verify_lift((GroupDescriptor(kind, tuple(range(k)), k),), _ORBIT_TRIALS, orbits=True)
 
 
 def find_set_e_counterexample():
@@ -205,19 +214,19 @@ def find_set_e_counterexample():
     return None
 
 
-def nonrealizability_counts(k: int, trials=50):
+def nonrealizability_counts(k: int):
     """Orbit-size counting behind the linear non-realizability argument:
     cyclic orbits have at most k points while the symmetric orbit of a
-    generic image under an invertible map has k! points.  Each trial draws,
-    from a generator seeded with 0, a Gaussian map of condition number at
-    most 1e3 and a distinct-entry input."""
+    generic image under an invertible map has k! points.  Each of
+    _NONREAL_TRIALS trials draws, from a generator seeded with 0, a Gaussian
+    map of condition number at most 1e3 and a distinct-entry input."""
     if k < 3:
         raise ValueError("the counting argument needs k >= 3")
     rng = np.random.default_rng(0)
     cyclic = GroupDescriptor(CYCLIC, tuple(range(k)), k)
     symmetric = GroupDescriptor(SYMMETRIC, tuple(range(k)), k)
-    report = VerificationReport(math.factorial(k), trials)
-    for trial in range(trials):
+    report = VerificationReport(math.factorial(k), _NONREAL_TRIALS)
+    for trial in range(_NONREAL_TRIALS):
         while True:
             M = rng.normal(size=(k, k))
             if np.linalg.cond(M) <= 1e3:
@@ -261,4 +270,4 @@ def verify_product_group(components, trials=20) -> VerificationReport:
             f"product support of {len(support)} coordinates exceeds the relabeling-search "
             f"guard of {SYMMETRIC_K_GUARD}"
         )
-    return _verify_lift(components, trials, 0)
+    return _verify_lift(components, trials)

@@ -31,6 +31,8 @@ import numpy as np
 
 from .net import (
     ABSOLUTE,
+    H_WIDTH,
+    P_WIDTH,
     SQUARED,
     Dataset,
     PhiParams,
@@ -49,12 +51,10 @@ from .rho import rho_unified
 @dataclass
 class RelaxedParams:
     """M1, M2 and phi's weights in the one float64 vector `theta`; `m1`,
-    `m2` and `phi` are views into it."""
+    `m2` and `phi` are views into it.  phi has `net`'s widths."""
 
     theta: np.ndarray
     n: int
-    p: int
-    h: int
     m1: np.ndarray = field(init=False, repr=False)  # (n, n)
     m2: np.ndarray = field(init=False, repr=False)  # (n^2, n^2)
     phi: PhiParams = field(init=False, repr=False)
@@ -63,16 +63,16 @@ class RelaxedParams:
         n2 = self.n * self.n
         self.m1 = self.theta[:n2].reshape(self.n, self.n)
         self.m2 = self.theta[n2 : n2 + n2 * n2].reshape(n2, n2)
-        self.phi = PhiParams(self.theta[n2 + n2 * n2 :], self.p, self.h, self.n)
+        self.phi = PhiParams(self.theta[n2 + n2 * n2 :], P_WIDTH, H_WIDTH, self.n)
 
 
-def init_relaxed(n: int, p: int = 16, h: int = 32, seed: int = 0) -> RelaxedParams:
+def init_relaxed(n: int, seed: int = 0) -> RelaxedParams:
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(n)
     m1 = np.eye(n) + rng.uniform(-bound, bound, size=(n, n))
     m2 = np.eye(n * n) + rng.uniform(-bound, bound, size=(n * n, n * n)) / n
-    phi = init_params(n, p=p, h=h, seed=seed + 1)
-    return RelaxedParams(np.concatenate([m1.ravel(), m2.ravel(), phi.theta]), n, p, h)
+    phi = init_params(n, seed=seed + 1)
+    return RelaxedParams(np.concatenate([m1.ravel(), m2.ravel(), phi.theta]), n)
 
 
 def _front_buffers(n: int, rows: int):
@@ -128,7 +128,7 @@ def loss_and_grad_relaxed(
     P, Z, Q = _dense_front(params, X, front)
     grads = out
     if grads is None:
-        grads = RelaxedParams(np.empty_like(params.theta), n, params.p, params.h)
+        grads = RelaxedParams(np.empty_like(params.theta), n)
     loss, dZ, dQ = _phi_loss_and_grad(
         params.phi, Z, Q, np.asarray(y, dtype=float), loss_kind, grads.phi, True, phi_buffers
     )
@@ -144,13 +144,13 @@ def loss_and_grad_relaxed(
     return loss, grads
 
 
-def train_relaxed(dataset: Dataset, cfg: TrainConfig, p: int = 16, h: int = 32):
+def train_relaxed(dataset: Dataset, cfg: TrainConfig):
     """Joint minibatch SGD over M1, M2 and phi.  The buffers live for this
     fit alone, one set per batch size.  Returns (params, final loss), the
     loss `evaluate_relaxed` gives on dataset in cfg.loss_kind."""
     rng = np.random.default_rng(cfg.seed)
-    params = init_relaxed(dataset.inputs.shape[1], p=p, h=h, seed=cfg.seed)
-    grads = RelaxedParams(np.empty_like(params.theta), params.n, p, h)
+    params = init_relaxed(dataset.inputs.shape[1], seed=cfg.seed)
+    grads = RelaxedParams(np.empty_like(params.theta), params.n)
     X, y = dataset.inputs, dataset.targets
     buffers = cache(lambda rows: _buffers(params, rows))
 

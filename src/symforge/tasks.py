@@ -2,8 +2,7 @@
 
 The builtin polynomials have integer coefficients and are term-permutations
 under their group, so generated targets are exactly invariant.  Targets are
-min-max normalized with train-split statistics so the bandit's loss cap is
-meaningful.
+min-max normalized with train-split statistics.
 """
 
 from __future__ import annotations
@@ -102,7 +101,11 @@ def gen_poly_dataset(spec: PolynomialSpec, m: int, rng) -> Dataset:
     return Dataset(X, spec.evaluate(X))
 
 
-def make_splits(spec: PolynomialSpec, sizes=(64, 480, 4800), seed=0):
+# Train, val and test rows: make_splits' default, and `discover`'s.
+SPLIT_SIZES = (64, 480, 4800)
+
+
+def make_splits(spec: PolynomialSpec, sizes=SPLIT_SIZES, seed=0):
     """Train/val/test from disjoint sub-streams of one seed, targets min-max
     normalized to [0,1] with train statistics; 1-3 sizes name train, val
     and test in that order.  Returns (splits, manifest)."""

@@ -140,15 +140,37 @@ README_ABLATION = {
 }
 
 
+@lru_cache(maxsize=None)
+def _ablation_mae(task_name, seed):
+    """The sgd-only ablation's val MAE, fit on the train rows of the cached
+    discovery run for (task, seed)."""
+    _, train, val, _ = _discovery(task_name, seed)
+    params, _ = train_relaxed(train, TRAIN_CFG)
+    return evaluate_relaxed(params, val)
+
+
 def test_readme_ablation_table_matches_the_runs():
     for seed, (sgd_mae, winner_mae, kind) in README_ABLATION.items():
-        _, train, val, result = _discovery("Z_I(5)", seed)
+        _, _, val, result = _discovery("Z_I(5)", seed)
         winner, mae = evaluate_top_arms(result, val, top=1)[0]
-        params, _ = train_relaxed(train, TRAIN_CFG)
-        ablation = evaluate_relaxed(params, val)
+        ablation = _ablation_mae("Z_I(5)", seed)
         got = (round(ablation, 4), round(mae, 4), winner.descriptor.kind)
         assert got == (sgd_mae, winner_mae, kind), seed
         assert mae < ablation, seed
+
+
+def test_winner_fits_better_than_the_ablation():
+    # README: recovering the structure "also fits better".  On criterion 1's
+    # grid the winner's val MAE is below the ablation's in every run.
+    worse = []
+    for task in TASKS:
+        for seed in SEEDS:
+            _, _, val, result = _discovery(task, seed)
+            _, mae = evaluate_top_arms(result, val, top=1)[0]
+            ablation = _ablation_mae(task, seed)
+            if mae is None or not mae < ablation:
+                worse.append((task, seed, mae, ablation))
+    assert not worse, worse
 
 
 def test_criterion_03_orbit_mapping_suite():
@@ -156,7 +178,7 @@ def test_criterion_03_orbit_mapping_suite():
     failures = 0
     for kind in (CYCLIC, DIHEDRAL, SYMMETRIC):
         for k in range(2, 6):
-            report = verify_orbit_mapping(kind, k, trials=100, seed=0)
+            report = verify_orbit_mapping(kind, k)
             failures += len(report.failures)
     elapsed = time.perf_counter() - t0
     ok = failures == 0 and elapsed <= 60
@@ -188,9 +210,7 @@ def test_criterion_05_trained_pipeline_invariance():
     spec, train, _, result = _discovery("Z_I(5)", 1)
     bits = _true_bits(spec)
     params, _ = result.fits.get(bits) or train_sgd(train, spec.descriptor, TRAIN_CFG)
-    trained = check_invariance(
-        lambda x: forward(params, spec.descriptor, x), spec.descriptor, samples=100, tol=1e-9
-    )
+    trained = check_invariance(lambda x: forward(params, spec.descriptor, x), spec.descriptor)
     # The guarantee is architectural, so it must also hold at random weights
     # for every kind and k <= 5.
     random_ok = True
@@ -199,7 +219,7 @@ def test_criterion_05_trained_pipeline_invariance():
         for k in range(2, 6):
             d = GroupDescriptor(kind, tuple(range(1, k + 1)), k + 2)
             pk = init_params(k + 2, p=8, h=12, seed=k)
-            rep = check_invariance(lambda x: forward(pk, d, x), d, samples=100, tol=1e-9)
+            rep = check_invariance(lambda x: forward(pk, d, x), d)
             worst_random = max(worst_random, rep.max_violation)
             random_ok = random_ok and rep.passed
     # Falsifiability: a wrong-group transposition moves the output.
@@ -215,7 +235,7 @@ def test_criterion_05_trained_pipeline_invariance():
         5,
         ok,
         f"trained max violation {trained.max_violation:.2e}, "
-        f"random-weight max {worst_random:.2e} (tol 1e-9)",
+        f"random-weight max {worst_random:.2e} (tol {trained.tol:.0e})",
     )
 
 
@@ -231,7 +251,7 @@ def test_criterion_06_gradient_check():
         params = init_params(n, p=8, h=12, seed=3)
         X = rng.uniform(size=(10, n))
         y = rng.uniform(size=10)
-        worst = max(worst, gradient_check(params, d, X, y, n_coords=20))
+        worst = max(worst, gradient_check(params, d, X, y))
     _report(6, worst <= 1e-4, f"max relative gradient error {worst:.2e} (tol 1e-4)")
 
 
@@ -264,10 +284,10 @@ def test_criterion_07_misidentification_trend():
 
 
 def test_criterion_08_orbit_counting():
-    failures = 0
-    for k in (3, 4, 5):
-        failures += len(nonrealizability_counts(k, trials=50).failures)
-    _report(8, failures == 0, f"{failures} violations over k in {{3,4,5}}, 50 pairs each")
+    reports = [nonrealizability_counts(k) for k in (3, 4, 5)]
+    failures = sum(len(report.failures) for report in reports)
+    detail = f"{failures} violations over k in {{3,4,5}}, {reports[0].trials} pairs each"
+    _report(8, failures == 0, detail)
 
 
 def test_criterion_09_duplicate_entry_failure():

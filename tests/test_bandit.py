@@ -332,6 +332,28 @@ def test_discovery_trains_each_arm_once(monkeypatch):
         assert np.array_equal(result.fits[rec.arm.bits].params.theta, fresh.params.theta)
 
 
+def test_discovery_keeps_a_failed_fit(monkeypatch):
+    # A failed fit would fail again, so a re-pull of its arm, and
+    # evaluate_top_arms, read the failure from the run instead of training.
+    ds = _toy_dataset(3)
+    cfg = DiscoveryConfig(T=8, train_cfg=FAST, seed=0)
+    calls = []
+
+    def diverging_train_sgd(*args):
+        calls.append(None)
+        raise TrainingDivergedError("loss became non-finite", None)
+
+    monkeypatch.setattr(bandit, "train_sgd", diverging_train_sgd)
+    result = run_discovery(enumerate_arms(3), ds, cfg)
+    distinct = {rec.arm.bits for rec in result.records}
+    assert len(distinct) < cfg.T  # the run re-pulls a failed arm
+    assert len(calls) == len(distinct)
+    assert result.fits == dict.fromkeys(distinct)
+    top = evaluate_top_arms(result, ds, top=3)
+    assert [mae for _, mae in top] == [None] * 3
+    assert len(calls) == len(distinct) + sum(arm.bits not in distinct for arm, _ in top)
+
+
 def test_discovery_rewards_held_out_mse_whatever_the_training_loss():
     # An arm trained in MAE is still rewarded by its held-out MSE, the loss
     # the reference is scored in.
@@ -347,8 +369,8 @@ def test_discovery_rewards_held_out_mse_whatever_the_training_loss():
 
 def test_discovery_floors_mid_training_divergence(monkeypatch):
     # Step k of the arm's training fails: the error carries step k-1's loss
-    # and the pull is floored.  The fault stays on, so each re-pull fails at
-    # its first step and is floored too.
+    # and the pull is floored.  Each re-pull reuses the failure and is
+    # floored too, without training again.
     k = 5
     losses, errors = [], []
     real_loss_and_grad = net.loss_and_grad
@@ -372,10 +394,10 @@ def test_discovery_floors_mid_training_divergence(monkeypatch):
     arm = ArmFeature(GroupDescriptor(SYMMETRIC, (0, 1), 4))
     cfg = DiscoveryConfig(T=3, train_cfg=FAST, seed=1)
     result = run_discovery([arm], _toy_dataset(), cfg)
-    assert len(errors) == cfg.T
+    assert len(errors) == 1
     assert errors[0].last_loss == losses[k - 2]
     assert all(rec.reward == -1.0 and np.isinf(rec.train_loss) for rec in result.records)
-    assert result.fits == {}
+    assert result.fits == {arm.bits: None}
 
 
 @pytest.mark.parametrize("row", [3, 35])  # in the fit part, in the held-out part

@@ -769,9 +769,9 @@ def test_cli_verify_suite_lines(suite):
     assert lines == VERIFY_LINES[suite]
 
 
-def _failing_counts(k, trials=50):
+def _failing_counts(k):
     return VerificationReport(
-        math.factorial(k), trials, failures=[("cyclic-orbit", 0), ("cyclic-orbit", 1)]
+        math.factorial(k), 50, failures=[("cyclic-orbit", 0), ("cyclic-orbit", 1)]
     )
 
 
@@ -788,7 +788,7 @@ def _failing_counts(k, trials=50):
         (
             "invariance",
             "check_invariance",
-            lambda fn, descriptor, samples: InvarianceReport(0.5, None, None, 1e-9),
+            lambda fn, descriptor: InvarianceReport(0.5, None, None, 1e-9),
             "invariance.cyclic-k4: violation 5.00e-01",
         ),
     ],

@@ -178,7 +178,7 @@ def test_reference_mlp_learns_linear_target():
     X = rng.uniform(size=(64, 4))
     ds = Dataset(X, X @ np.array([0.2, -0.1, 0.3, 0.1]))
     cfg = TrainConfig(epochs=200, batch_size=16, seed=0)
-    _, predict = train_reference_mlp(ds, cfg, h=16)
+    _, predict = train_reference_mlp(ds, cfg)
     assert float(np.mean((predict(X) - ds.targets) ** 2)) <= 1e-3
 
 

@@ -29,9 +29,9 @@ from symforge.selection import ArmFeature
 
 def test_check_invariance_accepts_and_rejects():
     d = GroupDescriptor(SYMMETRIC, (0, 1, 2), 4)
-    good = check_invariance(lambda x: float(np.sum(x[:3])), d, samples=20)
+    good = check_invariance(lambda x: float(np.sum(x[:3])), d)
     assert good.passed  # violations only at summation-order rounding level
-    bad = check_invariance(lambda x: float(x[0]), d, samples=20)
+    bad = check_invariance(lambda x: float(x[0]), d)
     assert not bad.passed
     assert bad.worst_x is not None and bad.worst_g is not None
 
@@ -55,8 +55,7 @@ def test_symmetrize_projection():
     # Idempotent: averaging an already invariant function changes nothing.
     twice = symmetrize(averaged, d)
     assert np.isclose(twice(x), averaged(x))
-    report = check_invariance(averaged, d, samples=30, tol=1e-12)
-    assert report.passed
+    assert check_invariance(averaged, d).max_violation <= 1e-12
 
 
 @pytest.mark.parametrize("kind", [CYCLIC, DIHEDRAL, SYMMETRIC])
@@ -82,7 +81,7 @@ def test_step3_guard():
 @pytest.mark.parametrize("kind", [CYCLIC, DIHEDRAL, SYMMETRIC])
 def test_orbit_mapping_verification(kind):
     for k in (3, 4):
-        report = verify_orbit_mapping(kind, k, trials=25, seed=1)
+        report = verify_orbit_mapping(kind, k)
         assert report.passed, report.failures
         assert report.counts == [report.order] * report.trials
 
@@ -104,7 +103,7 @@ def test_duplicate_entries_break_dihedral_characterization():
 
 def test_nonrealizability_counts():
     for k in (3, 4):
-        report = nonrealizability_counts(k, trials=25)
+        report = nonrealizability_counts(k)
         assert report.passed, report.failures
     with pytest.raises(ValueError):
         nonrealizability_counts(2)
@@ -200,10 +199,9 @@ def test_end_to_end_symmetrized_probe_prefers_true_kind():
             seed=seed,
         )
         result = run_discovery(arms, Dataset(X, y), cfg)
-        losses = {
-            a.descriptor.kind: result.fits[a.bits].loss if a.bits in result.fits else float("inf")
-            for a in arms
-        }
+        # A failed or unpulled arm has no fit.
+        fits = {a.descriptor.kind: result.fits.get(a.bits) for a in arms}
+        losses = {kind: float("inf") if fit is None else fit.loss for kind, fit in fits.items()}
         assert losses[CYCLIC] <= min(losses[DIHEDRAL], losses[SYMMETRIC])
 
 
@@ -251,7 +249,7 @@ BROKEN_LIFTS = {
 }
 
 VERIFIERS = {
-    "cyclic-k4": lambda: oracle.verify_orbit_mapping(CYCLIC, 4, trials=3),
+    "cyclic-k4": lambda: oracle.verify_orbit_mapping(CYCLIC, 4),
     "cyclic3xsymmetric2": lambda: oracle.verify_product_group(
         (GroupDescriptor(CYCLIC, (0, 1, 2), 5), GroupDescriptor(SYMMETRIC, (3, 4), 5)),
         trials=3,

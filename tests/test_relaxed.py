@@ -29,7 +29,7 @@ from symforge.rho import rho_unified
 def test_relaxed_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
     n = 3
-    params = init_relaxed(n, p=4, h=6, seed=1)
+    params = init_relaxed(n, seed=1)
     X = rng.uniform(size=(5, n))
     y = rng.uniform(size=5)
     _, grads = loss_and_grad_relaxed(params, X, y)
@@ -39,7 +39,7 @@ def test_relaxed_gradients_match_finite_differences():
     worst = 0.0
     # Every coordinate: M1, M2 and phi, whose backward pass reads eta's
     # input from the front buffer Z.
-    assert flat.size == 275
+    assert flat.size == 3499
     for idx in range(flat.size):
         bumped = flat.copy()
         bumped[idx] += step
@@ -58,7 +58,7 @@ def _einsum_reference(params, X, y, loss_kind):
     Y = X @ params.m1.T
     P = rho_unified(Y)
     Z = np.einsum("rs,msk->mrk", params.m2, P)
-    phi = PhiParams(np.empty_like(params.phi.theta), params.p, params.h, n)
+    phi = PhiParams(np.empty_like(params.phi.theta), params.phi.p, params.phi.h, n)
     _, dZ, dQ = _phi_loss_and_grad(
         params.phi, _with_ones(Z), _with_ones(X - Y), y, loss_kind, phi, input_grad=True
     )
@@ -101,12 +101,12 @@ def test_relaxed_training_reduces_loss_deterministically():
     y = X.sum(axis=1) / 3.0
     ds = Dataset(X, y)
     cfg = TrainConfig(epochs=40, batch_size=16, lr_initial=0.05, seed=3)
-    params, final = train_relaxed(ds, cfg, p=4, h=8)
+    params, final = train_relaxed(ds, cfg)
     init_loss = float(
-        np.mean((forward_relaxed(init_relaxed(3, p=4, h=8, seed=3), X) - y) ** 2)
+        np.mean((forward_relaxed(init_relaxed(3, seed=3), X) - y) ** 2)
     )
     assert final < init_loss
-    params2, final2 = train_relaxed(ds, cfg, p=4, h=8)
+    params2, final2 = train_relaxed(ds, cfg)
     assert final == final2
     assert np.array_equal(params.m1, params2.m1)
     assert np.array_equal(params.m2, params2.m2)
@@ -118,8 +118,8 @@ def test_relaxed_training_follows_the_loss_kind():
     X = rng.uniform(size=(32, 3))
     ds = Dataset(X, X[:, 0] * X[:, 1] + X[:, 2])
     cfg = TrainConfig(epochs=10, batch_size=16, lr_initial=0.05, seed=1)
-    squared, squared_loss = train_relaxed(ds, cfg, p=4, h=8)
-    absolute, absolute_loss = train_relaxed(ds, replace(cfg, loss_kind=ABSOLUTE), p=4, h=8)
+    squared, squared_loss = train_relaxed(ds, cfg)
+    absolute, absolute_loss = train_relaxed(ds, replace(cfg, loss_kind=ABSOLUTE))
     assert cfg.loss_kind == SQUARED
     assert not np.array_equal(absolute.theta, squared.theta)
     resid = forward_relaxed(absolute, X) - ds.targets
@@ -134,7 +134,7 @@ def test_relaxed_matrices_are_dense():
     X = rng.uniform(size=(48, 3))
     ds = Dataset(X, X[:, 0] * X[:, 1] + X[:, 2])
     cfg = TrainConfig(epochs=30, batch_size=16, lr_initial=0.05, seed=0)
-    params, _ = train_relaxed(ds, cfg, p=4, h=8)
+    params, _ = train_relaxed(ds, cfg)
     off_diag = params.m1 - np.diag(np.diag(params.m1))
     assert np.mean(np.abs(off_diag) > 1e-3) > 0.5
 
@@ -146,13 +146,13 @@ def test_relaxed_divergence_is_reported():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         TrainingDivergedError
     ):
-        train_relaxed(ds, cfg, p=4, h=6)
+        train_relaxed(ds, cfg)
 
 
 def test_relaxed_evaluate_metrics():
     rng = np.random.default_rng(6)
     ds = Dataset(rng.uniform(size=(10, 3)), rng.uniform(size=10))
-    params = init_relaxed(3, p=4, h=6, seed=0)
+    params = init_relaxed(3, seed=0)
     mae = evaluate_relaxed(params, ds, metric=ABSOLUTE)
     mse = evaluate_relaxed(params, ds, metric=SQUARED)
     assert mae <= np.sqrt(mse) + 1e-12
@@ -161,7 +161,7 @@ def test_relaxed_evaluate_metrics():
 
 
 def test_zero_rows_give_no_outputs():
-    assert forward_relaxed(init_relaxed(3, p=4, h=6, seed=0), np.empty((0, 3))).shape == (0,)
+    assert forward_relaxed(init_relaxed(3, seed=0), np.empty((0, 3))).shape == (0,)
 
 
 # sha256 of train_relaxed's weight bytes followed by its final loss's bytes.
