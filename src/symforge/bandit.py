@@ -10,10 +10,18 @@ its leading axes, and the simulator steps its stack of one posterior per
 trial through the same two functions, so every trial of a step shares one
 batched factorization.  The simulator checks the log(T)/T
 misidentification trend for the empirical-play recommendation rule.
+
+Discovery fits, on a second CPU when the process may run on one, the arm
+the posterior predicts for the next pull while this process fits the
+current one (see `_Worker`).  A fit is deterministic, so the outputs are
+byte-identical with the worker and without it.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from dataclasses import astuple, dataclass, field
 from typing import NamedTuple
 
@@ -21,6 +29,8 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, TrainingDivergedError
 from .net import (
+    H_WIDTH,
+    P_WIDTH,
     SQUARED,
     Dataset,
     PhiParams,
@@ -204,6 +214,163 @@ def _fit_arm(arm, fit_data: Dataset, held_data: Dataset, train_cfg: TrainConfig)
     return ArmFit(params, loss)
 
 
+_SIGKILL = 9  # POSIX's number for SIGKILL; `signal` is not loaded to name it
+_MISS = object()  # what _Worker.take returns for an arm it has not fitted
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _read(fd: int, size: int, got: bytes = b"") -> bytes:
+    """`got` completed to `size` bytes from fd; EOFError if the writer
+    closes first."""
+    while len(got) < size:
+        chunk = os.read(fd, size - len(got))
+        if not chunk:
+            raise EOFError("worker pipe closed")
+        got += chunk
+    return got
+
+
+def _write(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _serve(arms, fit_data: Dataset, held_data: Dataset, train_cfg: TrainConfig, r, w):
+    """The worker process: for each arm index read from r, `_fit_arm` it
+    and write the pickled (theta, held-out loss), or None for a failed fit,
+    to w behind its 8-byte length.  Exits, silently, when r closes or
+    anything raises; never returns."""
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.dup2(devnull, 2)
+        while True:
+            arm = arms[int.from_bytes(_read(r, 8), "little")]
+            fit = _fit_arm(arm, fit_data, held_data, train_cfg)
+            data = pickle.dumps(None if fit is None else (fit.params.theta, fit.loss))
+            _write(w, len(data).to_bytes(8, "little") + data)
+    finally:
+        os._exit(0)
+
+
+class _Worker:
+    """A forked process that fits one arm at a time for `run_discovery`.
+
+    The child inherits the arms and the rows, and gets only arm indices.
+    It starts when the platform can fork, the process may run on at least
+    two CPUs and runs no other Python thread, whose locks a forked child
+    could inherit held.  Otherwise, or after any fault (a failed fork, a
+    dead child, a broken pipe, a reply that does not load), the worker is
+    stopped and every arm is fit in-process.  Its fits are the ones
+    `_fit_arm` gives in-process, so it changes when a fit is made, never
+    what it is."""
+
+    def __init__(self, arms, fit_data: Dataset, held_data: Dataset, train_cfg: TrainConfig):
+        self.arms = arms
+        self.n = fit_data.inputs.shape[1]
+        self.pid = None
+        self.pending = None  # the bits of the arm in flight
+        self.ready = {}  # bits -> ArmFit or None: fits made and not yet pulled
+        if not hasattr(os, "fork") or _cpu_count() < 2 or threading.active_count() > 1:
+            return
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return
+        down_r, down_w, up_r, up_w = fds
+        if pid == 0:
+            os.close(down_w)
+            os.close(up_r)
+            _serve(arms, fit_data, held_data, train_cfg, down_r, up_w)
+        os.close(down_r)
+        os.close(up_w)
+        self.pid, self.w, self.r = pid, down_w, up_r
+
+    def idle(self) -> bool:
+        """Whether the worker runs and holds no arm, once a finished fit,
+        if any, is collected."""
+        if self.pending is not None:
+            self._collect(wait=False)
+        return self.pid is not None and self.pending is None
+
+    def start(self, index: int) -> None:
+        """Hand an idle worker arms[index], unless it has fit that arm."""
+        bits = self.arms[index].bits
+        if bits in self.ready:
+            return
+        try:
+            _write(self.w, index.to_bytes(8, "little"))
+        except OSError:
+            self.stop()
+            return
+        self.pending = bits
+
+    def take(self, bits):
+        """The worker's fit of the arm, waited for if it is in flight;
+        _MISS when the worker has none."""
+        if bits == self.pending:
+            self._collect(wait=True)
+        return self.ready.pop(bits, _MISS)
+
+    def _collect(self, wait: bool) -> None:
+        """Move the pending fit into `ready`: wait for it, or take it only
+        if it is done.  A fault stops the worker."""
+        try:
+            os.set_blocking(self.r, wait)
+            try:
+                head = os.read(self.r, 8)
+            except BlockingIOError:
+                return
+            finally:
+                os.set_blocking(self.r, True)
+            reply = pickle.loads(_read(self.r, int.from_bytes(_read(self.r, 8, head), "little")))
+            if reply is not None:
+                reply = ArmFit(PhiParams(reply[0], P_WIDTH, H_WIDTH, self.n), reply[1])
+        except (OSError, EOFError, MemoryError, pickle.UnpicklingError):
+            self.stop()
+            return
+        self.ready[self.pending] = reply
+        self.pending = None
+
+    def stop(self) -> None:
+        """Kill and reap the worker; a fit in flight is dropped."""
+        if self.pid is None:
+            return
+        pid, self.pid, self.pending = self.pid, None, None
+        os.close(self.r)
+        os.close(self.w)
+        try:
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass  # already reaped: this process ignores SIGCHLD
+
+
+def _predicted_arm(post: BanditPosterior, bits, bonus: float, z, A) -> int | None:
+    """The row of A that the next pull plays, drawn with z, if this pull of
+    `bits` is rewarded the posterior's own estimate bits . mu_hat, clipped
+    to the rewards a pull with this size bonus can get; None when that
+    raises NumericError."""
+    gamma = float(np.clip(np.dot(bits, post.mu_hat), bonus - 1.0, bonus + 1.0))
+    try:
+        return argmax_arm(posterior_sample(posterior_update(post, bits, gamma), z), A)
+    except NumericError:
+        return None
+
+
 @dataclass
 class DiscoveryConfig:
     T: int
@@ -257,9 +424,12 @@ def run_discovery(
     like a non-finite dataset, refuses the run with a SymforgeError before
     any arm is trained.  A fit is deterministic (the same seed on the
     same rows), so an arm is trained on its first pull and a re-pull reuses
-    that fit, with the same weights, loss and reward, or its failure.  The
-    result keeps the fits, and the rows and settings they used, so
-    evaluate_top_arms fits other arms the same way.
+    that fit, with the same weights, loss and reward, or its failure.  For
+    the same reason a pull that trains an arm can first hand the arm
+    predicted for the next pull to a `_Worker`, which trains it on another
+    CPU; a later pull of that arm takes the worker's fit.  Only pulled arms
+    enter `fits`.  The result keeps the fits, and the rows and settings
+    they used, so evaluate_top_arms fits other arms the same way.
     """
     if cfg.T < 1:
         raise ValueError("need T >= 1")
@@ -275,24 +445,38 @@ def run_discovery(
     records = []
     fits: dict = {}
     n_coords = dataset.inputs.shape[1]
-    for t in range(1, cfg.T + 1):
-        mu = posterior_sample(post, rng.standard_normal(post.d))
-        arm = arms[argmax_arm(mu, A)]
-        bits = arm.bits
-        if bits not in fits:
-            fits[bits] = _fit_arm(arm, fit_data, held_data, cfg.train_cfg)
-        fit = fits[bits]
-        if fit is None:
-            loss, gamma = float("inf"), -1.0
-        else:
-            loss = fit.loss
-            gamma = float(np.clip((ref_loss - loss) / ref_loss, -1.0, 1.0))
+    worker = _Worker(arms, fit_data, held_data, cfg.train_cfg)
+    try:
+        z = rng.standard_normal(post.d)
+        for t in range(1, cfg.T + 1):
+            arm = arms[argmax_arm(posterior_sample(post, z), A)]
+            bits = arm.bits
             # Bonus for larger index sets.  It depends on |I| alone, so it
             # favours larger supports but does not rank a group above its
             # subgroups on the same support.
-            gamma += cfg.size_bonus * len(arm.descriptor.index_set) / n_coords
-        records.append(PullRecord(t, arm, gamma, loss))
-        post = posterior_update(post, bits, gamma)
+            bonus = cfg.size_bonus * len(arm.descriptor.index_set) / n_coords
+            # The next pull's normals, drawn now for the prediction: the
+            # generator's stream is the same.
+            z = rng.standard_normal(post.d) if t < cfg.T else None
+            if bits not in fits:
+                fit = worker.take(bits)
+                if fit is _MISS:
+                    if z is not None and worker.idle():
+                        index = _predicted_arm(post, bits, bonus, z, A)
+                        if index is not None and arms[index].bits not in fits.keys() | {bits}:
+                            worker.start(index)
+                    fit = _fit_arm(arm, fit_data, held_data, cfg.train_cfg)
+                fits[bits] = fit
+            fit = fits[bits]
+            if fit is None:
+                loss, gamma = float("inf"), -1.0
+            else:
+                loss = fit.loss
+                gamma = float(np.clip((ref_loss - loss) / ref_loss, -1.0, 1.0)) + bonus
+            records.append(PullRecord(t, arm, gamma, loss))
+            post = posterior_update(post, bits, gamma)
+    finally:
+        worker.stop()
     ranking = [arms[i] for i in rank_arms(post.mu_hat, A)]
     return DiscoveryResult(ranking, records, post, fits, fit_data, held_data, cfg.train_cfg)
 

@@ -1,5 +1,7 @@
 import hashlib
+import os
 import re
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from symforge import bandit, net
+from symforge import bandit, net, tasks
 from symforge.bandit import (
     BanditPosterior,
     DiscoveryConfig,
@@ -30,6 +32,20 @@ from symforge.net import ABSOLUTE, SQUARED, Dataset, TrainConfig, evaluate, mean
 from symforge.selection import ArmFeature, arm_matrix, arm_scores, enumerate_arms, rank_arms
 
 FAST = TrainConfig(epochs=20, batch_size=16, seed=0)
+
+
+# run_discovery forks its worker only where os.fork exists and no other
+# Python thread runs.
+needs_worker = pytest.mark.skipif(
+    not hasattr(os, "fork") or threading.active_count() > 1, reason="no worker here"
+)
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    """Fit every arm in this process.  A test that counts the calls of a
+    patched function sees only this process's calls, not the worker's."""
+    monkeypatch.setattr(bandit, "_cpu_count", lambda: 1)
 
 
 def test_posterior_single_unit_observation():
@@ -280,7 +296,7 @@ def test_discovery_refuses_a_diverging_reference_before_any_pull(monkeypatch):
     assert calls == []
 
 
-def test_discovery_survives_nonfinite_held_out_loss(monkeypatch):
+def test_discovery_survives_nonfinite_held_out_loss(monkeypatch, serial):
     # A NumericError on one pull's held-out loss floors that pull, and the
     # run goes on.  Only a pull that trains measures a held-out loss, so the
     # 2nd mean_loss call is the first pull of the 2nd distinct arm.
@@ -304,7 +320,7 @@ def test_discovery_survives_nonfinite_held_out_loss(monkeypatch):
     assert all(np.isfinite(rec.train_loss) for i, rec in enumerate(result.records) if i != i_bad)
 
 
-def test_discovery_trains_each_arm_once(monkeypatch):
+def test_discovery_trains_each_arm_once(monkeypatch, serial):
     # A fit is deterministic, so a re-pulled arm reuses its first fit: one
     # train_sgd call per distinct arm, and every record equals what a fresh
     # fit of its arm gives.
@@ -332,7 +348,7 @@ def test_discovery_trains_each_arm_once(monkeypatch):
         assert np.array_equal(result.fits[rec.arm.bits].params.theta, fresh.params.theta)
 
 
-def test_discovery_keeps_a_failed_fit(monkeypatch):
+def test_discovery_keeps_a_failed_fit(monkeypatch, serial):
     # A failed fit would fail again, so a re-pull of its arm, and
     # evaluate_top_arms, read the failure from the run instead of training.
     ds = _toy_dataset(3)
@@ -398,6 +414,136 @@ def test_discovery_floors_mid_training_divergence(monkeypatch):
     assert errors[0].last_loss == losses[k - 2]
     assert all(rec.reward == -1.0 and np.isinf(rec.train_loss) for rec in result.records)
     assert result.fits == {arm.bits: None}
+
+
+def _builtin_run(task, monkeypatch, cpus):
+    """run_discovery on a builtin task's train split, its arms screened to
+    the true support, with the CPU probe reading `cpus`; returns the result
+    and the number of fits made in this process."""
+    spec = tasks.builtin_polynomial(task)
+    splits, _ = tasks.make_splits(spec, sizes=(64,), seed=1)
+    arms = filter_arms(enumerate_arms(spec.n), spec.descriptor.index_set)
+    cfg = DiscoveryConfig(T=16, train_cfg=replace(FAST, epochs=40), seed=1)
+    calls = []
+    real_fit_arm = bandit._fit_arm
+
+    def counting_fit_arm(*args):
+        calls.append(None)
+        return real_fit_arm(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(bandit, "_cpu_count", lambda: cpus)
+        m.setattr(bandit, "_fit_arm", counting_fit_arm)
+        result = run_discovery(arms, splits["train"], cfg)
+    return result, len(calls)
+
+
+def _assert_same_run(got, want):
+    assert got.records == want.records
+    assert got.ranking == want.ranking
+    assert got.posterior.mu_hat.tobytes() == want.posterior.mu_hat.tobytes()
+    assert set(got.fits) == {r.arm.bits for r in got.records} == set(want.fits)
+    for bits, fit in got.fits.items():
+        assert fit.loss == want.fits[bits].loss
+        assert fit.params.theta.tobytes() == want.fits[bits].params.theta.tobytes()
+
+
+@needs_worker
+@pytest.mark.parametrize("task", ["Z_I(5)", "S_I(4)"])
+def test_speculative_fits_are_invisible(task, monkeypatch):
+    # The worker fits the arm the posterior predicts for the next pull.  A
+    # run that takes some of its fits from the worker gives the records,
+    # ranking, posterior and fits of a run that makes every fit itself.
+    serial, serial_calls = _builtin_run(task, monkeypatch, cpus=1)
+    spec, spec_calls = _builtin_run(task, monkeypatch, cpus=2)
+    _assert_same_run(spec, serial)
+    assert serial_calls == len(serial.fits)
+    assert spec_calls < len(spec.fits)  # the worker's fits were taken
+
+
+def _recording_fork(monkeypatch):
+    """Patch os.fork to record the worker pids it returns to this process."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(bandit, "_cpu_count", lambda: 2)
+    return pids
+
+
+def _assert_reaped(pid):
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+@needs_worker
+def test_no_worker_outlives_its_run(monkeypatch):
+    pids = _recording_fork(monkeypatch)
+    cfg = DiscoveryConfig(T=8, train_cfg=FAST, seed=0)
+    run_discovery(enumerate_arms(4), _toy_dataset(), cfg)
+    assert len(pids) == 1
+    _assert_reaped(pids[0])
+    # Interrupted mid-loop, with the worker started: posterior_update runs
+    # once per pull, and once per prediction handed to the worker.
+    updates = []
+    real_update = bandit.posterior_update
+
+    def interrupted_update(*args):
+        updates.append(None)
+        if len(updates) == 4:
+            raise KeyboardInterrupt
+        return real_update(*args)
+
+    monkeypatch.setattr(bandit, "posterior_update", interrupted_update)
+    with pytest.raises(KeyboardInterrupt):
+        run_discovery(enumerate_arms(4), _toy_dataset(), cfg)
+    assert len(pids) == 2
+    _assert_reaped(pids[1])
+
+
+@needs_worker
+@pytest.mark.parametrize("fault", ["fork fails", "worker dies", "a thread runs"])
+def test_a_worker_fault_fits_in_process(fault, monkeypatch, capfd):
+    # Without a worker, or with one that dies before its first reply, every
+    # arm is fit in this process, and the run is the same and silent.
+    cfg = DiscoveryConfig(T=8, train_cfg=FAST, seed=0)
+    with monkeypatch.context() as m:
+        m.setattr(bandit, "_cpu_count", lambda: 1)
+        serial = run_discovery(enumerate_arms(4), _toy_dataset(), cfg)
+    pids = _recording_fork(monkeypatch)
+    real_fork = os.fork
+
+    def fork():
+        if fault == "fork fails":
+            raise OSError("no more processes")
+        pid = real_fork()
+        if pid:
+            os.kill(pid, bandit._SIGKILL)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, daemon=True)
+    if fault == "a thread runs":
+        thread.start()
+    capfd.readouterr()
+    try:
+        result = run_discovery(enumerate_arms(4), _toy_dataset(), cfg)
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    _assert_same_run(result, serial)
+    assert capfd.readouterr() == ("", "")
+    assert len(pids) == (fault == "worker dies")
+    for pid in pids:
+        _assert_reaped(pid)
 
 
 @pytest.mark.parametrize("row", [3, 35])  # in the fit part, in the held-out part

@@ -821,6 +821,18 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_pool():
+    # discover's worker is one os.fork with two pipes; multiprocessing or
+    # concurrent.futures would add import time and memory to every command.
+    code = (
+        "import sys, symforge.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')])"
+    )
+    proc = _child(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # The child caps its address space at 128 MB above what its imports take,
 # so the workload fails on allocation before it can press on the machine.
 _CAPPED_MAIN = """
