@@ -13,7 +13,8 @@ misidentification trend for the empirical-play recommendation rule.
 
 Discovery fits, on a second CPU when the process may run on one, the arm
 the posterior predicts for the next pull while this process fits the
-current one (see `_Worker`).  A fit is deterministic, so the outputs are
+current one.  `_ArmFits` owns a run's fits: the pulled arms' memo, that
+worker and the in-process fit.  A fit is deterministic, so the outputs are
 byte-identical with the worker and without it.
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import threading
 from dataclasses import astuple, dataclass, field
 from typing import NamedTuple
@@ -215,7 +217,6 @@ def _fit_arm(arm, fit_data: Dataset, held_data: Dataset, train_cfg: TrainConfig)
 
 
 _SIGKILL = 9  # POSIX's number for SIGKILL; `signal` is not loaded to name it
-_MISS = object()  # what _Worker.take returns for an arm it has not fitted
 
 
 def _cpu_count() -> int:
@@ -226,59 +227,45 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _read(fd: int, size: int, got: bytes = b"") -> bytes:
-    """`got` completed to `size` bytes from fd; EOFError if the writer
-    closes first."""
-    while len(got) < size:
-        chunk = os.read(fd, size - len(got))
-        if not chunk:
-            raise EOFError("worker pipe closed")
-        got += chunk
-    return got
-
-
-def _write(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _serve(arms, fit_data: Dataset, held_data: Dataset, train_cfg: TrainConfig, r, w):
-    """The worker process: for each arm index read from r, `_fit_arm` it
-    and write the pickled (theta, held-out loss), or None for a failed fit,
-    to w behind its 8-byte length.  Exits, silently, when r closes or
-    anything raises; never returns."""
+def _serve(arms, fit_data: Dataset, held_data: Dataset, train_cfg: TrainConfig, down, up):
+    """The worker process: for each arm index loaded from the file `down`,
+    `_fit_arm` it and dump (theta, held-out loss), or None for a failed
+    fit, to the file `up`.  Exits, silently, when `down` closes or anything
+    raises; never returns."""
     try:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, 1)
         os.dup2(devnull, 2)
         while True:
-            arm = arms[int.from_bytes(_read(r, 8), "little")]
-            fit = _fit_arm(arm, fit_data, held_data, train_cfg)
-            data = pickle.dumps(None if fit is None else (fit.params.theta, fit.loss))
-            _write(w, len(data).to_bytes(8, "little") + data)
+            fit = _fit_arm(arms[pickle.load(down)], fit_data, held_data, train_cfg)
+            pickle.dump(None if fit is None else (fit.params.theta, fit.loss), up)
+            up.flush()
     finally:
         os._exit(0)
 
 
-class _Worker:
-    """A forked process that fits one arm at a time for `run_discovery`.
+class _ArmFits:
+    """The arm fits of one discovery run, on its rows and settings: the
+    pulled arms' fits, and a forked worker that fits one arm at a time.
 
-    The child inherits the arms and the rows, and gets only arm indices.
+    The worker inherits the arms and the rows, and gets only arm indices.
     It starts when the platform can fork, the process may run on at least
     two CPUs and runs no other Python thread, whose locks a forked child
     could inherit held.  Otherwise, or after any fault (a failed fork, a
     dead child, a broken pipe, a reply that does not load), the worker is
     stopped and every arm is fit in-process.  Its fits are the ones
     `_fit_arm` gives in-process, so it changes when a fit is made, never
-    what it is."""
+    what it is.  `counts` holds the fits made in-process, the arms handed
+    to the worker and its fits taken, which depend on timing."""
 
     def __init__(self, arms, fit_data: Dataset, held_data: Dataset, train_cfg: TrainConfig):
-        self.arms = arms
-        self.n = fit_data.inputs.shape[1]
+        self.arms, self.train_cfg = arms, train_cfg
+        self.fit_data, self.held_data = fit_data, held_data
+        self.pulled = {}  # bits -> ArmFit or None of each pulled arm
+        self.ready = {}  # bits -> ArmFit or None: worker fits not yet used
+        self.counts = dict(in_process=0, handed=0, taken=0)
         self.pid = None
         self.pending = None  # the bits of the arm in flight
-        self.ready = {}  # bits -> ArmFit or None: fits made and not yet pulled
         if not hasattr(os, "fork") or _cpu_count() < 2 or threading.active_count() > 1:
             return
         fds = []
@@ -294,54 +281,69 @@ class _Worker:
         if pid == 0:
             os.close(down_w)
             os.close(up_r)
-            _serve(arms, fit_data, held_data, train_cfg, down_r, up_w)
+            _serve(arms, fit_data, held_data, train_cfg, open(down_r, "rb"), open(up_w, "wb"))
         os.close(down_r)
         os.close(up_w)
-        self.pid, self.w, self.r = pid, down_w, up_r
+        self.pid, self.down, self.up = pid, open(down_w, "wb"), open(up_r, "rb")
 
-    def idle(self) -> bool:
-        """Whether the worker runs and holds no arm, once a finished fit,
-        if any, is collected."""
-        if self.pending is not None:
-            self._collect(wait=False)
-        return self.pid is not None and self.pending is None
-
-    def start(self, index: int) -> None:
-        """Hand an idle worker arms[index], unless it has fit that arm."""
-        bits = self.arms[index].bits
+    def get(self, arm, predict=None) -> ArmFit | None:
+        """The arm's fit: its pulled fit, else the worker's, waited for if
+        it is in flight, else one made in-process.  A pull passes
+        `predict`, which gives the index of the arm predicted for the next
+        pull, or None: before an in-process fit, and only then, an idle
+        worker is handed that arm, so the worker fits the next arm while
+        this process fits this one.  (Handed after the worker supplied this
+        arm, the next pull would wait on the worker while this process sat
+        idle.)  A pull's fit is kept as its arm's pulled fit."""
+        bits = arm.bits
+        if bits in self.pulled:
+            return self.pulled[bits]
+        self._collect(wait=bits == self.pending)
         if bits in self.ready:
+            self.counts["taken"] += 1
+            fit = self.ready.pop(bits)
+        else:
+            if predict is not None and self.pid is not None and self.pending is None:
+                self._hand(predict(), bits)
+            self.counts["in_process"] += 1
+            fit = _fit_arm(arm, self.fit_data, self.held_data, self.train_cfg)
+        if predict is not None:
+            self.pulled[bits] = fit
+        return fit
+
+    def _hand(self, index: int | None, bits) -> None:
+        """Hand the idle worker arms[index], unless it is None or the arm
+        is `bits`, pulled or fit already."""
+        fitted = self.pulled.keys() | self.ready.keys() | {bits}
+        if index is None or self.arms[index].bits in fitted:
             return
         try:
-            _write(self.w, index.to_bytes(8, "little"))
+            pickle.dump(index, self.down)
+            self.down.flush()
         except OSError:
             self.stop()
             return
-        self.pending = bits
-
-    def take(self, bits):
-        """The worker's fit of the arm, waited for if it is in flight;
-        _MISS when the worker has none."""
-        if bits == self.pending:
-            self._collect(wait=True)
-        return self.ready.pop(bits, _MISS)
+        self.pending = self.arms[index].bits
+        self.counts["handed"] += 1
 
     def _collect(self, wait: bool) -> None:
-        """Move the pending fit into `ready`: wait for it, or take it only
-        if it is done.  A fault stops the worker."""
+        """Move the fit in flight, if any, into `ready`: wait for it, or
+        take it only if it has arrived.  A fault stops the worker."""
+        if self.pending is None:
+            return
+        # At most one arm is in flight and each reply is loaded whole, so
+        # the buffered reader never holds an unread reply, and select on
+        # the pipe sees each reply that has not been loaded.
         try:
-            os.set_blocking(self.r, wait)
-            try:
-                head = os.read(self.r, 8)
-            except BlockingIOError:
+            if not wait and not select.select([self.up], [], [], 0)[0]:
                 return
-            finally:
-                os.set_blocking(self.r, True)
-            reply = pickle.loads(_read(self.r, int.from_bytes(_read(self.r, 8, head), "little")))
-            if reply is not None:
-                reply = ArmFit(PhiParams(reply[0], P_WIDTH, H_WIDTH, self.n), reply[1])
+            reply = pickle.load(self.up)
         except (OSError, EOFError, MemoryError, pickle.UnpicklingError):
             self.stop()
             return
+        if reply is not None:
+            n = self.fit_data.inputs.shape[1]
+            reply = ArmFit(PhiParams(reply[0], P_WIDTH, H_WIDTH, n), reply[1])
         self.ready[self.pending] = reply
         self.pending = None
 
@@ -350,13 +352,16 @@ class _Worker:
         if self.pid is None:
             return
         pid, self.pid, self.pending = self.pid, None, None
-        os.close(self.r)
-        os.close(self.w)
         try:
             os.kill(pid, _SIGKILL)
             os.waitpid(pid, 0)
         except (ProcessLookupError, ChildProcessError):
             pass  # already reaped: this process ignores SIGCHLD
+        self.up.close()
+        try:
+            self.down.close()
+        except OSError:
+            pass  # a hand-off that the dead worker never read
 
 
 def _predicted_arm(post: BanditPosterior, bits, bonus: float, z, A) -> int | None:
@@ -392,10 +397,12 @@ class DiscoveryResult:
     ranking: list[ArmFeature]  # all arms, by a^T mu_hat descending
     records: list[PullRecord]
     posterior: BanditPosterior
-    fits: dict  # bits -> ArmFit of each pulled arm, None if its fit failed; fit once per run
-    fit_data: Dataset  # the rows every arm is fit on
-    held_data: Dataset  # the rows every arm's reward loss is measured on
-    train_cfg: TrainConfig
+    arm_fits: _ArmFits  # the run's fits, and the rows and settings they use
+
+    @property
+    def fits(self) -> dict:
+        """bits -> ArmFit of each pulled arm, None if its fit failed; fit once per run."""
+        return self.arm_fits.pulled
 
 
 def run_discovery(
@@ -426,10 +433,11 @@ def run_discovery(
     same rows), so an arm is trained on its first pull and a re-pull reuses
     that fit, with the same weights, loss and reward, or its failure.  For
     the same reason a pull that trains an arm can first hand the arm
-    predicted for the next pull to a `_Worker`, which trains it on another
-    CPU; a later pull of that arm takes the worker's fit.  Only pulled arms
-    enter `fits`.  The result keeps the fits, and the rows and settings
-    they used, so evaluate_top_arms fits other arms the same way.
+    predicted for the next pull to a worker, which trains it on another
+    CPU; a later pull of that arm takes the worker's fit.  `_ArmFits` owns
+    the fits, the worker and the rows and settings the fits use, and the
+    result keeps it, so evaluate_top_arms fits other arms the same way.
+    Only pulled arms enter `fits`.
     """
     if cfg.T < 1:
         raise ValueError("need T >= 1")
@@ -443,9 +451,8 @@ def run_discovery(
     A = arm_matrix(arms)
     post = BanditPosterior.fresh(A.shape[1], cfg.nu)
     records = []
-    fits: dict = {}
     n_coords = dataset.inputs.shape[1]
-    worker = _Worker(arms, fit_data, held_data, cfg.train_cfg)
+    fits = _ArmFits(arms, fit_data, held_data, cfg.train_cfg)
     try:
         z = rng.standard_normal(post.d)
         for t in range(1, cfg.T + 1):
@@ -458,16 +465,9 @@ def run_discovery(
             # The next pull's normals, drawn now for the prediction: the
             # generator's stream is the same.
             z = rng.standard_normal(post.d) if t < cfg.T else None
-            if bits not in fits:
-                fit = worker.take(bits)
-                if fit is _MISS:
-                    if z is not None and worker.idle():
-                        index = _predicted_arm(post, bits, bonus, z, A)
-                        if index is not None and arms[index].bits not in fits.keys() | {bits}:
-                            worker.start(index)
-                    fit = _fit_arm(arm, fit_data, held_data, cfg.train_cfg)
-                fits[bits] = fit
-            fit = fits[bits]
+            fit = fits.get(
+                arm, lambda: None if z is None else _predicted_arm(post, bits, bonus, z, A)
+            )
             if fit is None:
                 loss, gamma = float("inf"), -1.0
             else:
@@ -476,22 +476,19 @@ def run_discovery(
             records.append(PullRecord(t, arm, gamma, loss))
             post = posterior_update(post, bits, gamma)
     finally:
-        worker.stop()
+        fits.stop()
     ranking = [arms[i] for i in rank_arms(post.mu_hat, A)]
-    return DiscoveryResult(ranking, records, post, fits, fit_data, held_data, cfg.train_cfg)
+    return DiscoveryResult(ranking, records, post, fits)
 
 
 def evaluate_top_arms(result: DiscoveryResult, dataset: Dataset, top: int = 3):
     """[(arm, MAE on dataset)] for the leading ranked arms, in one fit regime:
     a pulled arm's fit, or failure, from the run, else a fit on the same rows
-    and settings.  None when the fit fails or the evaluation raises
-    NumericError."""
+    and settings, which the run's worker may have made already.  None when
+    the fit fails or the evaluation raises NumericError."""
     out = []
     for arm in result.ranking[:top]:
-        if arm.bits in result.fits:
-            fit = result.fits[arm.bits]
-        else:
-            fit = _fit_arm(arm, result.fit_data, result.held_data, result.train_cfg)
+        fit = result.arm_fits.get(arm)
         mae = None
         if fit is not None:
             try:

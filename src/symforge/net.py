@@ -30,8 +30,9 @@ gradients have buffers too, so a training step allocates nothing the size
 of its pair rows: when each step allocated and freed those arrays, glibc
 handed the memory back and faulted it in again at every step until the
 process first freed a larger block, and the first SGD-only discovery in a
-process ran 1.4-1.9x as long as the next (Z_I(5), CLI defaults, 2-vCPU
-Xeon: about 700,000 page faults against 2,000).  Each training loop
+process ran 1.4-1.9x as long as the next (measured before the buffers were
+added, on Z_I(5) at the CLI defaults on a 2-vCPU Xeon: about 700,000 page
+faults against 2,000).  Each training loop
 allocates the buffers for its batch sizes and drops them when it returns.
 Every forward-only pass (`forward_batch`, the reference MLP's predictor and
 the ablation's `forward_relaxed`) runs through `_predict`, in blocks of

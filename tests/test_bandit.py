@@ -250,8 +250,7 @@ def test_ranking_csv_prints_the_scores_that_ranked_the_arms():
     order = rank_arms(mu_hat, A)
     posterior = replace(BanditPosterior.fresh(A.shape[1], 0.5), mu_hat=mu_hat)
     ranking = [arms[i] for i in order]
-    data = _toy_dataset(13)
-    result = DiscoveryResult(ranking, [], posterior, {}, data, data, FAST)
+    result = DiscoveryResult(ranking, [], posterior, None)
     files, fields = discovery_artifacts(result, [(arm, None) for arm in ranking[:3]])
     rows = files["ranking.csv"].decode().splitlines()[1:]
     printed = np.array([float(row.split(",")[3]) for row in rows])
@@ -544,6 +543,153 @@ def test_a_worker_fault_fits_in_process(fault, monkeypatch, capfd):
     assert len(pids) == (fault == "worker dies")
     for pid in pids:
         _assert_reaped(pid)
+
+
+def test_fit_counts_add_up_without_a_worker(monkeypatch):
+    # Every fit is made in this process: one per pulled arm, and one per
+    # top-3 arm that no pull fit.
+    result, _ = _builtin_run("D_I(5)", monkeypatch, cpus=1)
+    top = evaluate_top_arms(result, result.arm_fits.held_data, top=3)
+    unpulled = sum(arm.bits not in result.fits for arm, _ in top)
+    assert unpulled > 0
+    want = dict(in_process=len(result.fits) + unpulled, handed=0, taken=0)
+    assert result.arm_fits.counts == want
+
+
+@needs_worker
+def test_fit_counts_add_up_with_a_worker(monkeypatch):
+    # Each fit the serial run makes is made once either way: in this
+    # process, or by the worker and taken.
+    counts = []
+    for cpus in (1, 2):
+        result, _ = _builtin_run("D_I(5)", monkeypatch, cpus)
+        evaluate_top_arms(result, result.arm_fits.held_data, top=3)
+        counts.append(result.arm_fits.counts)
+    serial, spec = counts
+    assert spec["in_process"] + spec["taken"] == serial["in_process"]
+    assert spec["taken"] <= spec["handed"]
+
+
+def _assert_same_fit(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.loss == want.loss
+        assert got.params.theta.tobytes() == want.params.theta.tobytes()
+
+
+@pytest.fixture
+def toy_fits(monkeypatch):
+    """Make fit owners, each with its worker, on six toy arms; each is
+    stopped, and its worker reaped, at teardown."""
+    monkeypatch.setattr(bandit, "_cpu_count", lambda: 2)
+    arms = enumerate_arms(3)
+    rows = _holdout_split(_toy_dataset(3), 0.25)
+    made = []
+
+    def make():
+        fits = bandit._ArmFits(arms, *rows, FAST)
+        assert fits.pid is not None
+        made.append((fits, fits.pid))
+        return fits
+
+    yield make
+    for fits, pid in made:
+        fits.stop()
+        _assert_reaped(pid)
+
+
+def _fresh(fits, i):
+    """Arm i's fit, made afresh in this process."""
+    return bandit._fit_arm(fits.arms[i], fits.fit_data, fits.held_data, FAST)
+
+
+@needs_worker
+def test_a_lookup_waits_for_the_fit_in_flight(toy_fits):
+    fits = toy_fits()
+    fits._hand(2, None)
+    assert fits.pending == fits.arms[2].bits
+    _assert_same_fit(fits.get(fits.arms[2]), _fresh(fits, 2))
+    assert fits.counts == dict(in_process=0, handed=1, taken=1)
+
+
+@needs_worker
+def test_a_collected_fit_is_taken_after_other_fits(toy_fits):
+    # A pull hands arm 3 to the worker and fits arm 0 itself; the worker's
+    # fit is collected, another pull fits arm 1 without handing arm 3 over
+    # again, and a pull of arm 3 takes the collected fit.
+    fits = toy_fits()
+    _assert_same_fit(fits.get(fits.arms[0], lambda: 3), _fresh(fits, 0))
+    fits._collect(wait=True)
+    assert set(fits.ready) == {fits.arms[3].bits} and fits.pending is None
+    _assert_same_fit(fits.get(fits.arms[1], lambda: 3), _fresh(fits, 1))
+    _assert_same_fit(fits.get(fits.arms[3], lambda: None), _fresh(fits, 3))
+    assert fits.counts == dict(in_process=2, handed=1, taken=1)
+    assert fits.ready == {} and set(fits.pulled) == {fits.arms[i].bits for i in (0, 1, 3)}
+
+
+@needs_worker
+def test_a_pull_fits_in_process_while_the_worker_is_busy(monkeypatch, toy_fits):
+    # The worker's fit of arm 2 waits for a byte on a pipe, so the worker
+    # stays busy: a pull of arm 0 meanwhile fits in this process and hands
+    # nothing over.  Once let through, the worker's fit of arm 2 is taken.
+    gate_r, gate_w = os.pipe()
+    real_fit_arm = bandit._fit_arm
+    gated_arm = enumerate_arms(3)[2]
+
+    def gated(arm, *rows):
+        if arm == gated_arm:
+            os.read(gate_r, 1)
+        return real_fit_arm(arm, *rows)
+
+    monkeypatch.setattr(bandit, "_fit_arm", gated)
+    fits = toy_fits()
+    try:
+        fits._hand(2, None)
+        _assert_same_fit(fits.get(fits.arms[0], lambda: 3), _fresh(fits, 0))
+        assert fits.pending == gated_arm.bits
+        assert fits.counts == dict(in_process=1, handed=1, taken=0)
+        os.write(gate_w, b"x")
+        want = real_fit_arm(gated_arm, fits.fit_data, fits.held_data, FAST)
+        _assert_same_fit(fits.get(fits.arms[2]), want)
+        assert fits.counts == dict(in_process=1, handed=1, taken=1)
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
+
+
+@needs_worker
+def test_a_failed_worker_fit_arrives_as_none(monkeypatch, toy_fits):
+    # Patched before the fork, so the worker fails arm 4's fit too.
+    real_fit_arm = bandit._fit_arm
+    bad = enumerate_arms(3)[4]
+    failing = lambda arm, *rows: None if arm == bad else real_fit_arm(arm, *rows)
+    monkeypatch.setattr(bandit, "_fit_arm", failing)
+    fits = toy_fits()
+    fits._hand(4, None)
+    assert _fresh(fits, 4) is None
+    assert fits.get(fits.arms[4]) is None
+    assert fits.counts == dict(in_process=0, handed=1, taken=1)
+
+
+@needs_worker
+@pytest.mark.parametrize("in_flight", [False, True], ids=["idle", "in flight"])
+def test_a_worker_killed_after_one_reply(in_flight, toy_fits, capfd):
+    # The worker dies after its first reply, idle or with an arm in flight.
+    # Its death stops it, and every later fit is made in this process.
+    fits = toy_fits()
+    fits._hand(1, None)
+    _assert_same_fit(fits.get(fits.arms[1]), _fresh(fits, 1))
+    if in_flight:
+        fits._hand(5, None)
+    pid = fits.pid
+    os.kill(pid, bandit._SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+    for i in (5, 0, 2):  # the arm handed, if any, then pulls that predict arm 3
+        _assert_same_fit(fits.get(fits.arms[i], lambda: 3), _fresh(fits, i))
+        assert fits.pid is None
+    _assert_reaped(pid)
+    assert fits.counts == dict(in_process=3, handed=1 + in_flight, taken=1)
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("row", [3, 35])  # in the fit part, in the held-out part

@@ -571,6 +571,19 @@ def test_discover_without_a_val_split_reports_no_val_mae(tmp_path):
     assert "val_mae=" not in result.output
 
 
+def test_discover_reports_where_its_fits_ran(tmp_path, monkeypatch):
+    # report.yaml counts the fits made in this process, the arms handed to
+    # the worker and the worker's fits taken.  Without a worker, this
+    # process fits each pulled arm once, and each unpulled top-3 arm.
+    monkeypatch.setattr(bandit, "_cpu_count", lambda: 1)
+    out, report = run_discover(load_config(_tiny_config(tmp_path, "bandit", {})))
+    pulled = {row.split(",")[1] for row in (out / "pulls.csv").read_text().splitlines()[1:]}
+    fits = yaml.safe_load((out / "report.yaml").read_text())["fits"]
+    assert fits == report["fits"]
+    assert fits["handed"] == fits["taken"] == 0
+    assert len(pulled) <= fits["in_process"] <= len(pulled) + 3
+
+
 def _tiny_config(tmp_path, section, values):
     """A discover and bandit-sim config that runs in well under a second,
     with `values` set in `section`."""
