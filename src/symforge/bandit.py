@@ -31,8 +31,6 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, TrainingDivergedError
 from .net import (
-    H_WIDTH,
-    P_WIDTH,
     SQUARED,
     Dataset,
     PhiParams,
@@ -342,8 +340,7 @@ class _ArmFits:
             self.stop()
             return
         if reply is not None:
-            n = self.fit_data.inputs.shape[1]
-            reply = ArmFit(PhiParams(reply[0], P_WIDTH, H_WIDTH, n), reply[1])
+            reply = ArmFit(PhiParams(reply[0], self.fit_data.inputs.shape[1]), reply[1])
         self.ready[self.pending] = reply
         self.pending = None
 
@@ -584,12 +581,16 @@ def simulate_linear(instance: LinearInstance, horizons, nu, trials, seed=0):
     if not 0 <= nu < np.inf:
         raise ValueError("nu must be finite and >= 0")
     horizons = sorted(set(horizons))
+    # Each trial's recommended arm at each horizon.  It is allocated before
+    # the generators, which are Python objects: a trial count too large for
+    # memory then fails on this one array, not while building them, where a
+    # finalizer can fail as well.
+    guesses = np.empty((trials, len(horizons)), dtype=int)
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(trials)]
     snapshots = lints_play_counts(instance, horizons, nu, rngs)
-    misid = {T: 0 for T in horizons}
     for i, rng in enumerate(rngs):
-        for T in horizons:
+        for k, T in enumerate(horizons):
             counts = snapshots[T][i]
-            guess = rng.choice(len(counts), p=counts / counts.sum())
-            misid[T] += int(guess != instance.best_index)
-    return {T: misid[T] / trials for T in horizons}
+            guesses[i, k] = rng.choice(len(counts), p=counts / counts.sum())
+    wrong = np.count_nonzero(guesses != instance.best_index, axis=0)
+    return {T: int(w) / trials for T, w in zip(horizons, wrong)}

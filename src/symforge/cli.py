@@ -379,7 +379,7 @@ def _suite_checks(suite: str) -> dict:
     if suite == "gradients":
         rng = np.random.default_rng(0)
         descriptor = GroupDescriptor(CYCLIC, (0, 2, 3), 5)
-        params = init_params(5, p=8, h=12, seed=0)
+        params = init_params(5, seed=0)
         X = rng.uniform(size=(10, 5))
         y = rng.uniform(size=10)
         err = float(gradient_check(params, descriptor, X, y))
@@ -388,7 +388,7 @@ def _suite_checks(suite: str) -> dict:
         checks = {}
         for kind, k in ((CYCLIC, 4), (DIHEDRAL, 4), (SYMMETRIC, 3)):
             descriptor = GroupDescriptor(kind, tuple(range(1, k + 1)), k + 2)
-            params = init_params(k + 2, p=8, h=12, seed=1)
+            params = init_params(k + 2, seed=1)
             report = check_invariance(lambda x: forward(params, descriptor, x), descriptor)
             checks[f"{kind}-k{k}"] = _verdict(report, f"violation {report.max_violation:.2e}")
         return checks

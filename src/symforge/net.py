@@ -72,6 +72,9 @@ _EVAL_ROWS = 64
 # reference MLP and the ablation have them too.
 P_WIDTH, H_WIDTH = 16, 32
 
+# Weight coordinates `gradient_check` compares with finite differences.
+_GRADIENT_COORDS = 20
+
 
 @dataclass
 class Dataset:
@@ -110,7 +113,8 @@ class TrainConfig:
 
 @dataclass
 class PhiParams:
-    """Weights of the embedding MLP (eta) and the head MLP (mu_head).
+    """Weights of the embedding MLP (eta) and the head MLP (mu_head) on n
+    input coordinates, at phi's one shape: p = P_WIDTH and h = H_WIDTH.
 
     eta: 2 -> h -> h -> p, tanh hidden, linear output.
     mu_head: (p + n) -> h -> h -> 1, tanh hidden, linear output.
@@ -124,15 +128,13 @@ class PhiParams:
     """
 
     theta: np.ndarray
-    p: int
-    h: int
     n: int
     eta: list = field(init=False, repr=False)
     mu_head: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.eta, rest = _mlp_views(self.theta, (2, self.h, self.h, self.p))
-        self.mu_head, rest = _mlp_views(rest, (self.p + self.n, self.h, self.h, 1))
+        self.eta, rest = _mlp_views(self.theta, (2, H_WIDTH, H_WIDTH, P_WIDTH))
+        self.mu_head, rest = _mlp_views(rest, (P_WIDTH + self.n, H_WIDTH, H_WIDTH, 1))
         if rest.size:
             raise ValueError("weight vector longer than the network")
 
@@ -160,10 +162,10 @@ def _init_mlp(layers, rng):
         Wb[-1] = rng.uniform(-bound, bound, size=Wb.shape[1])
 
 
-def init_params(n: int, p: int = P_WIDTH, h: int = H_WIDTH, seed: int = 0) -> PhiParams:
+def init_params(n: int, seed: int = 0) -> PhiParams:
     rng = np.random.default_rng(seed)
-    size = _mlp_size((2, h, h, p)) + _mlp_size((p + n, h, h, 1))
-    params = PhiParams(np.empty(size), p, h, n)
+    size = _mlp_size((2, H_WIDTH, H_WIDTH, P_WIDTH)) + _mlp_size((P_WIDTH + n, H_WIDTH, H_WIDTH, 1))
+    params = PhiParams(np.empty(size), n)
     _init_mlp(params.eta, rng)
     _init_mlp(params.mu_head, rng)
     return params
@@ -273,7 +275,7 @@ def _phi_pool(params: PhiParams, P, q, eta_buffers):
     describes."""
     m, s_count, _ = P.shape
     E = _mlp_forward(params.eta, P.reshape(m * s_count, 3), eta_buffers)
-    pooled = E.reshape(m, s_count, params.p).sum(axis=1) / s_count
+    pooled = E.reshape(m, s_count, P_WIDTH).sum(axis=1) / s_count
     return np.concatenate([pooled, q], axis=1)
 
 
@@ -299,7 +301,7 @@ def _phi_loss_and_grad(params: PhiParams, P, q, y, loss_kind, grads, input_grad,
         buffers = _phi_buffers(params, m, s_count)
     eta_buffers, head_buffers = buffers
     z = _phi_pool(params, P, q, eta_buffers)
-    head_cols = z.shape[1] - 1 if input_grad else params.p
+    head_cols = z.shape[1] - 1 if input_grad else P_WIDTH
     loss, dz = _mlp_loss_and_grad(
         params.mu_head, z, y, loss_kind, grads.mu_head, head_cols, head_buffers
     )
@@ -307,10 +309,10 @@ def _phi_loss_and_grad(params: PhiParams, P, q, y, loss_kind, grads, input_grad,
     # mean-pooling scale.  eta's output is spent once pooled, so its buffer
     # takes these rows.
     up = eta_buffers.out
-    up.reshape(m, s_count, params.p)[...] = (dz[:, : params.p] / s_count)[:, None, :]
+    up.reshape(m, s_count, P_WIDTH)[...] = (dz[:, :P_WIDTH] / s_count)[:, None, :]
     A = P.reshape(m * s_count, 3)
     dP = _mlp_backward(params.eta, A, up, grads.eta, 2 if input_grad else 0, eta_buffers)
-    return loss, dP, dz[:, params.p :] if input_grad else None
+    return loss, dP, dz[:, P_WIDTH:] if input_grad else None
 
 
 def _predict(forward_rows, X) -> np.ndarray:
@@ -381,7 +383,7 @@ def loss_and_grad(
         X = _pair_layout(descriptor, np.asarray(X, dtype=float))
     grads = out
     if grads is None:
-        grads = PhiParams(np.empty_like(params.theta), params.p, params.h, params.n)
+        grads = PhiParams(np.empty_like(params.theta), params.n)
     loss, _, _ = _phi_loss_and_grad(
         params, *X, np.asarray(y, dtype=float), loss_kind, grads, False, buffers
     )
@@ -417,13 +419,7 @@ def _sgd(theta, grad_fn, cfg: TrainConfig, m: int, rng) -> None:
                 theta -= lr * grad
 
 
-def train_sgd(
-    dataset: Dataset,
-    descriptor: GroupDescriptor,
-    cfg: TrainConfig,
-    p: int = P_WIDTH,
-    h: int = H_WIDTH,
-):
+def train_sgd(dataset: Dataset, descriptor: GroupDescriptor, cfg: TrainConfig):
     """Minibatch SGD with per-epoch decayed learning rate.
 
     Deterministic given the seed: the parameter init and the shuffles come
@@ -432,8 +428,8 @@ def train_sgd(
     training loss).
     """
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(dataset.inputs.shape[1], p=p, h=h, seed=cfg.seed)
-    grads = PhiParams(np.empty_like(params.theta), p, h, params.n)
+    params = init_params(dataset.inputs.shape[1], seed=cfg.seed)
+    grads = PhiParams(np.empty_like(params.theta), params.n)
     layout = _pair_layout(descriptor, dataset.inputs)
     y = dataset.targets
     buffers = cache(lambda rows: _phi_buffers(params, rows, layout.P.shape[1]))
@@ -450,12 +446,10 @@ def train_sgd(
         return params, mean_loss(params, descriptor, dataset, cfg.loss_kind)
 
 
-def gradient_check(
-    params: PhiParams, descriptor: GroupDescriptor, X, y, n_coords: int = 20
-) -> float:
+def gradient_check(params: PhiParams, descriptor: GroupDescriptor, X, y) -> float:
     """Max relative error between analytic and central finite-difference
-    gradients, at a step of 1e-5, over n_coords parameter coordinates drawn
-    from a generator seeded with 0.
+    gradients, at a step of 1e-5, over `_GRADIENT_COORDS` parameter
+    coordinates drawn from a generator seeded with 0.
 
     The relative error is guarded with an absolute floor: coordinates whose
     gradient is below the finite-difference resolution would otherwise
@@ -467,7 +461,7 @@ def gradient_check(
     _, grads = loss_and_grad(params, descriptor, X, y)
     gflat = grads.theta
     worst = 0.0
-    for idx in rng.choice(flat.size, size=min(n_coords, flat.size), replace=False):
+    for idx in rng.choice(flat.size, size=_GRADIENT_COORDS, replace=False):
         bumped = flat.copy()
         bumped[idx] += step
         lp, _ = loss_and_grad(replace(params, theta=bumped), descriptor, X, y)

@@ -218,7 +218,7 @@ def test_criterion_05_trained_pipeline_invariance():
     for kind in (CYCLIC, DIHEDRAL, SYMMETRIC):
         for k in range(2, 6):
             d = GroupDescriptor(kind, tuple(range(1, k + 1)), k + 2)
-            pk = init_params(k + 2, p=8, h=12, seed=k)
+            pk = init_params(k + 2, seed=k)
             rep = check_invariance(lambda x: forward(pk, d, x), d)
             worst_random = max(worst_random, rep.max_violation)
             random_ok = random_ok and rep.passed
@@ -248,7 +248,7 @@ def test_criterion_06_gradient_check():
         (SYMMETRIC, (0, 1, 2, 3), 5),
     ):
         d = GroupDescriptor(kind, idx, n)
-        params = init_params(n, p=8, h=12, seed=3)
+        params = init_params(n, seed=3)
         X = rng.uniform(size=(10, n))
         y = rng.uniform(size=10)
         worst = max(worst, gradient_check(params, d, X, y))

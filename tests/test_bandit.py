@@ -3,11 +3,15 @@ import os
 import re
 import threading
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symforge import bandit, net, tasks
 from symforge.bandit import (
@@ -692,6 +696,64 @@ def test_a_worker_killed_after_one_reply(in_flight, toy_fits, capfd):
     assert capfd.readouterr() == ("", "")
 
 
+# A toy run in which the worker is handed 7 arms and 3 of them are not the
+# next pull.
+_DRAWN_RUN = DiscoveryConfig(T=16, train_cfg=FAST, seed=0)
+
+
+@lru_cache(maxsize=None)
+def _serial_toy_run():
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bandit, "_cpu_count", lambda: 1)
+        return run_discovery(enumerate_arms(5), _toy_dataset(5), _DRAWN_RUN)
+
+
+@needs_worker
+@settings(max_examples=40, deadline=None)
+@given(
+    hidden=st.lists(st.booleans(), max_size=_DRAWN_RUN.T), replies=st.none() | st.integers(1, 6)
+)
+def test_whole_runs_match_the_serial_run_under_drawn_worker_schedules(hidden, replies):
+    # `hidden` decides, at each collect that does not wait, whether the fit
+    # in flight reads as still in flight, whether or not it has arrived.
+    # Otherwise the collect loads it, waiting for it if need be, so no
+    # collect reads the worker idle while a fit is in flight.  Past the
+    # list's end nothing is hidden.  The worker exits after `replies`
+    # replies, or never when None.  Each run must equal the serial run.
+    want = _serial_toy_run()
+    draws = iter(hidden)
+    real_serve = bandit._serve
+
+    class DyingPipe:
+        def __init__(self, up):
+            self.up, self.sent = up, 0
+
+        def write(self, data):
+            return self.up.write(data)
+
+        def flush(self):
+            self.up.flush()
+            self.sent += 1
+            if self.sent == replies:
+                os._exit(0)
+
+    def serve(arms, fit_data, held_data, train_cfg, down, up):
+        real_serve(arms, fit_data, held_data, train_cfg, down, DyingPipe(up))
+
+    def drawn_select(readers, writers, errors, timeout):
+        return ([] if next(draws, False) else readers), [], []
+
+    with pytest.MonkeyPatch.context() as m:
+        pids = _recording_fork(m)
+        m.setattr(bandit, "_serve", serve)
+        m.setattr(bandit, "select", SimpleNamespace(select=drawn_select))
+        got = run_discovery(enumerate_arms(5), _toy_dataset(5), _DRAWN_RUN)
+    _assert_same_run(got, want)
+    assert got.arm_fits.counts["in_process"] + got.arm_fits.counts["taken"] == len(got.fits)
+    assert len(pids) == 1
+    _assert_reaped(pids[0])
+
+
 @pytest.mark.parametrize("row", [3, 35])  # in the fit part, in the held-out part
 def test_discovery_nan_input_is_a_symforge_error(row):
     ds = _toy_dataset(3)
@@ -962,3 +1024,14 @@ def test_readme_library_example_finds_the_true_arm(capsys):
     top3 = capsys.readouterr().out.splitlines()
     assert len(top3) == 3
     assert "cyclic (0, 1, 2, 5, 6)" in top3
+
+
+def test_readme_library_example_unscreened_ranks_the_true_arm_2911th():
+    # The README: without screening, the Library example's run ranks the
+    # true arm, cyclic on (0, 1, 2, 5, 6), 2911th of the 2949 arms of n = 10.
+    spec = tasks.builtin_polynomial("Z_I(5)")
+    splits, _ = tasks.make_splits(spec, sizes=(64, 480), seed=1)
+    cfg = DiscoveryConfig(T=40, train_cfg=TrainConfig(seed=0), seed=1)
+    result = run_discovery(enumerate_arms(10), splits["train"], cfg)
+    ranked = [arm.bits for arm in result.ranking]
+    assert (ranked.index(ArmFeature(spec.descriptor).bits) + 1, len(ranked)) == (2911, 2949)

@@ -59,13 +59,13 @@ def test_train_config_validation():
 
 
 def test_flat_round_trip():
-    params = init_params(4, p=6, h=8, seed=3)
+    params = init_params(4, seed=3)
     vec = params.theta
     # The layers are views into the one weight vector.
     params.eta[0][0, 0] = 7.0
     assert vec[0] == 7.0
     with pytest.raises(ValueError):
-        PhiParams(np.zeros(vec.size + 1), params.p, params.h, params.n)
+        PhiParams(np.zeros(vec.size + 1), params.n)
 
 
 def test_forward_bitwise_invariance():
@@ -74,7 +74,7 @@ def test_forward_bitwise_invariance():
     rng = np.random.default_rng(5)
     for kind, idx in ((CYCLIC, (0, 1, 3, 4)), (DIHEDRAL, (1, 2, 4)), (SYMMETRIC, (0, 2, 3))):
         d = GroupDescriptor(kind, idx, 5)
-        params = init_params(5, p=8, h=10, seed=1)
+        params = init_params(5, seed=1)
         for _ in range(10):
             x = rng.uniform(size=5)
             base = forward(params, d, x)
@@ -84,7 +84,7 @@ def test_forward_bitwise_invariance():
 
 def test_forward_not_invariant_under_wrong_group():
     d = _pair(CYCLIC, (0, 1, 2), 5)
-    params = init_params(5, p=8, h=10, seed=2)
+    params = init_params(5, seed=2)
     x = np.array([0.9, 0.1, 0.5, 0.3, 0.7])
     swapped = x.copy()
     swapped[[0, 1]] = swapped[[1, 0]]  # transposition outside the cyclic group
@@ -93,14 +93,14 @@ def test_forward_not_invariant_under_wrong_group():
 
 def test_forward_rejects_nonfinite():
     d = _pair()
-    params = init_params(5, p=4, h=6, seed=0)
+    params = init_params(5, seed=0)
     with pytest.raises(NumericError):
         forward_batch(params, d, np.array([[np.nan] * 5]))
 
 
 def test_loss_kinds_agree_on_zero_residual():
     d = _pair()
-    params = init_params(5, p=4, h=6, seed=0)
+    params = init_params(5, seed=0)
     X = np.random.default_rng(0).uniform(size=(6, 5))
     y = forward_batch(params, d, X)
     for kind in (SQUARED, ABSOLUTE):
@@ -111,10 +111,10 @@ def test_loss_kinds_agree_on_zero_residual():
 def test_gradient_check_small():
     rng = np.random.default_rng(0)
     d = _pair(DIHEDRAL, (0, 1, 3), 5)
-    params = init_params(5, p=6, h=8, seed=4)
+    params = init_params(5, seed=4)
     X = rng.uniform(size=(8, 5))
     y = rng.uniform(size=8)
-    assert gradient_check(params, d, X, y, n_coords=30) <= 1e-4
+    assert gradient_check(params, d, X, y) <= 1e-4
 
 
 def test_training_fits_constant_target():
@@ -122,9 +122,10 @@ def test_training_fits_constant_target():
     X = rng.uniform(size=(32, 4))
     ds = Dataset(X, np.full(32, 0.5))
     d = _pair(SYMMETRIC, (0, 1, 2), 4)
-    # Full-batch descent: a bias-only fit that must reach the tolerance.
-    cfg = TrainConfig(epochs=200, batch_size=32, lr_initial=0.6, lr_decay=1.0, seed=0)
-    _, final = train_sgd(ds, d, cfg, p=8, h=12)
+    # Full-batch descent at the default learning rate: a bias-only fit that
+    # must reach the tolerance.
+    cfg = TrainConfig(epochs=200, batch_size=32, lr_decay=1.0, seed=0)
+    _, final = train_sgd(ds, d, cfg)
     assert final <= 1e-6
 
 
@@ -133,8 +134,8 @@ def test_training_with_zero_lr_keeps_params():
     ds = Dataset(rng.uniform(size=(16, 4)), rng.uniform(size=16))
     d = _pair(CYCLIC, (0, 1, 2), 4)
     cfg = TrainConfig(epochs=3, batch_size=8, lr_initial=0.0, seed=7)
-    params, _ = train_sgd(ds, d, cfg, p=4, h=6)
-    assert np.array_equal(params.theta, init_params(4, p=4, h=6, seed=7).theta)
+    params, _ = train_sgd(ds, d, cfg)
+    assert np.array_equal(params.theta, init_params(4, seed=7).theta)
 
 
 def test_training_is_deterministic():
@@ -142,8 +143,8 @@ def test_training_is_deterministic():
     ds = Dataset(rng.uniform(size=(24, 4)), rng.uniform(size=24))
     d = _pair(CYCLIC, (0, 1, 3), 4)
     cfg = TrainConfig(epochs=10, batch_size=8, seed=11)
-    p1, l1 = train_sgd(ds, d, cfg, p=4, h=6)
-    p2, l2 = train_sgd(ds, d, cfg, p=4, h=6)
+    p1, l1 = train_sgd(ds, d, cfg)
+    p2, l2 = train_sgd(ds, d, cfg)
     assert l1 == l2
     assert np.array_equal(p1.theta, p2.theta)
 
@@ -156,14 +157,14 @@ def test_training_divergence_reports_last_loss():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         TrainingDivergedError
     ):
-        train_sgd(ds, d, cfg, p=4, h=6)
+        train_sgd(ds, d, cfg)
 
 
 def test_mae_bounded_by_rmse():
     rng = np.random.default_rng(6)
     ds = Dataset(rng.uniform(size=(20, 5)), rng.uniform(size=20))
     d = _pair()
-    params = init_params(5, p=4, h=6, seed=0)
+    params = init_params(5, seed=0)
     mae = evaluate(params, d, ds)
     mse = mean_loss(params, d, ds, SQUARED)
     assert mae <= np.sqrt(mse) + 1e-12
@@ -187,7 +188,7 @@ def test_reference_mlp_learns_linear_target():
 def test_batched_forward_matches_single(seed):
     rng = np.random.default_rng(seed)
     d = _pair(DIHEDRAL, (0, 2, 4), 5)
-    params = init_params(5, p=4, h=6, seed=0)
+    params = init_params(5, seed=0)
     X = rng.uniform(size=(5, 5))
     batched = forward_batch(params, d, X)
     singles = [forward(params, d, x) for x in X]
@@ -235,7 +236,7 @@ def test_layout_rows_match_per_batch_path():
         d = _pair(kind, idx, 5)
         params = init_params(5, seed=2)
         layout = _pair_layout(d, X)
-        out = PhiParams(np.empty_like(params.theta), params.p, params.h, params.n)
+        out = PhiParams(np.empty_like(params.theta), params.n)
         perm = rng.permutation(37)
         for start in range(0, 37, 16):  # 16, 16, then a short batch of 5
             rows = perm[start : start + 16]
@@ -427,12 +428,12 @@ def test_every_coordinate_matches_finite_differences():
     rng = np.random.default_rng(6)
     X, y = rng.uniform(size=(10, 5)), rng.uniform(size=10)
     d = _pair(DIHEDRAL, (1, 2, 4), 5)
-    params = init_params(5, p=8, h=12, seed=3)
-    assert params.theta.size == 633
+    params = init_params(5, seed=3)
+    assert params.theta.size == 3473
     _, grads = loss_and_grad(params, d, X, y)
     assert np.abs(grads.theta).max() > 1e-3
     phi_loss = lambda theta: loss_and_grad(replace(params, theta=theta), d, X, y)[0]
-    assert _worst_fd_error(phi_loss, params.theta, grads.theta, range(633)) <= 1e-4
+    assert _worst_fd_error(phi_loss, params.theta, grads.theta, range(3473)) <= 1e-4
 
     dims = (5, 12, 12, 1)
     theta, grad = np.empty(_mlp_size(dims)), np.empty(_mlp_size(dims))

@@ -58,7 +58,7 @@ def _einsum_reference(params, X, y, loss_kind):
     Y = X @ params.m1.T
     P = rho_unified(Y)
     Z = np.einsum("rs,msk->mrk", params.m2, P)
-    phi = PhiParams(np.empty_like(params.phi.theta), params.phi.p, params.phi.h, n)
+    phi = PhiParams(np.empty_like(params.phi.theta), n)
     _, dZ, dQ = _phi_loss_and_grad(
         params.phi, _with_ones(Z), _with_ones(X - Y), y, loss_kind, phi, input_grad=True
     )
