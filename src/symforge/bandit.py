@@ -13,16 +13,17 @@ misidentification trend for the empirical-play recommendation rule.
 
 Discovery fits, on a second CPU when the process may run on one, the arm
 the posterior predicts for the next pull while this process fits the
-current one.  `_ArmFits` owns a run's fits: the pulled arms' memo, that
-worker and the in-process fit.  A fit is deterministic, so the outputs are
-byte-identical with the worker and without it.
+current one: a pull forks a child for that arm, and reads its fit and
+reaps it before the pull returns.  `_ArmFits` owns a run's fits: the pulled
+arms' memo, those children and the in-process fit.  A fit is
+deterministic, so the outputs are byte-identical with the children and
+without them.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import select
 import threading
 from dataclasses import astuple, dataclass, field
 from typing import NamedTuple
@@ -225,140 +226,112 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _serve(arms, fit_data: Dataset, held_data: Dataset, train_cfg: TrainConfig, down, up):
-    """The worker process: for each arm index loaded from the file `down`,
-    `_fit_arm` it and dump (theta, held-out loss), or None for a failed
-    fit, to the file `up`.  Exits, silently, when `down` closes or anything
-    raises; never returns."""
-    try:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 1)
-        os.dup2(devnull, 2)
-        while True:
-            fit = _fit_arm(arms[pickle.load(down)], fit_data, held_data, train_cfg)
-            pickle.dump(None if fit is None else (fit.params.theta, fit.loss), up)
-            up.flush()
-    finally:
-        os._exit(0)
-
-
 class _ArmFits:
     """The arm fits of one discovery run, on its rows and settings: the
-    pulled arms' fits, and a forked worker that fits one arm at a time.
+    pulled arms' fits, the in-process fit, and forked children that each
+    fit one arm.
 
-    The worker inherits the arms and the rows, and gets only arm indices.
-    It starts when the platform can fork, the process may run on at least
-    two CPUs and runs no other Python thread, whose locks a forked child
-    could inherit held.  Otherwise, or after any fault (a failed fork, a
-    dead child, a broken pipe, a reply that does not load), the worker is
-    stopped and every arm is fit in-process.  Its fits are the ones
-    `_fit_arm` gives in-process, so it changes when a fit is made, never
-    what it is.  `counts` holds the fits made in-process, the arms handed
-    to the worker and its fits taken, which depend on timing."""
+    A pull that fits its arm in-process first forks a child that fits the
+    arm predicted for the next pull; the pull reads the child's fit into
+    `ready`, then kills and reaps the child, before it returns or raises,
+    so no child outlives its pull.  A child inherits the arms and the rows.
+    Children are forked when the platform can fork, the process may run on
+    at least two CPUs and runs no other Python thread, whose locks a forked
+    child could inherit held.  A failed fork stops forking for the run; a
+    child that dies, or whose reply does not load, loses only its own fit.
+    A child's fit is the one `_fit_arm` gives in-process, so forking
+    changes where a fit is made, never what it is.  `counts` holds the fits
+    made in-process, the children forked and their fits taken."""
 
     def __init__(self, arms, fit_data: Dataset, held_data: Dataset, train_cfg: TrainConfig):
         self.arms, self.train_cfg = arms, train_cfg
         self.fit_data, self.held_data = fit_data, held_data
         self.pulled = {}  # bits -> ArmFit or None of each pulled arm
-        self.ready = {}  # bits -> ArmFit or None: worker fits not yet used
+        self.ready = {}  # bits -> ArmFit or None: children's fits not yet used
         self.counts = dict(in_process=0, handed=0, taken=0)
-        self.pid = None
-        self.pending = None  # the bits of the arm in flight
-        if not hasattr(os, "fork") or _cpu_count() < 2 or threading.active_count() > 1:
-            return
+        self.forks = hasattr(os, "fork") and _cpu_count() >= 2 and threading.active_count() == 1
+
+    def get(self, arm, predict=None) -> ArmFit | None:
+        """The arm's fit: its pulled fit, else a child's, else one made
+        in-process.  A pull passes `predict`, which gives the index of the
+        arm predicted for the next pull, or None: before an in-process fit,
+        and only then, a child is forked to fit that arm, so the child fits
+        the next arm while this process fits this one.  A pull's fit is kept
+        as its arm's pulled fit."""
+        bits = arm.bits
+        if bits in self.pulled:
+            return self.pulled[bits]
+        if bits in self.ready:
+            self.counts["taken"] += 1
+            fit = self.ready.pop(bits)
+        else:
+            child = self._fork(predict(), bits) if predict is not None and self.forks else None
+            self.counts["in_process"] += 1
+            try:
+                fit = _fit_arm(arm, self.fit_data, self.held_data, self.train_cfg)
+                if child is not None:
+                    self._read(child)
+            finally:
+                if child is not None:
+                    _reap(child)
+        if predict is not None:
+            self.pulled[bits] = fit
+        return fit
+
+    def _fork(self, index: int | None, bits):
+        """Fork a child that fits arms[index] and dumps (theta, held-out
+        loss), or None for a failed fit, to a pipe; returns its pid, the
+        pipe's read end and the arm's bits.  No child, and None, when index
+        is None, the arm is `bits`, pulled or fit already, or the fork
+        fails, which stops forking for the run."""
+        fitted = self.pulled.keys() | self.ready.keys() | {bits}
+        if index is None or self.arms[index].bits in fitted:
+            return None
         fds = []
         try:
-            fds += os.pipe()
             fds += os.pipe()
             pid = os.fork()
         except OSError:
             for fd in fds:
                 os.close(fd)
-            return
-        down_r, down_w, up_r, up_w = fds
-        if pid == 0:
-            os.close(down_w)
-            os.close(up_r)
-            _serve(arms, fit_data, held_data, train_cfg, open(down_r, "rb"), open(up_w, "wb"))
-        os.close(down_r)
-        os.close(up_w)
-        self.pid, self.down, self.up = pid, open(down_w, "wb"), open(up_r, "rb")
-
-    def get(self, arm, predict=None) -> ArmFit | None:
-        """The arm's fit: its pulled fit, else the worker's, waited for if
-        it is in flight, else one made in-process.  A pull passes
-        `predict`, which gives the index of the arm predicted for the next
-        pull, or None: before an in-process fit, and only then, an idle
-        worker is handed that arm, so the worker fits the next arm while
-        this process fits this one.  (Handed after the worker supplied this
-        arm, the next pull would wait on the worker while this process sat
-        idle.)  A pull's fit is kept as its arm's pulled fit."""
-        bits = arm.bits
-        if bits in self.pulled:
-            return self.pulled[bits]
-        self._collect(wait=bits == self.pending)
-        if bits in self.ready:
-            self.counts["taken"] += 1
-            fit = self.ready.pop(bits)
-        else:
-            if predict is not None and self.pid is not None and self.pending is None:
-                self._hand(predict(), bits)
-            self.counts["in_process"] += 1
-            fit = _fit_arm(arm, self.fit_data, self.held_data, self.train_cfg)
-        if predict is not None:
-            self.pulled[bits] = fit
-        return fit
-
-    def _hand(self, index: int | None, bits) -> None:
-        """Hand the idle worker arms[index], unless it is None or the arm
-        is `bits`, pulled or fit already."""
-        fitted = self.pulled.keys() | self.ready.keys() | {bits}
-        if index is None or self.arms[index].bits in fitted:
-            return
-        try:
-            pickle.dump(index, self.down)
-            self.down.flush()
-        except OSError:
-            self.stop()
-            return
-        self.pending = self.arms[index].bits
+            self.forks = False
+            return None
+        if pid == 0:  # the child: exits, silently, whatever happens; never returns
+            try:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, 1)
+                os.dup2(devnull, 2)
+                fit = _fit_arm(self.arms[index], self.fit_data, self.held_data, self.train_cfg)
+                with open(fds[1], "wb") as up:
+                    pickle.dump(None if fit is None else (fit.params.theta, fit.loss), up)
+            finally:
+                os._exit(0)
+        os.close(fds[1])
         self.counts["handed"] += 1
+        return pid, open(fds[0], "rb"), self.arms[index].bits
 
-    def _collect(self, wait: bool) -> None:
-        """Move the fit in flight, if any, into `ready`: wait for it, or
-        take it only if it has arrived.  A fault stops the worker."""
-        if self.pending is None:
-            return
-        # At most one arm is in flight and each reply is loaded whole, so
-        # the buffered reader never holds an unread reply, and select on
-        # the pipe sees each reply that has not been loaded.
+    def _read(self, child) -> None:
+        """Load the child's reply, waiting for it, into `ready`; a reply
+        that does not load, as from a child that died, is dropped."""
+        _, up, bits = child
         try:
-            if not wait and not select.select([self.up], [], [], 0)[0]:
-                return
-            reply = pickle.load(self.up)
+            reply = pickle.load(up)
         except (OSError, EOFError, MemoryError, pickle.UnpicklingError):
-            self.stop()
             return
         if reply is not None:
             reply = ArmFit(PhiParams(reply[0], self.fit_data.inputs.shape[1]), reply[1])
-        self.ready[self.pending] = reply
-        self.pending = None
+        self.ready[bits] = reply
 
-    def stop(self) -> None:
-        """Kill and reap the worker; a fit in flight is dropped."""
-        if self.pid is None:
-            return
-        pid, self.pid, self.pending = self.pid, None, None
-        try:
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):
-            pass  # already reaped: this process ignores SIGCHLD
-        self.up.close()
-        try:
-            self.down.close()
-        except OSError:
-            pass  # a hand-off that the dead worker never read
+
+def _reap(child) -> None:
+    """Close the child's pipe, then kill and reap it."""
+    pid, up, _ = child
+    up.close()
+    try:
+        os.kill(pid, _SIGKILL)
+        os.waitpid(pid, 0)
+    except (ProcessLookupError, ChildProcessError):
+        pass  # already reaped: this process ignores SIGCHLD
 
 
 def _predicted_arm(post: BanditPosterior, bits, bonus: float, z, A) -> int | None:
@@ -429,12 +402,13 @@ def run_discovery(
     any arm is trained.  A fit is deterministic (the same seed on the
     same rows), so an arm is trained on its first pull and a re-pull reuses
     that fit, with the same weights, loss and reward, or its failure.  For
-    the same reason a pull that trains an arm can first hand the arm
-    predicted for the next pull to a worker, which trains it on another
-    CPU; a later pull of that arm takes the worker's fit.  `_ArmFits` owns
-    the fits, the worker and the rows and settings the fits use, and the
-    result keeps it, so evaluate_top_arms fits other arms the same way.
-    Only pulled arms enter `fits`.
+    the same reason a pull that trains an arm can first fork a child that
+    trains the arm predicted for the next pull on another CPU; the pull
+    reads the child's fit and reaps it before it returns, and a later pull
+    of that arm takes the fit.  `_ArmFits` owns the fits, the children and
+    the rows and settings the fits use, and the result keeps it, so
+    evaluate_top_arms fits other arms the same way.  Only pulled arms enter
+    `fits`.
     """
     if cfg.T < 1:
         raise ValueError("need T >= 1")
@@ -450,30 +424,25 @@ def run_discovery(
     records = []
     n_coords = dataset.inputs.shape[1]
     fits = _ArmFits(arms, fit_data, held_data, cfg.train_cfg)
-    try:
-        z = rng.standard_normal(post.d)
-        for t in range(1, cfg.T + 1):
-            arm = arms[argmax_arm(posterior_sample(post, z), A)]
-            bits = arm.bits
-            # Bonus for larger index sets.  It depends on |I| alone, so it
-            # favours larger supports but does not rank a group above its
-            # subgroups on the same support.
-            bonus = cfg.size_bonus * len(arm.descriptor.index_set) / n_coords
-            # The next pull's normals, drawn now for the prediction: the
-            # generator's stream is the same.
-            z = rng.standard_normal(post.d) if t < cfg.T else None
-            fit = fits.get(
-                arm, lambda: None if z is None else _predicted_arm(post, bits, bonus, z, A)
-            )
-            if fit is None:
-                loss, gamma = float("inf"), -1.0
-            else:
-                loss = fit.loss
-                gamma = float(np.clip((ref_loss - loss) / ref_loss, -1.0, 1.0)) + bonus
-            records.append(PullRecord(t, arm, gamma, loss))
-            post = posterior_update(post, bits, gamma)
-    finally:
-        fits.stop()
+    z = rng.standard_normal(post.d)
+    for t in range(1, cfg.T + 1):
+        arm = arms[argmax_arm(posterior_sample(post, z), A)]
+        bits = arm.bits
+        # Bonus for larger index sets.  It depends on |I| alone, so it
+        # favours larger supports but does not rank a group above its
+        # subgroups on the same support.
+        bonus = cfg.size_bonus * len(arm.descriptor.index_set) / n_coords
+        # The next pull's normals, drawn now for the prediction: the
+        # generator's stream is the same.
+        z = rng.standard_normal(post.d) if t < cfg.T else None
+        fit = fits.get(arm, lambda: None if z is None else _predicted_arm(post, bits, bonus, z, A))
+        if fit is None:
+            loss, gamma = float("inf"), -1.0
+        else:
+            loss = fit.loss
+            gamma = float(np.clip((ref_loss - loss) / ref_loss, -1.0, 1.0)) + bonus
+        records.append(PullRecord(t, arm, gamma, loss))
+        post = posterior_update(post, bits, gamma)
     ranking = [arms[i] for i in rank_arms(post.mu_hat, A)]
     return DiscoveryResult(ranking, records, post, fits)
 
@@ -481,7 +450,7 @@ def run_discovery(
 def evaluate_top_arms(result: DiscoveryResult, dataset: Dataset, top: int = 3):
     """[(arm, MAE on dataset)] for the leading ranked arms, in one fit regime:
     a pulled arm's fit, or failure, from the run, else a fit on the same rows
-    and settings, which the run's worker may have made already.  None when
+    and settings, which a child of the run may have made already.  None when
     the fit fails or the evaluation raises NumericError."""
     out = []
     for arm in result.ranking[:top]:

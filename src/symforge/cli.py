@@ -328,7 +328,7 @@ def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
             screened_coordinates=list(kept),
             arm_count=len(arms),
             T=dcfg.T,
-            fits=dict(result.arm_fits.counts),  # timing decides these, so no CSV has them
+            fits=dict(result.arm_fits.counts),  # the host decides these, so no CSV has them
         )
 
     report["timing_seconds"] = round(time.perf_counter() - t_start, 3)

@@ -5,7 +5,6 @@ import threading
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,17 +37,17 @@ from symforge.selection import ArmFeature, arm_matrix, arm_scores, enumerate_arm
 FAST = TrainConfig(epochs=20, batch_size=16, seed=0)
 
 
-# run_discovery forks its worker only where os.fork exists and no other
+# run_discovery forks its children only where os.fork exists and no other
 # Python thread runs.
-needs_worker = pytest.mark.skipif(
-    not hasattr(os, "fork") or threading.active_count() > 1, reason="no worker here"
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork") or threading.active_count() > 1, reason="no fork here"
 )
 
 
 @pytest.fixture
 def serial(monkeypatch):
     """Fit every arm in this process.  A test that counts the calls of a
-    patched function sees only this process's calls, not the worker's."""
+    patched function sees only this process's calls, not the children's."""
     monkeypatch.setattr(bandit, "_cpu_count", lambda: 1)
 
 
@@ -451,21 +450,21 @@ def _assert_same_run(got, want):
         assert fit.params.theta.tobytes() == want.fits[bits].params.theta.tobytes()
 
 
-@needs_worker
+@needs_fork
 @pytest.mark.parametrize("task", ["Z_I(5)", "S_I(4)"])
 def test_speculative_fits_are_invisible(task, monkeypatch):
-    # The worker fits the arm the posterior predicts for the next pull.  A
-    # run that takes some of its fits from the worker gives the records,
-    # ranking, posterior and fits of a run that makes every fit itself.
+    # A child fits the arm the posterior predicts for the next pull.  A run
+    # that takes some of its fits from children gives the records, ranking,
+    # posterior and fits of a run that makes every fit itself.
     serial, serial_calls = _builtin_run(task, monkeypatch, cpus=1)
     spec, spec_calls = _builtin_run(task, monkeypatch, cpus=2)
     _assert_same_run(spec, serial)
     assert serial_calls == len(serial.fits)
-    assert spec_calls < len(spec.fits)  # the worker's fits were taken
+    assert spec_calls < len(spec.fits)  # the children's fits were taken
 
 
 def _recording_fork(monkeypatch):
-    """Patch os.fork to record the worker pids it returns to this process."""
+    """Patch os.fork to record the child pids it returns to this process."""
     pids = []
     real_fork = os.fork
 
@@ -485,47 +484,53 @@ def _assert_reaped(pid):
         os.kill(pid, 0)
 
 
-@needs_worker
+@needs_fork
 def test_no_worker_outlives_its_run(monkeypatch):
     pids = _recording_fork(monkeypatch)
     cfg = DiscoveryConfig(T=8, train_cfg=FAST, seed=0)
     run_discovery(enumerate_arms(4), _toy_dataset(), cfg)
-    assert len(pids) == 1
-    _assert_reaped(pids[0])
-    # Interrupted mid-loop, with the worker started: posterior_update runs
-    # once per pull, and once per prediction handed to the worker.
-    updates = []
-    real_update = bandit.posterior_update
+    first = len(pids)
+    assert first >= 2
+    for pid in pids:
+        _assert_reaped(pid)
+    # Interrupted in this process's fit of the pull that forks the run's
+    # second child, so that child is in flight.
+    parent = os.getpid()
+    real_fit_arm = bandit._fit_arm
 
-    def interrupted_update(*args):
-        updates.append(None)
-        if len(updates) == 4:
+    def interrupted_fit_arm(*args):
+        if os.getpid() == parent and len(pids) == first + 2:
+            os.kill(pids[-1], 0)  # forked and not yet reaped
             raise KeyboardInterrupt
-        return real_update(*args)
+        return real_fit_arm(*args)
 
-    monkeypatch.setattr(bandit, "posterior_update", interrupted_update)
+    monkeypatch.setattr(bandit, "_fit_arm", interrupted_fit_arm)
     with pytest.raises(KeyboardInterrupt):
         run_discovery(enumerate_arms(4), _toy_dataset(), cfg)
-    assert len(pids) == 2
-    _assert_reaped(pids[1])
+    assert len(pids) == first + 2
+    for pid in pids[first:]:
+        _assert_reaped(pid)
 
 
-@needs_worker
-@pytest.mark.parametrize("fault", ["fork fails", "worker dies", "a thread runs"])
+@needs_fork
+@pytest.mark.parametrize("fault", ["fork fails", "child dies", "a thread runs"])
 def test_a_worker_fault_fits_in_process(fault, monkeypatch, capfd):
-    # Without a worker, or with one that dies before its first reply, every
-    # arm is fit in this process, and the run is the same and silent.
+    # Without children, or with children that die before they reply, every
+    # arm is fit in this process, and the run is the same and silent.  A
+    # failed fork stops forking for the run.
     cfg = DiscoveryConfig(T=8, train_cfg=FAST, seed=0)
     with monkeypatch.context() as m:
         m.setattr(bandit, "_cpu_count", lambda: 1)
         serial = run_discovery(enumerate_arms(4), _toy_dataset(), cfg)
     pids = _recording_fork(monkeypatch)
-    real_fork = os.fork
+    recording_fork = os.fork
+    tries = []
 
     def fork():
+        tries.append(None)
         if fault == "fork fails":
             raise OSError("no more processes")
-        pid = real_fork()
+        pid = recording_fork()
         if pid:
             os.kill(pid, bandit._SIGKILL)
         return pid
@@ -544,7 +549,8 @@ def test_a_worker_fault_fits_in_process(fault, monkeypatch, capfd):
             thread.join(timeout=10)
     _assert_same_run(result, serial)
     assert capfd.readouterr() == ("", "")
-    assert len(pids) == (fault == "worker dies")
+    assert len(tries) == {"fork fails": 1, "child dies": len(pids), "a thread runs": 0}[fault]
+    assert bool(pids) == (fault == "child dies")
     for pid in pids:
         _assert_reaped(pid)
 
@@ -560,18 +566,20 @@ def test_fit_counts_add_up_without_a_worker(monkeypatch):
     assert result.arm_fits.counts == want
 
 
-@needs_worker
+@needs_fork
 def test_fit_counts_add_up_with_a_worker(monkeypatch):
     # Each fit the serial run makes is made once either way: in this
-    # process, or by the worker and taken.
-    counts = []
+    # process, or by a child and taken.  With no fault, every child's fit
+    # is taken or still ready.
+    owners = []
     for cpus in (1, 2):
         result, _ = _builtin_run("D_I(5)", monkeypatch, cpus)
         evaluate_top_arms(result, result.arm_fits.held_data, top=3)
-        counts.append(result.arm_fits.counts)
-    serial, spec = counts
+        owners.append(result.arm_fits)
+    serial, spec = (owner.counts for owner in owners)
     assert spec["in_process"] + spec["taken"] == serial["in_process"]
     assert spec["taken"] <= spec["handed"]
+    assert spec["handed"] == spec["taken"] + len(owners[1].ready)
 
 
 def _assert_same_fit(got, want):
@@ -583,22 +591,14 @@ def _assert_same_fit(got, want):
 
 @pytest.fixture
 def toy_fits(monkeypatch):
-    """Make fit owners, each with its worker, on six toy arms; each is
-    stopped, and its worker reaped, at teardown."""
-    monkeypatch.setattr(bandit, "_cpu_count", lambda: 2)
-    arms = enumerate_arms(3)
-    rows = _holdout_split(_toy_dataset(3), 0.25)
-    made = []
-
-    def make():
-        fits = bandit._ArmFits(arms, *rows, FAST)
-        assert fits.pid is not None
-        made.append((fits, fits.pid))
-        return fits
-
-    yield make
-    for fits, pid in made:
-        fits.stop()
+    """A fit owner on six toy arms that forks its children; at teardown,
+    each child it forked is reaped."""
+    pids = _recording_fork(monkeypatch)
+    fits = bandit._ArmFits(enumerate_arms(3), *_holdout_split(_toy_dataset(3), 0.25), FAST)
+    assert fits.forks
+    yield fits
+    assert len(pids) == fits.counts["handed"]
+    for pid in pids:
         _assert_reaped(pid)
 
 
@@ -607,97 +607,37 @@ def _fresh(fits, i):
     return bandit._fit_arm(fits.arms[i], fits.fit_data, fits.held_data, FAST)
 
 
-@needs_worker
-def test_a_lookup_waits_for_the_fit_in_flight(toy_fits):
-    fits = toy_fits()
-    fits._hand(2, None)
-    assert fits.pending == fits.arms[2].bits
-    _assert_same_fit(fits.get(fits.arms[2]), _fresh(fits, 2))
-    assert fits.counts == dict(in_process=0, handed=1, taken=1)
-
-
-@needs_worker
+@needs_fork
 def test_a_collected_fit_is_taken_after_other_fits(toy_fits):
-    # A pull hands arm 3 to the worker and fits arm 0 itself; the worker's
-    # fit is collected, another pull fits arm 1 without handing arm 3 over
-    # again, and a pull of arm 3 takes the collected fit.
-    fits = toy_fits()
+    # A pull of arm 0 forks a child that fits arm 3 and returns with that
+    # fit ready; a pull of arm 1 forks no child for arm 3 again, and a pull
+    # of arm 3 takes the ready fit.
+    fits = toy_fits
     _assert_same_fit(fits.get(fits.arms[0], lambda: 3), _fresh(fits, 0))
-    fits._collect(wait=True)
-    assert set(fits.ready) == {fits.arms[3].bits} and fits.pending is None
+    assert set(fits.ready) == {fits.arms[3].bits}
     _assert_same_fit(fits.get(fits.arms[1], lambda: 3), _fresh(fits, 1))
     _assert_same_fit(fits.get(fits.arms[3], lambda: None), _fresh(fits, 3))
     assert fits.counts == dict(in_process=2, handed=1, taken=1)
     assert fits.ready == {} and set(fits.pulled) == {fits.arms[i].bits for i in (0, 1, 3)}
 
 
-@needs_worker
-def test_a_pull_fits_in_process_while_the_worker_is_busy(monkeypatch, toy_fits):
-    # The worker's fit of arm 2 waits for a byte on a pipe, so the worker
-    # stays busy: a pull of arm 0 meanwhile fits in this process and hands
-    # nothing over.  Once let through, the worker's fit of arm 2 is taken.
-    gate_r, gate_w = os.pipe()
-    real_fit_arm = bandit._fit_arm
-    gated_arm = enumerate_arms(3)[2]
-
-    def gated(arm, *rows):
-        if arm == gated_arm:
-            os.read(gate_r, 1)
-        return real_fit_arm(arm, *rows)
-
-    monkeypatch.setattr(bandit, "_fit_arm", gated)
-    fits = toy_fits()
-    try:
-        fits._hand(2, None)
-        _assert_same_fit(fits.get(fits.arms[0], lambda: 3), _fresh(fits, 0))
-        assert fits.pending == gated_arm.bits
-        assert fits.counts == dict(in_process=1, handed=1, taken=0)
-        os.write(gate_w, b"x")
-        want = real_fit_arm(gated_arm, fits.fit_data, fits.held_data, FAST)
-        _assert_same_fit(fits.get(fits.arms[2]), want)
-        assert fits.counts == dict(in_process=1, handed=1, taken=1)
-    finally:
-        os.close(gate_r)
-        os.close(gate_w)
-
-
-@needs_worker
+@needs_fork
 def test_a_failed_worker_fit_arrives_as_none(monkeypatch, toy_fits):
-    # Patched before the fork, so the worker fails arm 4's fit too.
+    # The child's fit of arm 4 fails, so it replies None, and a pull of
+    # arm 4 takes that failure.
+    fits = toy_fits
     real_fit_arm = bandit._fit_arm
-    bad = enumerate_arms(3)[4]
+    bad = fits.arms[4]
     failing = lambda arm, *rows: None if arm == bad else real_fit_arm(arm, *rows)
     monkeypatch.setattr(bandit, "_fit_arm", failing)
-    fits = toy_fits()
-    fits._hand(4, None)
+    _assert_same_fit(fits.get(fits.arms[0], lambda: 4), _fresh(fits, 0))
+    assert fits.ready == {bad.bits: None}
     assert _fresh(fits, 4) is None
-    assert fits.get(fits.arms[4]) is None
-    assert fits.counts == dict(in_process=0, handed=1, taken=1)
+    assert fits.get(bad, lambda: None) is None
+    assert fits.counts == dict(in_process=1, handed=1, taken=1)
 
 
-@needs_worker
-@pytest.mark.parametrize("in_flight", [False, True], ids=["idle", "in flight"])
-def test_a_worker_killed_after_one_reply(in_flight, toy_fits, capfd):
-    # The worker dies after its first reply, idle or with an arm in flight.
-    # Its death stops it, and every later fit is made in this process.
-    fits = toy_fits()
-    fits._hand(1, None)
-    _assert_same_fit(fits.get(fits.arms[1]), _fresh(fits, 1))
-    if in_flight:
-        fits._hand(5, None)
-    pid = fits.pid
-    os.kill(pid, bandit._SIGKILL)
-    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
-    for i in (5, 0, 2):  # the arm handed, if any, then pulls that predict arm 3
-        _assert_same_fit(fits.get(fits.arms[i], lambda: 3), _fresh(fits, i))
-        assert fits.pid is None
-    _assert_reaped(pid)
-    assert fits.counts == dict(in_process=3, handed=1 + in_flight, taken=1)
-    assert capfd.readouterr() == ("", "")
-
-
-# A toy run in which the worker is handed 7 arms and 3 of them are not the
-# next pull.
+# A toy run that forks 7 children and pulls the arms of only 4 of them.
 _DRAWN_RUN = DiscoveryConfig(T=16, train_cfg=FAST, seed=0)
 
 
@@ -708,50 +648,39 @@ def _serial_toy_run():
         return run_discovery(enumerate_arms(5), _toy_dataset(5), _DRAWN_RUN)
 
 
-@needs_worker
+@needs_fork
 @settings(max_examples=40, deadline=None)
-@given(
-    hidden=st.lists(st.booleans(), max_size=_DRAWN_RUN.T), replies=st.none() | st.integers(1, 6)
-)
-def test_whole_runs_match_the_serial_run_under_drawn_worker_schedules(hidden, replies):
-    # `hidden` decides, at each collect that does not wait, whether the fit
-    # in flight reads as still in flight, whether or not it has arrived.
-    # Otherwise the collect loads it, waiting for it if need be, so no
-    # collect reads the worker idle while a fit is in flight.  Past the
-    # list's end nothing is hidden.  The worker exits after `replies`
-    # replies, or never when None.  Each run must equal the serial run.
+@given(dies=st.lists(st.booleans(), max_size=_DRAWN_RUN.T))
+def test_whole_runs_match_the_serial_run_under_drawn_worker_schedules(dies):
+    # `dies` decides, per fork, whether the child exits before it replies;
+    # past the list's end every child replies.  Each run must equal the
+    # serial run, lose only the fits of the children that died, and reap
+    # every child.
     want = _serial_toy_run()
-    draws = iter(hidden)
-    real_serve = bandit._serve
-
-    class DyingPipe:
-        def __init__(self, up):
-            self.up, self.sent = up, 0
-
-        def write(self, data):
-            return self.up.write(data)
-
-        def flush(self):
-            self.up.flush()
-            self.sent += 1
-            if self.sent == replies:
-                os._exit(0)
-
-    def serve(arms, fit_data, held_data, train_cfg, down, up):
-        real_serve(arms, fit_data, held_data, train_cfg, down, DyingPipe(up))
-
-    def drawn_select(readers, writers, errors, timeout):
-        return ([] if next(draws, False) else readers), [], []
+    draws = iter(dies)
+    died = []
 
     with pytest.MonkeyPatch.context() as m:
         pids = _recording_fork(m)
-        m.setattr(bandit, "_serve", serve)
-        m.setattr(bandit, "select", SimpleNamespace(select=drawn_select))
+        recording_fork = os.fork
+
+        def fork():
+            dying = next(draws, False)
+            pid = recording_fork()
+            if dying:
+                if not pid:
+                    os._exit(0)
+                died.append(pid)
+            return pid
+
+        m.setattr(os, "fork", fork)
         got = run_discovery(enumerate_arms(5), _toy_dataset(5), _DRAWN_RUN)
     _assert_same_run(got, want)
-    assert got.arm_fits.counts["in_process"] + got.arm_fits.counts["taken"] == len(got.fits)
-    assert len(pids) == 1
-    _assert_reaped(pids[0])
+    counts = got.arm_fits.counts
+    assert counts["in_process"] + counts["taken"] == len(got.fits)
+    assert counts["handed"] == len(pids) == counts["taken"] + len(got.arm_fits.ready) + len(died)
+    for pid in pids:
+        _assert_reaped(pid)
 
 
 @pytest.mark.parametrize("row", [3, 35])  # in the fit part, in the held-out part

@@ -580,9 +580,9 @@ def test_discover_without_a_val_split_reports_no_val_mae(tmp_path):
 
 
 def test_discover_reports_where_its_fits_ran(tmp_path, monkeypatch):
-    # report.yaml counts the fits made in this process, the arms handed to
-    # the worker and the worker's fits taken.  Without a worker, this
-    # process fits each pulled arm once, and each unpulled top-3 arm.
+    # report.yaml counts the fits made in this process, the children forked
+    # and their fits taken.  Without children, this process fits each
+    # pulled arm once, and each unpulled top-3 arm.
     monkeypatch.setattr(bandit, "_cpu_count", lambda: 1)
     out, report = run_discover(load_config(_tiny_config(tmp_path, "bandit", {})))
     pulled = {row.split(",")[1] for row in (out / "pulls.csv").read_text().splitlines()[1:]}
@@ -843,7 +843,7 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_process_pool():
-    # discover's worker is one os.fork with two pipes; multiprocessing or
+    # discover's children are each one os.fork with a pipe; multiprocessing or
     # concurrent.futures would add import time and memory to every command.
     code = (
         "import sys, symforge.cli; "
