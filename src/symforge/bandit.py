@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, TrainingDivergedError
+from .errors import DimensionError, NumericError
 from .net import (
     SQUARED,
     Dataset,
@@ -115,11 +115,11 @@ def _reference_fit(
     (floored at 1e-12).  `references`, when given, maps the
     rows and settings of earlier fits to their predictors: a fit is
     deterministic, so one on the same rows with the same settings is
-    reused, and a new one is added.  A diverged fit raises
-    TrainingDivergedError.  A fit whose loss on its own rows is not below
-    that of their mean, or whose held-out loss is non-finite, raises
-    NumericError: a reference that diverged to a huge finite loss would
-    otherwise centre every reward."""
+    reused, and a new one is added.  A fit that diverges raises NumericError
+    from its step, and so does a fit whose loss on its own rows is not below
+    that of their mean, or whose held-out loss is non-finite: a reference
+    that diverged to a huge finite loss would otherwise centre every
+    reward."""
     references = {} if references is None else references
     key = (fit.inputs.shape, fit.inputs.tobytes(), fit.targets.tobytes(), astuple(train_cfg))
     if key not in references:
@@ -206,11 +206,12 @@ class ArmFit(NamedTuple):
 
 def _fit_arm(arm, fit_data: Dataset, held_data: Dataset, train_cfg: TrainConfig) -> ArmFit | None:
     """phi trained for the arm on fit_data, in train_cfg's loss, and its
-    MSE on held_data; None when the fit fails."""
+    MSE on held_data; None when the fit fails: its training loss, its
+    final loss or its held-out MSE raises NumericError."""
     try:
         params, _ = train_sgd(fit_data, arm.descriptor, train_cfg)
         loss = mean_loss(params, arm.descriptor, held_data, SQUARED)
-    except (NumericError, TrainingDivergedError):
+    except NumericError:
         return None
     return ArmFit(params, loss)
 

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+A fit whose training loss becomes non-finite raises NumericError, as every
+other non-finite computation does; no error type is particular to training."""
 
 
 class SymforgeError(Exception):
@@ -22,15 +25,8 @@ class NotInImageError(SymforgeError):
 
 
 class NumericError(SymforgeError):
-    """Non-finite values encountered during a numeric computation."""
-
-
-class TrainingDivergedError(SymforgeError):
-    """SGD produced a non-finite loss; carries the last finite loss seen."""
-
-    def __init__(self, message, last_loss):
-        super().__init__(message)
-        self.last_loss = last_loss
+    """Non-finite values encountered during a numeric computation, among
+    them a training loss that became non-finite: a fit that diverged."""
 
 
 class GenerationError(SymforgeError):

@@ -32,12 +32,12 @@ handed the memory back and faulted it in again at every step until the
 process first freed a larger block, and the first SGD-only discovery in a
 process ran 1.4-1.9x as long as the next (measured before the buffers were
 added, on Z_I(5) at the CLI defaults on a 2-vCPU Xeon: about 700,000 page
-faults against 2,000).  Each training loop
-allocates the buffers for its batch sizes and drops them when it returns.
-Every forward-only pass (`forward_batch`, the reference MLP's predictor and
-the ablation's `forward_relaxed`) runs through `_predict`, in blocks of
-`_EVAL_ROWS` rows that each allocate their own buffers, so an evaluation's
-memory is bounded by the block, not by the split.
+faults against 2,000).  `_sgd`, the one training loop, allocates the
+buffers per fit, one set per batch size, and drops them when the fit
+returns.  Every forward-only pass (`forward_batch`, the reference MLP's
+predictor and the ablation's `forward_relaxed`) runs through `_predict`, in
+blocks of `_EVAL_ROWS` rows that each allocate their own buffers, so an
+evaluation's memory is bounded by the block, not by the split.
 
 Everything is float64 numpy; gradients are hand-derived reverse mode and
 checked against central finite differences in the test suite.
@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError, TrainingDivergedError
+from .errors import NumericError
 from .groups import GroupDescriptor
 from .selection import complement_mask, selected_pairs
 
@@ -124,7 +124,7 @@ class PhiParams:
     moves every layer.  Each layer is one contiguous (d_in + 1, d_out)
     block, W over the bias row b, which the forward and backward passes
     multiply whole.  The activation buffers are not part of the
-    parameters: the training loop that owns a fit allocates them.
+    parameters: `_sgd` allocates them per fit.
     """
 
     theta: np.ndarray
@@ -162,7 +162,7 @@ def _init_mlp(layers, rng):
         Wb[-1] = rng.uniform(-bound, bound, size=Wb.shape[1])
 
 
-def init_params(n: int, seed: int = 0) -> PhiParams:
+def init_params(n: int, seed: int) -> PhiParams:
     rng = np.random.default_rng(seed)
     size = _mlp_size((2, H_WIDTH, H_WIDTH, P_WIDTH)) + _mlp_size((P_WIDTH + n, H_WIDTH, H_WIDTH, 1))
     params = PhiParams(np.empty(size), n)
@@ -181,8 +181,8 @@ def _with_ones(A) -> np.ndarray:
 
 class _Buffers(NamedTuple):
     """The arrays an MLP pass over `rows` rows writes into (see
-    `_mlp_buffers`), so that a training loop's steps allocate none the
-    size of the batch's rows."""
+    `_mlp_buffers`), so that `_sgd`'s steps allocate none the size of the
+    batch's rows."""
 
     hidden: list  # (rows, d + 1) per hidden layer of width d, last column 1
     act: list  # hidden[i][:, :-1], the layer's tanh output
@@ -363,7 +363,7 @@ def _mlp_loss_and_grad(layers, A, y, loss_kind, grads, input_cols, buffers):
     resid = out[:, 0] - y
     loss = _residual_loss(resid, loss_kind)
     if not np.isfinite(loss):
-        raise NumericError("non-finite loss")
+        raise NumericError("loss became non-finite")
     dpred = _residual_grad(resid, loss_kind)
     return loss, _mlp_backward(layers, A, dpred[:, None], grads, input_cols, buffers)
 
@@ -376,8 +376,8 @@ def loss_and_grad(
 
     X is the (m, n) batch or its `_PairLayout` for the arm.  The gradient is
     written into `out`, a PhiParams shaped like params, when one is given.
-    `buffers` are `_phi_buffers` for the batch's shape, which a training
-    loop keeps across its steps; without them the pass allocates its own.
+    `buffers` are `_phi_buffers` for the batch's shape, which `_sgd` keeps
+    across a fit's steps; without them the pass allocates its own.
     """
     if not isinstance(X, _PairLayout):
         X = _pair_layout(descriptor, np.asarray(X, dtype=float))
@@ -395,55 +395,57 @@ def mean_loss(params: PhiParams, descriptor: GroupDescriptor, dataset: Dataset, 
     return _residual_loss(pred - dataset.targets, loss_kind)
 
 
-def _sgd(theta, grad_fn, cfg: TrainConfig, m: int, rng) -> None:
-    """The one minibatch SGD loop: updates theta in place.
+def _sgd(theta, grad, step, buffers, final, cfg: TrainConfig, m: int, rng):
+    """The one minibatch SGD loop, which owns a fit from its first batch to
+    its final loss: updates theta in place and returns final().
 
     Each epoch shuffles the m rows with rng and walks them in batches of
     cfg.batch_size at learning rate lr_initial * lr_decay**epoch.
-    grad_fn(rows) returns (loss, gradient vector shaped like theta); a
-    NumericError from it becomes TrainingDivergedError carrying the last
-    finite loss.  numpy's overflow warnings on the way there are silenced:
-    that error is the one report.
+    step(rows, batch_buffers) writes the batch's gradient into grad, a
+    vector shaped like theta; batch_buffers are buffers(len(rows)), made
+    once per batch size, and they live for this fit alone.  final() gives
+    the trainer's result, with its final loss, after the last step.  A step
+    whose loss is non-finite raises NumericError.  numpy's overflow
+    warnings are silenced in the steps and in final(): the error raised, if
+    any, is the one report.
     """
-    last_loss = None
+    sized = cache(buffers)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             lr = cfg.lr_initial * cfg.lr_decay**epoch
             perm = rng.permutation(m)
             for start in range(0, m, cfg.batch_size):
-                try:
-                    loss, grad = grad_fn(perm[start : start + cfg.batch_size])
-                except NumericError:
-                    raise TrainingDivergedError("loss became non-finite", last_loss)
-                last_loss = loss
+                rows = perm[start : start + cfg.batch_size]
+                step(rows, sized(len(rows)))
                 theta -= lr * grad
+        return final()
 
 
 def train_sgd(dataset: Dataset, descriptor: GroupDescriptor, cfg: TrainConfig):
-    """Minibatch SGD with per-epoch decayed learning rate.
+    """Minibatch SGD with per-epoch decayed learning rate, in `_sgd`.
 
     Deterministic given the seed: the parameter init and the shuffles come
-    from two streams seeded with it.  The activation buffers live for this
-    fit alone, one set per batch size.  Returns (params, final mean
-    training loss).
+    from two streams seeded with it.  Returns (params, final mean training
+    loss); a non-finite training loss raises NumericError.
     """
     rng = np.random.default_rng(cfg.seed)
     params = init_params(dataset.inputs.shape[1], seed=cfg.seed)
     grads = PhiParams(np.empty_like(params.theta), params.n)
     layout = _pair_layout(descriptor, dataset.inputs)
     y = dataset.targets
-    buffers = cache(lambda rows: _phi_buffers(params, rows, layout.P.shape[1]))
 
-    def grad_fn(rows):
-        loss, _ = loss_and_grad(
+    def step(rows, buffers):
+        loss_and_grad(
             params, descriptor, layout.take(rows), y[rows], cfg.loss_kind, out=grads,
-            buffers=buffers(len(rows)),
+            buffers=buffers,
         )
-        return loss, grads.theta
 
-    _sgd(params.theta, grad_fn, cfg, len(dataset), rng)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _sgd
-        return params, mean_loss(params, descriptor, dataset, cfg.loss_kind)
+    return _sgd(
+        params.theta, grads.theta, step,
+        lambda rows: _phi_buffers(params, rows, layout.P.shape[1]),
+        lambda: (params, mean_loss(params, descriptor, dataset, cfg.loss_kind)),
+        cfg, len(dataset), rng,
+    )
 
 
 def gradient_check(params: PhiParams, descriptor: GroupDescriptor, X, y) -> float:
@@ -475,10 +477,10 @@ def gradient_check(params: PhiParams, descriptor: GroupDescriptor, X, y) -> floa
 
 def train_reference_mlp(dataset: Dataset, cfg: TrainConfig):
     """Plain MLP on the raw input, no invariance imposed: the symmetry-free
-    reference fit, with hidden layers H_WIDTH wide.  Returns (layers,
-    predict), each layer its weight block, with the same budget as cfg.
-    The init and the shuffles come from one seeded stream.  A non-finite
-    training loss raises TrainingDivergedError."""
+    reference fit, with hidden layers H_WIDTH wide, trained in `_sgd` with
+    the same budget as cfg.  Returns (layers, predict), each layer its
+    weight block.  The init and the shuffles come from one seeded stream.
+    A non-finite training loss raises NumericError."""
     rng = np.random.default_rng(cfg.seed)
     dims = (dataset.inputs.shape[1], H_WIDTH, H_WIDTH, 1)
     theta, grad = np.empty(_mlp_size(dims)), np.empty(_mlp_size(dims))
@@ -486,20 +488,17 @@ def train_reference_mlp(dataset: Dataset, cfg: TrainConfig):
     grad_layers, _ = _mlp_views(grad, dims)
     _init_mlp(layers, rng)
     X, y = _with_ones(dataset.inputs), dataset.targets
-    buffers = cache(lambda rows: _mlp_buffers(layers, rows))
 
-    def grad_fn(rows):
-        loss, _ = _mlp_loss_and_grad(
-            layers, X[rows], y[rows], cfg.loss_kind, grad_layers, 0, buffers(len(rows))
-        )
-        return loss, grad
-
-    _sgd(theta, grad_fn, cfg, len(dataset), rng)
+    def step(rows, buffers):
+        _mlp_loss_and_grad(layers, X[rows], y[rows], cfg.loss_kind, grad_layers, 0, buffers)
 
     def forward_rows(block):
         return _mlp_forward(layers, _with_ones(block), _mlp_buffers(layers, len(block)))[:, 0]
 
-    return layers, lambda X: _predict(forward_rows, X)
+    return _sgd(
+        theta, grad, step, lambda rows: _mlp_buffers(layers, rows),
+        lambda: (layers, lambda X: _predict(forward_rows, X)), cfg, len(dataset), rng,
+    )
 
 
 def evaluate(params: PhiParams, descriptor: GroupDescriptor, dataset: Dataset):

@@ -243,8 +243,8 @@ def nonrealizability_counts(k: int):
     return report
 
 
-def verify_product_group(components, trials=20) -> VerificationReport:
-    """Steps 1-3 of the lift verification, on samples drawn from a
+def verify_product_group(components, trials) -> VerificationReport:
+    """Steps 1-3 of the lift verification, on `trials` samples drawn from a
     generator seeded with 0, for the concatenated lift of the product of
     `components`: at least one single-kind factor, all in one n, on
     disjoint index sets of at most SYMMETRIC_K_GUARD coordinates in all,

@@ -10,9 +10,9 @@ and head networks.  The pipeline is
 This module holds the dense front (Z, Q) and its backward into M1 and M2;
 phi's pass is `net`'s, with the rows of Z pooled in their own order.  The
 front is written into buffers that end in the ones column phi's bias rows
-multiply; `train_relaxed` keeps one set per batch size for the fit, and
-`forward_relaxed` runs through `net._predict`, whose blocks of rows each
-allocate their own.
+multiply; in `train_relaxed`, `net._sgd` keeps them for the fit, one set
+per batch size, and `forward_relaxed` runs through `net._predict`, whose
+blocks of rows each allocate their own.
 
 Neither learned matrix reads as an arm.  At the CLI defaults (seed 1) on
 the five builtin tasks, as measured at commit d45e48a with numpy 2.4.6 and
@@ -27,7 +27,6 @@ S_I(4) and Z_I(5) runs to these figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -66,7 +65,7 @@ class RelaxedParams:
         self.phi = PhiParams(self.theta[n2 + n2 * n2 :], self.n)
 
 
-def init_relaxed(n: int, seed: int = 0) -> RelaxedParams:
+def init_relaxed(n: int, seed: int) -> RelaxedParams:
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(n)
     m1 = np.eye(n) + rng.uniform(-bound, bound, size=(n, n))
@@ -118,7 +117,7 @@ def loss_and_grad_relaxed(
 
     The gradients are written into `out`, a RelaxedParams shaped like
     params, when one is given.  `buffers` are `_buffers` for the batch's
-    shape, which a training loop keeps across its steps; without them the
+    shape, which `net._sgd` keeps across a fit's steps; without them the
     pass allocates its own."""
     X = np.asarray(X, dtype=float)
     m, n = X.shape
@@ -145,24 +144,22 @@ def loss_and_grad_relaxed(
 
 
 def train_relaxed(dataset: Dataset, cfg: TrainConfig):
-    """Joint minibatch SGD over M1, M2 and phi.  The buffers live for this
-    fit alone, one set per batch size.  Returns (params, final loss), the
-    loss `evaluate_relaxed` gives on dataset in cfg.loss_kind."""
+    """Joint minibatch SGD over M1, M2 and phi, in `net._sgd`.  Returns
+    (params, final loss), the loss `evaluate_relaxed` gives on dataset in
+    cfg.loss_kind; a non-finite training loss raises NumericError."""
     rng = np.random.default_rng(cfg.seed)
     params = init_relaxed(dataset.inputs.shape[1], seed=cfg.seed)
     grads = RelaxedParams(np.empty_like(params.theta), params.n)
     X, y = dataset.inputs, dataset.targets
-    buffers = cache(lambda rows: _buffers(params, rows))
 
-    def grad_fn(rows):
-        loss, _ = loss_and_grad_relaxed(
-            params, X[rows], y[rows], cfg.loss_kind, out=grads, buffers=buffers(len(rows))
-        )
-        return loss, grads.theta
+    def step(rows, buffers):
+        loss_and_grad_relaxed(params, X[rows], y[rows], cfg.loss_kind, out=grads, buffers=buffers)
 
-    _sgd(params.theta, grad_fn, cfg, len(dataset), rng)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in net._sgd
-        return params, evaluate_relaxed(params, dataset, cfg.loss_kind)
+    return _sgd(
+        params.theta, grads.theta, step, lambda rows: _buffers(params, rows),
+        lambda: (params, evaluate_relaxed(params, dataset, cfg.loss_kind)),
+        cfg, len(dataset), rng,
+    )
 
 
 def evaluate_relaxed(params: RelaxedParams, dataset: Dataset, metric=ABSOLUTE) -> float:

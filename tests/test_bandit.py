@@ -29,12 +29,13 @@ from symforge.bandit import (
     simulate_linear,
 )
 from symforge.cli import discovery_artifacts
-from symforge.errors import DimensionError, NumericError, SymforgeError, TrainingDivergedError
+from symforge.errors import DimensionError, NumericError, SymforgeError
 from symforge.groups import CYCLIC, SYMMETRIC, GroupDescriptor
 from symforge.net import ABSOLUTE, SQUARED, Dataset, TrainConfig, evaluate, mean_loss, train_sgd
 from symforge.selection import ArmFeature, arm_matrix, arm_scores, enumerate_arms, rank_arms
 
 FAST = TrainConfig(epochs=20, batch_size=16, seed=0)
+DIVERGED = "loss became non-finite"  # the NumericError of a diverging fit
 
 
 # run_discovery forks its children only where os.fork exists and no other
@@ -293,7 +294,7 @@ def test_discovery_refuses_a_diverging_reference_before_any_pull(monkeypatch):
     monkeypatch.setattr(bandit, "train_sgd", counting_train_sgd)
     bad = TrainConfig(epochs=30, batch_size=16, lr_initial=1e6, lr_decay=1.0)
     cfg = DiscoveryConfig(T=3, train_cfg=bad, seed=0)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match=DIVERGED):
         run_discovery(enumerate_arms(3), _toy_dataset(3), cfg)
     assert calls == []
 
@@ -359,7 +360,7 @@ def test_discovery_keeps_a_failed_fit(monkeypatch, serial):
 
     def diverging_train_sgd(*args):
         calls.append(None)
-        raise TrainingDivergedError("loss became non-finite", None)
+        raise NumericError(DIVERGED)
 
     monkeypatch.setattr(bandit, "train_sgd", diverging_train_sgd)
     result = run_discovery(enumerate_arms(3), ds, cfg)
@@ -386,16 +387,17 @@ def test_discovery_rewards_held_out_mse_whatever_the_training_loss():
 
 
 def test_discovery_floors_mid_training_divergence(monkeypatch):
-    # Step k of the arm's training fails: the error carries step k-1's loss
-    # and the pull is floored.  Each re-pull reuses the failure and is
+    # Step k of the arm's training fails: train_sgd raises that step's own
+    # error and the pull is floored.  Each re-pull reuses the failure and is
     # floored too, without training again.
     k = 5
-    losses, errors = [], []
+    losses, raised, errors = [], [], []
     real_loss_and_grad = net.loss_and_grad
 
     def failing_loss_and_grad(*args, **kwargs):
         if len(losses) == k - 1:
-            raise NumericError("non-finite loss")
+            raised.append(NumericError(DIVERGED))
+            raise raised[-1]
         loss, grads = real_loss_and_grad(*args, **kwargs)
         losses.append(loss)
         return loss, grads
@@ -403,7 +405,7 @@ def test_discovery_floors_mid_training_divergence(monkeypatch):
     def recording_train_sgd(*args, **kwargs):
         try:
             return train_sgd(*args, **kwargs)
-        except TrainingDivergedError as exc:
+        except NumericError as exc:
             errors.append(exc)
             raise
 
@@ -412,8 +414,8 @@ def test_discovery_floors_mid_training_divergence(monkeypatch):
     arm = ArmFeature(GroupDescriptor(SYMMETRIC, (0, 1), 4))
     cfg = DiscoveryConfig(T=3, train_cfg=FAST, seed=1)
     result = run_discovery([arm], _toy_dataset(), cfg)
-    assert len(errors) == 1
-    assert errors[0].last_loss == losses[k - 2]
+    assert len(errors) == 1 and errors[0] is raised[0]
+    assert len(losses) == k - 1
     assert all(rec.reward == -1.0 and np.isinf(rec.train_loss) for rec in result.records)
     assert result.fits == {arm.bits: None}
 
@@ -700,11 +702,11 @@ def test_failed_reference_fit_is_a_symforge_error(monkeypatch):
     ds = _toy_dataset(3)
     cfg = DiscoveryConfig(T=2, train_cfg=FAST)
     bad = TrainConfig(epochs=60, batch_size=16, lr_initial=2.0, lr_decay=1.0)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match=DIVERGED):
         screen_coordinates(ds, bad, repeats=2, seed=0)
     real = bandit.train_reference_mlp
     monkeypatch.setattr(bandit, "train_reference_mlp", lambda fit, _: real(fit, bad))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match=DIVERGED):
         run_discovery(enumerate_arms(3), ds, cfg)
     # With 30 epochs the reference ends at a huge but finite loss (2.8e249
     # held out), far worse than predicting the fit targets' mean.
@@ -767,7 +769,7 @@ def test_evaluate_top_arms_trains_missing(monkeypatch):
 
     # A failed fit of an unpulled arm gives None, as does a failed evaluation.
     def diverging_train_sgd(*args):
-        raise TrainingDivergedError("loss became non-finite", None)
+        raise NumericError(DIVERGED)
 
     monkeypatch.setattr(bandit, "train_sgd", diverging_train_sgd)
     maes = [mae for _, mae in evaluate_top_arms(result, ds, top=3)]

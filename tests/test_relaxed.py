@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from symforge.errors import TrainingDivergedError
+from symforge.errors import NumericError
 from symforge.net import (
     ABSOLUTE,
     SQUARED,
@@ -144,7 +144,7 @@ def test_relaxed_divergence_is_reported():
     ds = Dataset(rng.uniform(size=(16, 3)), rng.uniform(size=16))
     cfg = TrainConfig(epochs=30, batch_size=16, lr_initial=1e6, lr_decay=1.0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        TrainingDivergedError
+        NumericError, match="loss became non-finite"
     ):
         train_relaxed(ds, cfg)
 
