@@ -11,6 +11,13 @@ trial through the same two functions, so every trial of a step shares one
 batched factorization.  The simulator checks the log(T)/T
 misidentification trend for the empirical-play recommendation rule.
 
+Discovery's pulls step through `lints_loop`, one LinTS loop over a reward
+source: discovery's source fits and rewards each pulled arm, and the loop
+alone samples, plays, updates and ranks.  The posterior is a function of
+the (arm, reward) history, so a source that returns the rewards recorded
+in a run's pulls.csv replays the run's pulls and its ranking, with no
+training.
+
 Discovery fits, on a second CPU when the process may run on one, the arm
 the posterior predicts for the next pull while this process fits the
 current one: a pull forks a child for that arm, and reads its fit and
@@ -335,18 +342,6 @@ def _reap(child) -> None:
         pass  # already reaped: this process ignores SIGCHLD
 
 
-def _predicted_arm(post: BanditPosterior, bits, bonus: float, z, A) -> int | None:
-    """The row of A that the next pull plays, drawn with z, if this pull of
-    `bits` is rewarded the posterior's own estimate bits . mu_hat, clipped
-    to the rewards a pull with this size bonus can get; None when that
-    raises NumericError."""
-    gamma = float(np.clip(np.dot(bits, post.mu_hat), bonus - 1.0, bonus + 1.0))
-    try:
-        return argmax_arm(posterior_sample(posterior_update(post, bits, gamma), z), A)
-    except NumericError:
-        return None
-
-
 @dataclass
 class DiscoveryConfig:
     T: int
@@ -376,11 +371,51 @@ class DiscoveryResult:
         return self.arm_fits.pulled
 
 
+def lints_loop(arms, cfg: DiscoveryConfig, reward):
+    """(ranking, records, posterior) of cfg.T LinTS pulls over the arms,
+    each rewarded by `reward(t, arm, predict)`, which returns the pull's
+    (reward, loss) and is recorded as given.
+
+    The generator is seeded with cfg.seed, and each pull draws the next
+    pull's normals before it is rewarded.  During pull t, `predict(lo, hi)`
+    gives the index of the arm that pull t + 1 plays if pull t is rewarded
+    the posterior's own estimate of its arm, clipped to [lo, hi]; None at
+    the last pull, and when that raises NumericError.  The loop is the same
+    whatever the source: a source that returns the rewards in a run's
+    pulls.csv replays the run's pulls and its ranking.  The ranking is of
+    all arms, by a^T mu_hat descending.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    A = arm_matrix(arms)
+    post = BanditPosterior.fresh(A.shape[1], cfg.nu)
+    records = []
+    z = rng.standard_normal(post.d)
+    for t in range(1, cfg.T + 1):
+        arm = arms[argmax_arm(posterior_sample(post, z), A)]
+        # The next pull's normals, drawn now for the prediction: the
+        # generator's stream is the same.
+        z = rng.standard_normal(post.d) if t < cfg.T else None
+
+        def predict(lo, hi):
+            if z is None:
+                return None
+            gamma = float(np.clip(np.dot(arm.bits, post.mu_hat), lo, hi))
+            try:
+                return argmax_arm(posterior_sample(posterior_update(post, arm.bits, gamma), z), A)
+            except NumericError:
+                return None
+
+        gamma, loss = reward(t, arm, predict)
+        records.append(PullRecord(t, arm, gamma, loss))
+        post = posterior_update(post, arm.bits, gamma)
+    return [arms[i] for i in rank_arms(post.mu_hat, A)], records, post
+
+
 def run_discovery(
     arms, dataset: Dataset, cfg: DiscoveryConfig, references: dict | None = None
 ) -> DiscoveryResult:
-    """Algorithm loop: sample mu, play the argmax arm, train phi for it,
-    reward it by its held-out loss, update the posterior.
+    """Algorithm loop: `lints_loop` over a reward source that trains phi for
+    the pulled arm and rewards it by its held-out loss.
 
     The reward loss is the MSE on a held-out tail of the dataset (fraction
     reward_holdout, trained on the rest), whatever loss train_cfg trains:
@@ -393,7 +428,11 @@ def run_discovery(
     fitted mu_hat turns positive on the useful coordinates.  A bonus
     size_bonus * |I| / n favours arms on larger supports; it is the same for
     every kind on one support, so only the held-out loss tells the kinds on
-    a support apart.
+    a support apart.  So a fitted arm's reward lies in [bonus - 1,
+    bonus + 1], the range the next arm is predicted over.  The bandit's
+    decisions depend on the rewards alone: `lints_loop`, fed a run's
+    recorded rewards, replays its pulls and ranking from pulls.csv with no
+    training.
 
     Training failures never abort the loop: an arm whose training diverges
     or whose loss is non-finite gets the floor reward -1 and loss inf.  The
@@ -419,33 +458,19 @@ def run_discovery(
         raise NumericError("non-finite value in the dataset")
     fit_data, held_data = _holdout_split(dataset, cfg.reward_holdout)
     _, ref_loss = _reference_fit(fit_data, held_data, cfg.train_cfg, references)
-    rng = np.random.default_rng(cfg.seed)
-    A = arm_matrix(arms)
-    post = BanditPosterior.fresh(A.shape[1], cfg.nu)
-    records = []
-    n_coords = dataset.inputs.shape[1]
     fits = _ArmFits(arms, fit_data, held_data, cfg.train_cfg)
-    z = rng.standard_normal(post.d)
-    for t in range(1, cfg.T + 1):
-        arm = arms[argmax_arm(posterior_sample(post, z), A)]
-        bits = arm.bits
+
+    def reward(t, arm, predict):
         # Bonus for larger index sets.  It depends on |I| alone, so it
         # favours larger supports but does not rank a group above its
         # subgroups on the same support.
-        bonus = cfg.size_bonus * len(arm.descriptor.index_set) / n_coords
-        # The next pull's normals, drawn now for the prediction: the
-        # generator's stream is the same.
-        z = rng.standard_normal(post.d) if t < cfg.T else None
-        fit = fits.get(arm, lambda: None if z is None else _predicted_arm(post, bits, bonus, z, A))
+        bonus = cfg.size_bonus * arm.descriptor.k / arm.descriptor.n
+        fit = fits.get(arm, lambda: predict(bonus - 1.0, bonus + 1.0))
         if fit is None:
-            loss, gamma = float("inf"), -1.0
-        else:
-            loss = fit.loss
-            gamma = float(np.clip((ref_loss - loss) / ref_loss, -1.0, 1.0)) + bonus
-        records.append(PullRecord(t, arm, gamma, loss))
-        post = posterior_update(post, bits, gamma)
-    ranking = [arms[i] for i in rank_arms(post.mu_hat, A)]
-    return DiscoveryResult(ranking, records, post, fits)
+            return -1.0, float("inf")
+        return float(np.clip((ref_loss - fit.loss) / ref_loss, -1.0, 1.0)) + bonus, fit.loss
+
+    return DiscoveryResult(*lints_loop(arms, cfg, reward), fits)
 
 
 def evaluate_top_arms(result: DiscoveryResult, dataset: Dataset, top: int = 3):

@@ -2,8 +2,10 @@
 verification suites, and the linear-bandit simulator.
 
 Every command is a pure function of (config file, seed): artifacts land in
-an output directory named by the hash of the effective configuration, so
-re-running a config reproduces its outputs bit for bit.
+an output directory named by the hash of the effective configuration and
+the command (`discover` untagged; `gen-data`, `bandit-sim` and
+`discover --sgd-only` by tag), so re-running a command on a config
+reproduces its outputs bit for bit.
 
 Exit codes: 0 = ok, 1 = a `verify` suite failed, 2 = a usage or
 configuration error, a run refused at run time (a SymforgeError) or a
@@ -188,8 +190,9 @@ def config_hash(cfg: dict, tag: str = "") -> str:
 
 
 def output_dir(cfg: dict, tag: str = "") -> Path:
-    """The path of a run's directory, named by the config hash; nothing is
-    created here."""
+    """The path of a run's directory, named by the hash of the config and
+    the command's tag, so each command has its own; nothing is created
+    here."""
     return _value(cfg, "output.dir") / config_hash(cfg, tag)
 
 
@@ -246,7 +249,7 @@ def run_gen_data(cfg: dict) -> Path:
         rows = np.column_stack((dataset.inputs, dataset.targets)).tolist()
         files[f"{name}.csv"] = _csv(rows, header)
     files["manifest.yaml"] = yaml.safe_dump(manifest, sort_keys=True).encode()
-    out = output_dir(cfg)
+    out = output_dir(cfg, tag="gen-data")
     _write(out, files)
     return out
 
@@ -412,7 +415,7 @@ def run_bandit_sim(cfg: dict) -> tuple[Path, dict]:
         seed=_value(cfg, "task.seed"),
     )
     rates = dict(sorted(rates.items()))
-    out = output_dir(cfg)
+    out = output_dir(cfg, tag="bandit-sim")
     _write(out, {"misid.csv": _csv(rates.items(), ("T", "misid_rate"))})
     return out, rates
 

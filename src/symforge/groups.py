@@ -19,7 +19,8 @@ SYMMETRIC = "symmetric"
 CYCLIC = "cyclic"
 DIHEDRAL = "dihedral"
 
-KINDS = (SYMMETRIC, CYCLIC, DIHEDRAL)
+# The kinds, in the one-hot order of an arm's trailing kind bits.
+KINDS = (SYMMETRIC, DIHEDRAL, CYCLIC)
 
 SYMMETRIC_K_GUARD = 8
 

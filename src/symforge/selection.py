@@ -25,13 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, EnumerationTooLargeError, InvalidDescriptorError, NumericError
-from .groups import CYCLIC, DIHEDRAL, SYMMETRIC, GroupDescriptor
+from .groups import CYCLIC, KINDS, SYMMETRIC, GroupDescriptor
 from .rho import rho_unified
 
 ARM_N_GUARD = 14
-
-# One-hot order of the trailing kind bits.
-KIND_BIT_ORDER = (SYMMETRIC, DIHEDRAL, CYCLIC)
 
 
 def build_m1(descriptor: GroupDescriptor) -> tuple[tuple[int, int], ...]:
@@ -99,7 +96,7 @@ class ArmFeature:
         bits = [0] * (d.n + 3)
         for i in d.index_set:
             bits[i] = 1
-        bits[d.n + KIND_BIT_ORDER.index(d.kind)] = 1
+        bits[d.n + KINDS.index(d.kind)] = 1
         return tuple(bits)
 
 
@@ -114,7 +111,7 @@ def enumerate_arms(n: int) -> list[ArmFeature]:
     arms = []
     for size in range(2, n + 1):
         for combo in itertools.combinations(range(n), size):
-            kinds = (SYMMETRIC,) if size == 2 else KIND_BIT_ORDER
+            kinds = (SYMMETRIC,) if size == 2 else KINDS
             for kind in kinds:
                 arms.append(ArmFeature(GroupDescriptor(kind, combo, n)))
     return arms
@@ -131,7 +128,7 @@ def arm_matrix(arms) -> np.ndarray:
     n = descriptors[0].n
     if any(d.n != n for d in descriptors):
         raise DimensionError("arms act on different n")
-    kind_bit = {kind: (n + j,) for j, kind in enumerate(KIND_BIT_ORDER)}
+    kind_bit = {kind: (n + j,) for j, kind in enumerate(KINDS)}
     ones = [d.k + 1 for d in descriptors]
     cols = itertools.chain.from_iterable(d.index_set + kind_bit[d.kind] for d in descriptors)
     A = np.zeros((len(descriptors), n + 3), dtype=bool, order="F")

@@ -18,6 +18,7 @@ from symforge.bandit import (
     LinearInstance,
     evaluate_top_arms,
     filter_arms,
+    lints_loop,
     run_discovery,
     screen_coordinates,
     simulate_linear,
@@ -104,6 +105,22 @@ def test_seven_cycle_tasks_find_their_subgroup_top3():
             spec, _, _, result = _discovery(task, seed)
             hits += _true_bits(spec) in {arm.bits for arm in result.ranking[:3]}
         assert hits >= 4, f"{task}: true arm in the top 3 in {hits}/5 seeds"
+
+
+def test_every_discovery_run_replays_from_its_rewards():
+    # The bandit's decisions depend on the rewards alone: lints_loop, fed a
+    # run's recorded rewards, gives its pulled arms, ranking and mu_hat
+    # byte for byte, with no training.
+    for task in TASKS + ("Z_I(7)", "D_I(7)"):
+        for seed in SEEDS:
+            spec, _, _, result = _discovery(task, seed)
+            records = result.records
+            cfg = DiscoveryConfig(T=4 * spec.n, train_cfg=TRAIN_CFG, seed=seed)
+            recorded = lambda t, arm, predict: (records[t - 1].reward, records[t - 1].train_loss)
+            ranking, replayed, post = lints_loop(result.arm_fits.arms, cfg, recorded)
+            assert replayed == records, (task, seed)
+            assert ranking == result.ranking, (task, seed)
+            assert post.mu_hat.tobytes() == result.posterior.mu_hat.tobytes(), (task, seed)
 
 
 def test_criterion_02_mae_ordering():

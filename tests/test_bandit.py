@@ -21,6 +21,7 @@ from symforge.bandit import (
     _holdout_split,
     evaluate_top_arms,
     filter_arms,
+    lints_loop,
     lints_play_counts,
     posterior_sample,
     posterior_update,
@@ -197,6 +198,72 @@ def test_discovery_is_deterministic():
     assert [rec.arm.bits for rec in r1.records] == [rec.arm.bits for rec in r2.records]
     assert [rec.reward for rec in r1.records] == [rec.reward for rec in r2.records]
     assert [a.bits for a in r1.ranking] == [a.bits for a in r2.ranking]
+
+
+def test_lints_loop_predicts_the_next_pull():
+    # A source that rewards each pull the posterior's own estimate of its
+    # arm, clipped to a range drawn per pull, makes every prediction come
+    # true: predict(lo, hi) is the next pull's arm, and None at the last
+    # pull.  The source tracks a mirror of the loop's posterior.
+    arms = enumerate_arms(6)
+    clipped = 0
+    for seed in range(10):
+        cfg = DiscoveryConfig(T=30, seed=seed)
+        mirror = BanditPosterior.fresh(len(arms[0].bits), cfg.nu)
+        ranges = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(cfg.T, 2))
+        predicted = []
+
+        def estimate(t, arm, predict):
+            nonlocal mirror, clipped
+            lo, hi = np.sort(ranges[t - 1])
+            guess = np.dot(arm.bits, mirror.mu_hat)
+            gamma = float(np.clip(guess, lo, hi))
+            clipped += gamma != guess
+            predicted.append(predict(lo, hi))
+            mirror = posterior_update(mirror, arm.bits, gamma)
+            return gamma, 0.0
+
+        _, records, post = lints_loop(arms, cfg, estimate)
+        assert post.mu_hat.tobytes() == mirror.mu_hat.tobytes()
+        assert predicted[-1] is None
+        assert [arms[i] for i in predicted[:-1]] == [r.arm for r in records[1:]]
+        assert len({r.arm for r in records}) > 1, seed
+    assert clipped > 0
+
+
+@pytest.mark.parametrize("constant", [0.0, 0.5, 2.0])
+def test_lints_loop_without_sampling_noise_plays_the_smallest_bits(constant):
+    # With nu = 0 the sample is the mean.  A constant reward >= 0 keeps the
+    # first pull's arm, the smallest bit vector of all under the tie-break,
+    # ahead of every other arm.
+    arms = enumerate_arms(5)
+    cfg = DiscoveryConfig(T=12, nu=0.0, seed=3)
+    ranking, records, _ = lints_loop(arms, cfg, lambda t, arm, predict: (constant, 1.0))
+    smallest = min(arm.bits for arm in arms)
+    assert [r.arm.bits for r in records] == [smallest] * cfg.T
+    assert ranking[0].bits == smallest
+
+
+def test_lints_loop_records_each_reward_as_given():
+    # The source is called once per pull, t = 1..T, with the pulled arm, and
+    # its (reward, loss), the floor of a failed fit included, is recorded as
+    # given.
+    arms = enumerate_arms(4)
+    cfg = DiscoveryConfig(T=9, seed=2)
+    floor = (-1.0, float("inf"))
+    given_rewards = [floor if t % 3 == 0 else (0.1 * t, 0.01 * t) for t in range(cfg.T)]
+    calls = []
+
+    def source(t, arm, predict):
+        calls.append((t, arm))
+        return given_rewards[t - 1]
+
+    _, records, post = lints_loop(arms, cfg, source)
+    assert calls == [(r.t, r.arm) for r in records]
+    assert [r.t for r in records] == list(range(1, cfg.T + 1))
+    assert [(r.reward, r.train_loss) for r in records] == given_rewards
+    pulled = np.array([r.arm.bits for r in records])
+    assert np.array_equal(post.B, np.eye(post.d) + pulled.T @ pulled)
 
 
 DISCOVERY_DIGESTS = {

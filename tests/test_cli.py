@@ -526,7 +526,8 @@ def test_cli_unwritable_artifact_exits_2(tmp_path, command, artifact):
     # exit 2 with one error line naming it, not a traceback with exit 1,
     # which is the code of a failed suite.
     path = _tiny_config(tmp_path, "task", {})
-    blocked = tmp_path / "runs" / config_hash(load_config(path)) / artifact
+    tag = "" if command == "discover" else command
+    blocked = tmp_path / "runs" / config_hash(load_config(path), tag) / artifact
     blocked.mkdir(parents=True)
     proc = _child(
         "import sys; from symforge.cli import main; main(sys.argv[1:])",
@@ -536,6 +537,45 @@ def test_cli_unwritable_artifact_exits_2(tmp_path, command, artifact):
     assert "Traceback" not in proc.stderr
     (line,) = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert str(blocked) in line
+
+
+def test_each_command_writes_its_own_directory(tmp_path):
+    # gen-data, discover and bandit-sim on one config write three
+    # directories, so a report or manifest describes every file beside it,
+    # and a byte comparison of one command's CSVs sees no other's.
+    cfg = load_config(_tiny_config(tmp_path, "task", {}))
+    outs = {
+        "gen-data": run_gen_data(cfg),
+        "discover": run_discover(cfg)[0],
+        "bandit-sim": run_bandit_sim(cfg)[0],
+    }
+    assert sorted((tmp_path / "runs").iterdir()) == sorted(outs.values())
+    assert {command: sorted(p.name for p in out.iterdir()) for command, out in outs.items()} == {
+        "gen-data": ["manifest.yaml", "train.csv", "val.csv"],
+        "discover": ["m1.csv", "m2.csv", "pulls.csv", "ranking.csv", "report.yaml"],
+        "bandit-sim": ["misid.csv"],
+    }
+
+
+def test_a_discover_run_replays_from_its_files(tmp_path):
+    # The bandit's decisions depend on the rewards alone: lints_loop, fed
+    # pulls.csv's rewards and report.yaml's seed, screened coordinates and
+    # settings, with no training, gives the run's pulls.csv and
+    # ranking.csv, scores as .17g strings included, byte for byte.
+    out, _ = run_discover(load_config(_write_config(tmp_path, bandit={"T": 12})))
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    rows = [row.split(",") for row in (out / "pulls.csv").read_text().splitlines()[1:]]
+    n = len(rows[0][1]) - 3
+    arms = bandit.filter_arms(enumerate_arms(n), report["screened_coordinates"])
+    cfg = bandit.DiscoveryConfig(
+        T=report["T"], nu=report["config"]["bandit"]["nu"], seed=report["seed"]
+    )
+    recorded = lambda t, arm, predict: (float(rows[t - 1][2]), float(rows[t - 1][3]))
+    ranking, records, posterior = bandit.lints_loop(arms, cfg, recorded)
+    replay = bandit.DiscoveryResult(ranking, records, posterior, None)
+    files, _ = cli.discovery_artifacts(replay, [(arm, None) for arm in ranking[:3]])
+    for name in ("pulls.csv", "ranking.csv"):
+        assert files[name] == (out / name).read_bytes(), name
 
 
 def test_discover_with_no_rows_to_hold_out(tmp_path):

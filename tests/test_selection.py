@@ -96,7 +96,7 @@ def test_encode_arm_reference_example():
 
 
 def test_encode_arm_kind_bits():
-    # The trailing three bits one-hot the kind in KIND_BIT_ORDER: S, D, Z.
+    # The trailing three bits one-hot the kind in groups.KINDS order: S, D, Z.
     for kind, kind_bits in ((SYMMETRIC, (1, 0, 0)), (DIHEDRAL, (0, 1, 0)), (CYCLIC, (0, 0, 1))):
         arm = ArmFeature(GroupDescriptor(kind, (1, 2, 4), 6))
         assert arm.bits == (0, 1, 1, 0, 1, 0) + kind_bits
