@@ -352,10 +352,14 @@ class DiscoveryConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.T < 1:
+            raise ValueError("need T >= 1")
         if not 0.0 < self.reward_holdout < 1.0:
             raise ValueError("reward_holdout must be in (0, 1)")
         if not 0 <= self.nu < np.inf:
             raise ValueError("nu must be finite and >= 0")
+        if not np.isfinite(self.size_bonus):
+            raise ValueError("size_bonus must be finite")
 
 
 @dataclass
@@ -450,8 +454,6 @@ def run_discovery(
     evaluate_top_arms fits other arms the same way.  Only pulled arms enter
     `fits`.
     """
-    if cfg.T < 1:
-        raise ValueError("need T >= 1")
     if not arms:
         raise ValueError("empty arm set")
     if not (np.all(np.isfinite(dataset.inputs)) and np.all(np.isfinite(dataset.targets))):

@@ -36,7 +36,7 @@ from .bandit import (
 )
 from .errors import SymforgeError
 from .groups import CYCLIC, DIHEDRAL, SYMMETRIC, GroupDescriptor
-from .net import SQUARED, TrainConfig, forward, gradient_check, init_params
+from .net import SQUARED, TrainConfig, forward_batch, gradient_check, init_params
 from .oracle import (
     check_invariance,
     find_set_e_counterexample,
@@ -262,10 +262,6 @@ def _csv(rows, header=None) -> bytes:
     return "".join(line + "\n" for line in lines).encode()
 
 
-def _arm_fields(descriptor) -> dict:
-    return {"kind": descriptor.kind, "index_set": list(descriptor.index_set)}
-
-
 def discovery_artifacts(result, top) -> tuple[dict, dict]:
     """(files, fields) of a discovery run: the bytes of pulls.csv,
     ranking.csv and the winner's dense m1.csv and m2.csv, and the report's
@@ -287,10 +283,10 @@ def discovery_artifacts(result, top) -> tuple[dict, dict]:
         "m2.csv": _csv(dense_matrix(build_m2(winner), (n * n, n * n))),
     }
     top3 = [
-        dict(_arm_fields(arm.descriptor), score=score, val_mae=mae)
+        dict(arm.descriptor.to_record(), score=score, val_mae=mae)
         for (arm, mae), score in zip(top, scores)
     ]
-    return files, {"top3": top3, "winner": _arm_fields(winner)}
+    return files, {"top3": top3, "winner": winner.to_record()}
 
 
 def run_discover(cfg: dict, sgd_only: bool = False) -> tuple[Path, dict]:
@@ -392,7 +388,7 @@ def _suite_checks(suite: str) -> dict:
         for kind, k in ((CYCLIC, 4), (DIHEDRAL, 4), (SYMMETRIC, 3)):
             descriptor = GroupDescriptor(kind, tuple(range(1, k + 1)), k + 2)
             params = init_params(k + 2, seed=1)
-            report = check_invariance(lambda x: forward(params, descriptor, x), descriptor)
+            report = check_invariance(lambda X: forward_batch(params, descriptor, X), descriptor)
             checks[f"{kind}-k{k}"] = _verdict(report, f"violation {report.max_violation:.2e}")
         return checks
     raise ConfigError(f"unknown suite {suite!r}; valid suites: {VERIFY_SUITES}")
@@ -414,7 +410,6 @@ def run_bandit_sim(cfg: dict) -> tuple[Path, dict]:
         trials=_value(cfg, "sim.trials"),
         seed=_value(cfg, "task.seed"),
     )
-    rates = dict(sorted(rates.items()))
     out = output_dir(cfg, tag="bandit-sim")
     _write(out, {"misid.csv": _csv(rates.items(), ("T", "misid_rate"))})
     return out, rates

@@ -1,8 +1,7 @@
 """Locally cyclic, dihedral and symmetric subgroups of S_n and their actions.
 
-Index sets are 0-based internally; serialization (`GroupDescriptor.to_record`)
-uses 1-based indices.  A permutation acts on a vector by index pullback:
-``(g . x)[i] = x[g(i)]``.
+Index sets are 0-based, in memory and in every artifact.  A permutation
+acts on a vector by index pullback: ``(g . x)[i] = x[g(i)]``.
 """
 
 from __future__ import annotations
@@ -90,12 +89,9 @@ class GroupDescriptor:
         return self.k if self.k == 2 else 2 * self.k
 
     def to_record(self) -> dict:
-        """Serializable record; index sets are written 1-based."""
-        return {
-            "kind": self.kind,
-            "index_set": [i + 1 for i in self.index_set],
-            "n": self.n,
-        }
+        """The kind and the 0-based index set, the record every artifact
+        writes a subgroup as."""
+        return {"kind": self.kind, "index_set": list(self.index_set)}
 
 
 def _relabeling(idx, images, n: int) -> Permutation:

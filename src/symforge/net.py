@@ -105,8 +105,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs >= 1 and batch_size >= 1 required")
-        if not (self.lr_initial >= 0 and 0 < self.lr_decay <= 1):
-            raise ValueError("need lr >= 0 and 0 < decay <= 1")
+        if not (0 <= self.lr_initial < np.inf and 0 < self.lr_decay <= 1):
+            raise ValueError("need 0 <= lr < inf and 0 < decay <= 1")
         if self.loss_kind not in (SQUARED, ABSOLUTE):
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
 
@@ -331,10 +331,6 @@ def forward_batch(params: PhiParams, descriptor: GroupDescriptor, X) -> np.ndarr
     if not np.all(np.isfinite(X)):
         raise NumericError("non-finite input")
     return _predict(lambda block: _phi_forward(params, *_pair_layout(descriptor, block)), X)
-
-
-def forward(params: PhiParams, descriptor: GroupDescriptor, x) -> float:
-    return float(forward_batch(params, descriptor, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def _residual_loss(resid, kind) -> float:

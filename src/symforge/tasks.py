@@ -1,8 +1,10 @@
 """Synthetic regression tasks: the builtin invariant polynomials.
 
 The builtin polynomials have integer coefficients and are term-permutations
-under their group, so generated targets are exactly invariant.  Targets are
-min-max normalized with train-split statistics.
+under their group, so generated targets are exactly invariant; a
+`PolynomialSpec` is refused unless `oracle.check_invariance` finds it
+invariant within 1e-12.  Targets are min-max normalized with train-split
+statistics.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError
-from .groups import CYCLIC, DIHEDRAL, SYMMETRIC, GroupDescriptor, act, elements
+from .groups import CYCLIC, DIHEDRAL, SYMMETRIC, GroupDescriptor
 from .net import Dataset
+from .oracle import check_invariance
 
 # Cycle orders, 0-based: the index sets {1,2,3,4}, {1,2,3,6,7} and
 # {1,2,3,6,7,9,10} of the benchmark definitions.
@@ -33,12 +36,9 @@ class PolynomialSpec:
     terms: tuple
 
     def __post_init__(self):
-        rng = np.random.default_rng(12345)
-        X = rng.uniform(size=(100, self.descriptor.n))
-        base = self.evaluate(X)
-        for g in elements(self.descriptor):
-            if np.max(np.abs(self.evaluate(act(g, X)) - base)) > 1e-12:
-                raise ValueError(f"{self.name}: polynomial is not invariant under {g}")
+        report = check_invariance(self.evaluate, self.descriptor)
+        if not report.max_violation <= 1e-12:  # a NaN violation is refused too
+            raise ValueError(f"{self.name}: polynomial is not invariant under {report.worst_g}")
 
     @property
     def n(self) -> int:
@@ -129,6 +129,7 @@ def make_splits(spec: PolynomialSpec, sizes=SPLIT_SIZES, seed=0):
     manifest = {
         "spec": spec.name,
         "descriptor": spec.descriptor.to_record(),
+        "n": spec.n,
         "seed": seed,
         "sizes": {name: size for name, size in zip(names, sizes)},
         "normalization": {"y_min": y_min, "y_max": y_max},

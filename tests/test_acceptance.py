@@ -31,7 +31,7 @@ from symforge.groups import (
     act,
     elements,
 )
-from symforge.net import TrainConfig, forward, init_params, gradient_check, train_sgd
+from symforge.net import TrainConfig, forward_batch, init_params, gradient_check, train_sgd
 from symforge.oracle import (
     check_invariance,
     find_set_e_counterexample,
@@ -67,10 +67,13 @@ def _discovery(task_name, seed):
     spec = builtin_polynomial(task_name)
     splits, _ = make_splits(spec, sizes=(64, 480), seed=seed)
     train, val = splits["train"], splits["val"]
-    kept = screen_coordinates(train, TRAIN_CFG, threshold=0.08, repeats=30, seed=seed)
+    references = {}  # screening's reference fit, which discovery takes, as in `discover`
+    kept = screen_coordinates(
+        train, TRAIN_CFG, threshold=0.08, repeats=30, seed=seed, references=references
+    )
     arms = filter_arms(enumerate_arms(spec.n), kept)
     cfg = DiscoveryConfig(T=4 * spec.n, train_cfg=TRAIN_CFG, seed=seed)
-    result = run_discovery(arms, train, cfg)
+    result = run_discovery(arms, train, cfg, references)
     return spec, train, val, result
 
 
@@ -227,7 +230,7 @@ def test_criterion_05_trained_pipeline_invariance():
     spec, train, _, result = _discovery("Z_I(5)", 1)
     bits = _true_bits(spec)
     params, _ = result.fits.get(bits) or train_sgd(train, spec.descriptor, TRAIN_CFG)
-    trained = check_invariance(lambda x: forward(params, spec.descriptor, x), spec.descriptor)
+    trained = check_invariance(lambda X: forward_batch(params, spec.descriptor, X), spec.descriptor)
     # The guarantee is architectural, so it must also hold at random weights
     # for every kind and k <= 5.
     random_ok = True
@@ -236,7 +239,7 @@ def test_criterion_05_trained_pipeline_invariance():
         for k in range(2, 6):
             d = GroupDescriptor(kind, tuple(range(1, k + 1)), k + 2)
             pk = init_params(k + 2, seed=k)
-            rep = check_invariance(lambda x: forward(pk, d, x), d)
+            rep = check_invariance(lambda X: forward_batch(pk, d, X), d)
             worst_random = max(worst_random, rep.max_violation)
             random_ok = random_ok and rep.passed
     # Falsifiability: a wrong-group transposition moves the output.
@@ -246,7 +249,8 @@ def test_criterion_05_trained_pipeline_invariance():
     i = spec.descriptor.index_set[0]
     j = next(c for c in range(spec.n) if c not in spec.descriptor.index_set)
     outside[[i, j]] = outside[[j, i]]
-    falsifiable = forward(params, spec.descriptor, outside) != forward(params, spec.descriptor, x)
+    moved, kept = forward_batch(params, spec.descriptor, np.array([outside, x]))
+    falsifiable = moved != kept
     ok = trained.passed and random_ok and falsifiable
     _report(
         5,

@@ -171,9 +171,13 @@ def test_discovery_config_validation():
     for holdout in (0.0, 1.0):
         with pytest.raises(ValueError, match="reward_holdout"):
             DiscoveryConfig(T=10, reward_holdout=holdout)
-    cfg = DiscoveryConfig(T=0, train_cfg=FAST)
     with pytest.raises(ValueError):
-        run_discovery(enumerate_arms(3), _toy_dataset(3), cfg)
+        DiscoveryConfig(T=0, train_cfg=FAST)
+    # A non-finite bonus used to construct, and the run trained an arm
+    # before its first reward was refused as non-finite.
+    for bonus in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="size_bonus must be finite"):
+            DiscoveryConfig(T=3, size_bonus=bonus)
     with pytest.raises(ValueError):
         run_discovery([], _toy_dataset(3), DiscoveryConfig(T=2, train_cfg=FAST))
 
@@ -896,6 +900,8 @@ def test_simulator_validation():
     # A repeated horizon is one horizon, not two draws counted into one rate.
     once = simulate_linear(inst, [10], nu=0.5, trials=20, seed=3)
     assert simulate_linear(inst, [10, 10], nu=0.5, trials=20, seed=3) == once
+    # The rates come keyed in horizon order, the order of misid.csv's rows.
+    assert list(simulate_linear(inst, [40, 10, 20, 10], nu=0.5, trials=5)) == [10, 20, 40]
 
 
 def test_simulator_refuses_non_finite_values(monkeypatch):

@@ -557,6 +557,22 @@ def test_each_command_writes_its_own_directory(tmp_path):
     }
 
 
+def test_a_discover_run_writes_its_task_subgroup_as_it_writes_the_winner(tmp_path):
+    # report.yaml names the task's subgroup with the record `winner` and
+    # `top3` use, 0-based like ranking.csv and screened_coordinates, so a
+    # run that finds it shows the same index set; n is its own key.
+    out, _ = run_discover(load_config(_tiny_config(tmp_path, "task", {"name": "Z_I(5)"})))
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    task = report["task"]
+    assert task["descriptor"] == {"kind": "cyclic", "index_set": [0, 1, 2, 5, 6]}
+    assert set(task["descriptor"]) == set(report["winner"])
+    assert task["n"] == 10
+    # The winner's record is ranking.csv's first row, on screened coordinates.
+    first = (out / "ranking.csv").read_text().splitlines()[1].split(",")
+    assert report["winner"] == {"kind": first[1], "index_set": list(map(int, first[2].split()))}
+    assert set(report["winner"]["index_set"]) <= set(report["screened_coordinates"])
+
+
 def test_a_discover_run_replays_from_its_files(tmp_path):
     # The bandit's decisions depend on the rewards alone: lints_loop, fed
     # pulls.csv's rewards and report.yaml's seed, screened coordinates and

@@ -16,7 +16,6 @@ from symforge.net import (
     PhiParams,
     TrainConfig,
     evaluate,
-    forward,
     forward_batch,
     gradient_check,
     init_params,
@@ -54,6 +53,8 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(lr_decay=0.0)
+    with pytest.raises(ValueError, match="lr < inf"):
+        TrainConfig(lr_initial=float("inf"))
     with pytest.raises(ValueError):
         TrainConfig(loss_kind="hinge")
 
@@ -75,11 +76,10 @@ def test_forward_bitwise_invariance():
     for kind, idx in ((CYCLIC, (0, 1, 3, 4)), (DIHEDRAL, (1, 2, 4)), (SYMMETRIC, (0, 2, 3))):
         d = GroupDescriptor(kind, idx, 5)
         params = init_params(5, seed=1)
-        for _ in range(10):
-            x = rng.uniform(size=5)
-            base = forward(params, d, x)
-            for g in elements(d):
-                assert forward(params, d, act(g, x)) == base
+        X = rng.uniform(size=(10, 5))
+        base = forward_batch(params, d, X)
+        for g in elements(d):
+            assert np.array_equal(forward_batch(params, d, act(g, X)), base)
 
 
 def test_forward_not_invariant_under_wrong_group():
@@ -88,7 +88,8 @@ def test_forward_not_invariant_under_wrong_group():
     x = np.array([0.9, 0.1, 0.5, 0.3, 0.7])
     swapped = x.copy()
     swapped[[0, 1]] = swapped[[1, 0]]  # transposition outside the cyclic group
-    assert forward(params, d, swapped) != forward(params, d, x)
+    moved, kept = forward_batch(params, d, np.array([swapped, x]))
+    assert moved != kept
 
 
 def test_forward_rejects_nonfinite():
@@ -191,7 +192,7 @@ def test_batched_forward_matches_single(seed):
     params = init_params(5, seed=0)
     X = rng.uniform(size=(5, 5))
     batched = forward_batch(params, d, X)
-    singles = [forward(params, d, x) for x in X]
+    singles = [forward_batch(params, d, x[None, :])[0] for x in X]
     # BLAS may round differently for different batch shapes, so this is a
     # tight numerical comparison rather than a bitwise one.
     assert np.allclose(batched, np.asarray(singles), rtol=1e-12, atol=1e-14)

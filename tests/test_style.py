@@ -3,8 +3,9 @@ line is over 100 characters, and no package module imports a name it never
 uses (such as a helper import left behind when its one caller moved).
 
 `code_lines` counts a module's code lines and docstring lines, the measure
-a refactor reports its size change in.  Run this file as a script to print
-them for each `src/symforge` module, and the totals:
+a refactor reports its size change in, and `defaulted_parameters` its
+parameters that have a default.  Run this file as a script to print all
+three for each `src/symforge` module, and the totals:
 
     python tests/test_style.py
 """
@@ -99,11 +100,38 @@ class C:
     assert code_lines(source) == (7, 5)
 
 
+def defaulted_parameters(source: str) -> int:
+    """The parameters with a default, positional and keyword-only, over
+    every `def` of a module's source, methods and nested defs included."""
+    defines = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return sum(
+        len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, defines)
+    )
+
+
+def test_defaulted_parameters_counts_every_def_and_no_lambda():
+    source = """
+def f(a, b=1, *args, c, d=2, **kwargs):
+    def nested(x=0, /, y=1):
+        return lambda z=3: z
+
+
+class C:
+    field: int = 4
+
+    async def method(self, e=None, *, g=5):
+        pass
+"""
+    assert defaulted_parameters(source) == 6
+
+
 if __name__ == "__main__":
-    totals = [0, 0]
-    print(f"{'module':<16}{'code':>6}{'docs':>6}")
+    totals = [0, 0, 0]
+    print(f"{'module':<16}{'code':>6}{'docs':>6}{'defaults':>10}")
     for path in PACKAGE:
-        counts = code_lines(path.read_text())
+        counts = (*code_lines(path.read_text()), defaulted_parameters(path.read_text()))
         totals = [total + count for total, count in zip(totals, counts)]
-        print(f"{path.name:<16}{counts[0]:>6}{counts[1]:>6}")
-    print(f"{'total':<16}{totals[0]:>6}{totals[1]:>6}")
+        print(f"{path.name:<16}{counts[0]:>6}{counts[1]:>6}{counts[2]:>10}")
+    print(f"{'total':<16}{totals[0]:>6}{totals[1]:>6}{totals[2]:>10}")

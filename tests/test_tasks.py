@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from symforge.cli import _csv
-from symforge.groups import DIHEDRAL
+from symforge.groups import CYCLIC, DIHEDRAL, GroupDescriptor
 from symforge.oracle import check_invariance
 from symforge.tasks import (
     BUILTIN_NAMES,
+    PolynomialSpec,
     builtin_polynomial,
     gen_poly_dataset,
     make_splits,
@@ -28,8 +29,19 @@ def test_cyclic_benchmark_value_at_ones():
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_polynomials_are_invariant(name):
     spec = builtin_polynomial(name)
-    report = check_invariance(lambda x: float(spec.evaluate(x)[0]), spec.descriptor)
+    report = check_invariance(spec.evaluate, spec.descriptor)
     assert report.max_violation <= 1e-12
+
+
+def test_a_polynomial_outside_its_group_is_refused():
+    # x0 * x1^2 is not cyclic in (0, 1, 2); the error names an element
+    # that moves it.
+    terms = ((1, ((0, 1), (1, 2))),)
+    with pytest.raises(ValueError, match=r"chain: polynomial is not invariant under Perm"):
+        PolynomialSpec("chain", GroupDescriptor(CYCLIC, (0, 1, 2), 3), terms)
+    # The same term closed into a cycle is invariant, and is built.
+    closed = terms + ((1, ((1, 1), (2, 2))), (1, ((2, 1), (0, 2))))
+    assert PolynomialSpec("cycle", GroupDescriptor(CYCLIC, (0, 1, 2), 3), closed).n == 3
 
 
 def test_builtin_polynomials_not_invariant_beyond_group():
